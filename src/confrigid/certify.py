@@ -10,8 +10,9 @@ strictly beats the unit weights after an independent eigensolve.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .embeddings import (
     canonical_embedding,
     edge_length_profile,
     make_embedding,
-    phi_psi,
-    symmetrized_embedding,
 )
 from .errors import (
     DisconnectedError,
@@ -36,6 +35,7 @@ from .graphs import CayleySpec, Graph, laplacian
 from .lp import phase1_feasibility
 from .sdp import (
     SdpInstance,
+    SdpResult,
     build_sdp_instance,
     rank_one_vector,
     rank_reduce,
@@ -53,10 +53,9 @@ from .symmetry import (
     PermutationSet,
     cayley_translations,
     find_automorphisms,
-    group_closure,
     orbits,
 )
-from .walkreg import walk_regularity
+from .walkreg import canonical_walk1_check
 
 STAGES = (
     "edge_transitive",
@@ -81,7 +80,6 @@ class CheckOptions:
     generators: PermutationSet | None = None
     aut_search: bool = True
     aut_limit: int = 500_000
-    group_cap: int = 10**6
     skip_stages: frozenset = field(default_factory=frozenset)
 
     def stage_enabled(self, name: str) -> bool:
@@ -283,20 +281,15 @@ def abelian_lp_certificate(
 def lp_certificate_embedding(
     spec: CayleySpec, lam: float, lp: LpCertificateResult, g: Graph
 ) -> Embedding:
-    """Concrete embedding implied by a certified LP solution: the
-    group-symmetrized embedding of phi = sum_j sqrt(c_j) chi^j, with real and
-    imaginary parts as separate columns."""
+    """Concrete embedding implied by a certified LP solution: the n x 2d
+    columns sqrt(c_j) * [Re chi^j, Im chi^j].  Its Gram matrix is that of the
+    group-symmetrized phi = sum_j sqrt(c_j) chi^j divided by the group order."""
     table = character_spectrum(spec)
-    phi = np.zeros(spec.size, dtype=complex)
+    cols = []
     for ck, k in zip(lp.coefficients, lp.character_indices):
         if ck > 0:
-            phi = phi + np.sqrt(ck) * table.chars[k]
-    elems = spec.elements()
-    cols = []
-    for h in elems:
-        shifted = np.array([spec.index_of(spec.add(gel, h)) for gel in elems])
-        cols.append(phi[shifted].real)
-        cols.append(phi[shifted].imag)
+            chi = np.sqrt(ck) * table.chars[k]
+            cols += [chi.real, chi.imag]
     P = np.stack(cols, axis=1)
     keep = np.linalg.norm(P, axis=0) > 1e-12
     return make_embedding(g, P[:, keep], lam, source="character-lp")
@@ -307,23 +300,63 @@ def lp_certificate_embedding(
 # ---------------------------------------------------------------------------
 
 
+def _commutant_projection(
+    U: np.ndarray, p: PermutationSet, X: np.ndarray
+) -> np.ndarray:
+    """Orthogonal projection of X onto the commutant {X : R_g X R_g^T = X}
+    of the generators' action R_g = U^T P_g U on the eigenspace.  This is the
+    group average of R_h X R_h^T over all h, computed from generators only;
+    it keeps X psd and keeps every orbit functional and the trace."""
+    k = U.shape[1]
+    H = np.zeros((k * k, k * k))
+    for sigma in p.gens:
+        R = U.T @ U[np.array(sigma)]
+        D = np.kron(R, R) - np.eye(k * k)
+        H += D.T @ D
+    vals, vecs = np.linalg.eigh(H)
+    N = vecs[:, vals <= 1e-9 * max(1.0, float(vals[-1]))]
+    return (N @ (N.T @ X.reshape(-1))).reshape(k, k)
+
+
 def _sdp_embedding(
     g: Graph,
     inst: SdpInstance,
     X: np.ndarray,
     lam: float,
-    elements: list | None,
+    p: PermutationSet | None,
 ) -> Embedding:
-    """Embedding implied by a feasible Gram matrix: factor X = V V^T, take
-    base columns U V, and symmetrize over the group when one is attached."""
+    """Embedding implied by a feasible Gram matrix: project X onto the
+    commutant of the group when one is attached, factor the result as
+    V V^T and embed as U V (n x k at most)."""
+    if p is not None:
+        X = _commutant_projection(inst.U, p, X)
     vals, vecs = np.linalg.eigh((X + X.T) / 2.0)
     keep = vals > 1e-10 * max(float(vals.max()), 1e-30)
     V = vecs[:, keep] * np.sqrt(vals[keep])
-    base = inst.U @ V
-    if elements is None:
-        return make_embedding(g, base, lam, source="sdp-gram")
-    cols = [base[np.array(sigma), :] for sigma in elements]
-    return make_embedding(g, np.hstack(cols), lam, source="sdp-gram-symmetrized")
+    source = "sdp-gram" if p is None else "sdp-gram-symmetrized"
+    return make_embedding(g, inst.U @ V, lam, source=source)
+
+
+def _gram_certificate(
+    g: Graph,
+    inst: SdpInstance,
+    res: SdpResult,
+    lam: float,
+    p: PermutationSet | None,
+    end: str,
+    iso_tol: float,
+) -> Certificate | None:
+    if res.status != "feasible":
+        return None
+    return _verified_certificate(
+        g,
+        _sdp_embedding(g, inst, res.X, lam, p),
+        "sdp_gram",
+        end,
+        {"X": res.X},
+        iso_tol,
+        extra_residuals={"sdp_residual": res.residual},
+    )
 
 
 def eigenvector_certificate(
@@ -333,41 +366,42 @@ def eigenvector_certificate(
     p: PermutationSet,
     feas_tol: float = 1e-8,
     max_iter: int = 5000,
-    group_cap: int = 10**6,
+    iso_tol: float = 1e-7,
     end: str = "lower",
 ) -> Certificate | None:
     """Symmetrized SDP feasibility followed by rank reduction; a rank-one
-    solution yields an eigenvector phi with constant orbit sums, otherwise
-    the Gram certificate itself is returned (still valid for rigidity)."""
+    solution a a^T yields an eigenvector phi = U a with constant orbit sums
+    (the instance functionals at a a^T), otherwise the Gram certificate
+    itself is returned (still valid for rigidity)."""
     orb = orbits(g, p)
     if orb.num_vertex_orbits != 1:
         raise NotVertexTransitiveError("supplied group is not vertex-transitive")
     if lam <= 0:
         raise EigenvalueError("certificate needs a positive eigenvalue")
     U = dec.basis_for(lam)
-    inst = build_sdp_instance(g, U, p, orb, group_cap=group_cap)
+    inst = build_sdp_instance(g, U, p, orb)
     res = sdp_feasibility(inst, tol=feas_tol, max_iter=max_iter)
     if res.status != "feasible":
         return None
-    elements = group_closure(p, cap=group_cap)
     try:
         Xr = rank_reduce(res.X, inst, tol=feas_tol)
     except NumericalRankAmbiguityError:
         Xr = res.X
     a = rank_one_vector(Xr)
-    if a is not None and inst.residual(np.outer(a, a)) <= 10 * feas_tol:
-        phi = U @ a
-        ov = phi_psi(g, phi, p, orb, group_cap=group_cap)
-        spread = max(ov.values) - min(ov.values)
-        if spread <= 1e-8 * max(1.0, max(abs(v) for v in ov.values)):
-            emb = symmetrized_embedding(g, phi, p, group_cap=group_cap)
+    if a is not None:
+        aa = np.outer(a, a)
+        sums = [float(np.tensordot(C, aa)) for C in inst.orbit_mats]
+        spread = max(sums) - min(sums)
+        if inst.residual(aa) <= 10 * feas_tol and spread <= 1e-8 * max(
+            1.0, max(abs(v) for v in sums)
+        ):
             cert = _verified_certificate(
                 g,
-                emb,
+                _sdp_embedding(g, inst, aa, lam, p),
                 "eigenvector",
                 end,
-                {"phi": phi, "orbit_sums": list(ov.values)},
-                iso_tol=1e-7,
+                {"phi": U @ a, "orbit_sums": sums},
+                iso_tol,
                 extra_residuals={
                     "orbit_sum_spread": spread,
                     "sdp_residual": res.residual,
@@ -375,16 +409,7 @@ def eigenvector_certificate(
             )
             if cert is not None:
                 return cert
-    emb = _sdp_embedding(g, inst, res.X, lam, elements)
-    return _verified_certificate(
-        g,
-        emb,
-        "sdp_gram",
-        end,
-        {"X": res.X},
-        iso_tol=1e-7,
-        extra_residuals={"sdp_residual": res.residual},
-    )
+    return _gram_certificate(g, inst, res, lam, p, end, iso_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +495,6 @@ def product_rigidity(
 # ---------------------------------------------------------------------------
 
 
-def _pick_eigvec(dec: EigenspaceDecomposition, lam: float, seed: int) -> np.ndarray:
-    U = dec.basis_for(lam)
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal(U.shape[1])
-    r /= np.linalg.norm(r)
-    return U @ r
-
-
 def _falsify_end(g: Graph, end: str, opts: CheckOptions) -> FalsifierResult | None:
     best: FalsifierResult | None = None
     if opts.trials > 0:
@@ -511,22 +528,35 @@ def _certify_end(
     spec = g.cayley_spec
     lp_refuted = False
 
+    @functools.cache
+    def canonical() -> Certificate | None:
+        try:
+            emb = canonical_embedding(g, dec, lam)
+        except EigenvalueError:
+            return None
+        return _verified_certificate(
+            g, emb, "canonical_isometric", end, {}, opts.iso_tol
+        )
+
+    def canonical_report(kind: str, method: str) -> EndReport | None:
+        """EdgeTransitive, OneWalkRegular and CanonicalIsometric share one
+        test of the canonical embedding; only the label differs."""
+        cert = canonical()
+        if cert is None:
+            return None
+        cert = replace(cert, kind=kind)
+        return EndReport(end, "certified", method, cert, None, cert.residuals)
+
     if (
         opts.stage_enabled("edge_transitive")
-        and perms is not None
         and orb is not None
         and orb.num_edge_orbits == 1
     ):
-        phi = _pick_eigvec(dec, lam, opts.seed)
-        try:
-            emb = symmetrized_embedding(g, phi, perms, group_cap=opts.group_cap)
-            cert = _verified_certificate(
-                g, emb, "edge_transitive", end, {"phi": phi}, opts.iso_tol
-            )
-        except EigenvalueError:
-            cert = None
-        if cert is not None:
-            return EndReport(end, "certified", "EdgeTransitive", cert, None, cert.residuals)
+        # the projector U U^T commutes with every automorphism, so an
+        # edge-transitive group makes the canonical embedding edge-isometric
+        found = canonical_report("edge_transitive", "EdgeTransitive")
+        if found is not None:
+            return found
 
     if opts.stage_enabled("character_lp") and spec is not None:
         lp = abelian_lp_certificate(spec, lam)
@@ -554,35 +584,16 @@ def _certify_end(
             lp_refuted = True  # decisive: go straight to the falsifier for a witness
 
     if not lp_refuted:
+        found = None
         if opts.stage_enabled("walk_regular") and walk1:
-            try:
-                emb = canonical_embedding(g, dec, lam)
-                cert = _verified_certificate(
-                    g, emb, "one_walk_regular", end, {}, opts.iso_tol
-                )
-            except EigenvalueError:
-                cert = None
-            if cert is not None:
-                return EndReport(
-                    end, "certified", "OneWalkRegular", cert, None, cert.residuals
-                )
-
-        if opts.stage_enabled("canonical"):
-            try:
-                emb = canonical_embedding(g, dec, lam)
-                cert = _verified_certificate(
-                    g, emb, "canonical_isometric", end, {}, opts.iso_tol
-                )
-            except EigenvalueError:
-                cert = None
-            if cert is not None:
-                return EndReport(
-                    end, "certified", "CanonicalIsometric", cert, None, cert.residuals
-                )
+            found = canonical_report("one_walk_regular", "OneWalkRegular")
+        elif opts.stage_enabled("canonical"):
+            found = canonical_report("canonical_isometric", "CanonicalIsometric")
+        if found is not None:
+            return found
 
         if (
             opts.stage_enabled("symmetrized_sdp")
-            and perms is not None
             and orb is not None
             and orb.num_vertex_orbits == 1
         ):
@@ -593,7 +604,7 @@ def _certify_end(
                 perms,
                 feas_tol=opts.feas_tol,
                 max_iter=opts.sdp_max_iter,
-                group_cap=opts.group_cap,
+                iso_tol=opts.iso_tol,
                 end=end,
             )
             if cert is not None:
@@ -601,24 +612,13 @@ def _certify_end(
                 return EndReport(end, "certified", method, cert, None, cert.residuals)
 
         if opts.stage_enabled("trivial_sdp"):
-            U = dec.basis_for(lam)
-            inst = build_sdp_instance(g, U, p=None)
+            inst = build_sdp_instance(g, dec.basis_for(lam))
             res = sdp_feasibility(inst, tol=opts.feas_tol, max_iter=opts.sdp_max_iter)
-            if res.status == "feasible":
-                emb = _sdp_embedding(g, inst, res.X, lam, elements=None)
-                cert = _verified_certificate(
-                    g,
-                    emb,
-                    "sdp_gram",
-                    end,
-                    {"X": res.X},
-                    opts.iso_tol,
-                    extra_residuals={"sdp_residual": res.residual},
+            cert = _gram_certificate(g, inst, res, lam, None, end, opts.iso_tol)
+            if cert is not None:
+                return EndReport(
+                    end, "certified", "SdpGram", cert, None, cert.residuals
                 )
-                if cert is not None:
-                    return EndReport(
-                        end, "certified", "SdpGram", cert, None, cert.residuals
-                    )
 
     if opts.stage_enabled("falsify"):
         wit = _falsify_end(g, end, opts)
@@ -642,8 +642,10 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
 
     Stage order per end: edge-transitivity, character LP (abelian Cayley,
     decisive both ways), 1-walk regularity, canonical embedding, symmetrized
-    SDP, trivial-group SDP, falsifier.  Both ends must certify for the
-    headline verdict.
+    SDP, trivial-group SDP, falsifier.  The edge-transitivity, 1-walk
+    regularity and canonical stages share one test of the canonical
+    embedding.  walk1 comes from the eigenprojectors (no walk counts), and
+    no group is listed.  Both ends must certify for the headline verdict.
     """
     opts = options or CheckOptions()
     if not g.is_connected():
@@ -668,9 +670,7 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings["symmetry"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    walk1: bool | None = None
-    if g.is_regular() and g.n <= 128:
-        walk1 = walk_regularity(g).walk1
+    walk1 = canonical_walk1_check(g, dec) if g.is_regular() else None
     timings["walkreg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

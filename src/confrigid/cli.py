@@ -24,7 +24,6 @@ from .graphs import CayleySpec, Graph, cayley_abelian, circulant, laplacian
 from .graphs import parse_edge_list, parse_graph6
 from .spectra import circulant_curve_extremes, eigendecompose
 from .symmetry import parse_generators
-from .walkreg import walk_regularity
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -186,7 +185,6 @@ def cmd_family(args: argparse.Namespace) -> int:
         opts = build_options(args, g)
         rep = check_conformal_rigidity(g, opts)
         kmin, kmax = circulant_curve_extremes(n)
-        walk1 = walk_regularity(g).walk1
         rows.append({
             "n": n,
             "N": 3 * n,
@@ -196,7 +194,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             "lambdaMax": rep.lambda_max,
             "argminIndex": kmin,
             "argmaxIndex": kmax,
-            "walk1": walk1,
+            "walk1": rep.walk1,
         })
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalRankAmbiguityError
 from .graphs import Graph
-from .symmetry import OrbitPartition, PermutationSet, group_closure, orbits
+from .symmetry import OrbitPartition, PermutationSet, orbits
 
 RANK_CUTOFF = 1e-7
 
@@ -21,7 +21,10 @@ class SdpInstance:
     orbit functionals <C_r, X> across edge orbits.
 
     orbit_mats[r] is the k x k coefficient matrix of the functional
-    X -> sum over sigma of (U X U^T)_{sigma(i_r) sigma(j_r)}.
+    X -> mean over the edges (i, j) of orbit E_r of (U X U^T)_{ij}, which is
+    the sum over the group of (U X U^T)_{sigma(i_r) sigma(j_r)} divided by
+    the group order.  group_size is the number of generators the edge orbits
+    came from (0 for the trivial group); the group itself is never listed.
     """
 
     U: np.ndarray
@@ -59,35 +62,26 @@ def build_sdp_instance(
     U: np.ndarray,
     p: PermutationSet | None = None,
     orb: OrbitPartition | None = None,
-    group_cap: int = 10**6,
 ) -> SdpInstance:
     """Precompute the orbit functionals for eigenspace basis U under the
     group generated by p (trivial group when p is None: one constraint per
     edge)."""
     U = np.asarray(U, dtype=float)
     if p is None:
-        elements = [tuple(range(g.n))]
-        reps = list(g.edges)
+        blocks = [(k,) for k in range(g.m)]
     else:
-        if orb is None:
-            orb = orbits(g, p)
-        elements = group_closure(p, cap=group_cap)
-        reps = [g.edges[block[0]] for block in orb.edge_orbits]
-    perm_arr = np.array(elements)
+        blocks = (orb or orbits(g, p)).edge_orbits
     mats = []
-    for i, j in reps:
-        C = np.zeros((U.shape[1], U.shape[1]))
-        for row in perm_arr:
-            ui, uj = U[row[i]], U[row[j]]
-            C += np.outer(ui, uj)
-        C = (C + C.T) / 2.0
-        mats.append(C)
+    for block in blocks:
+        ij = np.array([g.edges[k] for k in block])
+        C = U[ij[:, 0]].T @ U[ij[:, 1]] / len(block)
+        mats.append((C + C.T) / 2.0)
     return SdpInstance(
         U=U,
         orbit_mats=tuple(mats),
         trace_mat=U.T @ U,
-        representatives=tuple(reps),
-        group_size=len(elements),
+        representatives=tuple(g.edges[block[0]] for block in blocks),
+        group_size=0 if p is None else len(p.gens),
     )
 
 

@@ -4,8 +4,10 @@ and the full cascade."""
 import numpy as np
 import pytest
 
+from confrigid import certify
 from confrigid.catalog import catalog
 from confrigid.certify import (
+    STAGES,
     CheckOptions,
     abelian_lp_certificate,
     check_conformal_rigidity,
@@ -19,9 +21,9 @@ from confrigid.errors import (
     HypothesisViolatedError,
     NotVertexTransitiveError,
 )
-from confrigid.graphs import Graph, circulant, laplacian
+from confrigid.graphs import Graph, cartesian_product, circulant, laplacian
 from confrigid.spectra import eigendecompose
-from confrigid.symmetry import cayley_translations
+from confrigid.symmetry import PermutationSet, cayley_translations
 
 
 def test_lp_certifies_circulant_18_1_5_both_ends():
@@ -34,6 +36,8 @@ def test_lp_certifies_circulant_18_1_5_both_ends():
         assert lp.coefficients.sum() == pytest.approx(1.0)
         emb = lp_certificate_embedding(g.cayley_spec, lam, lp, g)
         assert edge_length_profile(emb, g).is_edge_isometric
+        assert emb.points.shape[0] == 18
+        assert emb.dim <= 2 * len(lp.character_indices)
 
 
 def test_lp_rejects_triangular_prism_as_cayley_graph():
@@ -56,6 +60,52 @@ def test_eigenvector_certificate_circulant():
     s1 = sum(phi[i] * phi[(i + 1) % 18] for i in range(18))
     s5 = sum(phi[i] * phi[(i + 5) % 18] for i in range(18))
     assert abs(s1 - s5) <= 1e-8 * float(phi @ phi)
+
+
+def _petersen_prism():
+    return cartesian_product(catalog("petersen"), catalog("path_2"))
+
+
+def test_symmetrized_sdp_stage_petersen_prism():
+    # vertex-transitive with two edge orbits and a non-isometric canonical
+    # embedding at lambda_2: the symmetrized SDP certifies that end
+    g = _petersen_prism()
+    rep = check_conformal_rigidity(g)
+    assert rep.edge_orbits == 2 and rep.vertex_transitive
+    assert rep.lower.method == "Eigenvector"
+    mult = eigendecompose(laplacian(g)).basis_for(rep.lambda2).shape[1]
+    assert rep.lower.certificate.embedding.dim <= mult
+    assert edge_length_profile(rep.lower.certificate.embedding, g).is_edge_isometric
+    assert rep.upper.method == "Falsifier"
+
+
+def test_iso_tol_reaches_symmetrized_sdp_stage(monkeypatch):
+    seen = []
+
+    def spy(emb, g, tol=1e-7):
+        seen.append(tol)
+        return edge_length_profile(emb, g, tol=tol)
+
+    monkeypatch.setattr(certify, "edge_length_profile", spy)
+    opts = CheckOptions(
+        iso_tol=3e-7, skip_stages=frozenset(STAGES) - {"symmetrized_sdp"}
+    )
+    rep = check_conformal_rigidity(_petersen_prism(), opts)
+    assert rep.lower.method == "Eigenvector"
+    assert set(seen) == {3e-7}
+
+
+def test_complete_10_with_supplied_generators_is_edge_transitive():
+    # S_10 from a transposition and a 10-cycle: 10! elements, never listed
+    gens = PermutationSet(
+        10, ((1, 0) + tuple(range(2, 10)), tuple(range(1, 10)) + (0,))
+    )
+    opts = CheckOptions(generators=gens)
+    rep = check_conformal_rigidity(catalog("complete_10"), opts)
+    assert rep.rigid
+    assert rep.lower.method == "EdgeTransitive"
+    assert rep.upper.method == "EdgeTransitive"
+    assert rep.lower.certificate.embedding.dim == 9
 
 
 def test_eigenvector_certificate_requires_transitive_group():
