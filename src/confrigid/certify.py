@@ -73,13 +73,10 @@ class CheckOptions:
     group_tol: float | None = None
     iso_tol: float = 1e-7
     feas_tol: float = 1e-8
-    sdp_max_iter: int = 5000
     trials: int = 1000
     steps: int = 500
     seed: int = 0
     generators: PermutationSet | None = None
-    aut_search: bool = True
-    aut_limit: int = 500_000
     skip_stages: frozenset = field(default_factory=frozenset)
 
     def stage_enabled(self, name: str) -> bool:
@@ -603,7 +600,6 @@ def _certify_end(
                 lam,
                 perms,
                 feas_tol=opts.feas_tol,
-                max_iter=opts.sdp_max_iter,
                 iso_tol=opts.iso_tol,
                 end=end,
             )
@@ -613,7 +609,7 @@ def _certify_end(
 
         if opts.stage_enabled("trivial_sdp"):
             inst = build_sdp_instance(g, dec.basis_for(lam))
-            res = sdp_feasibility(inst, tol=opts.feas_tol, max_iter=opts.sdp_max_iter)
+            res = sdp_feasibility(inst, tol=opts.feas_tol)
             cert = _gram_certificate(g, inst, res, lam, None, end, opts.iso_tol)
             if cert is not None:
                 return EndReport(
@@ -650,6 +646,8 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     opts = options or CheckOptions()
     if not g.is_connected():
         raise DisconnectedError("conformal rigidity is defined for connected graphs")
+    if g.n < 2:
+        raise DisconnectedError("spectrum endpoints need n >= 2")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -664,8 +662,8 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     if perms is None:
         if g.cayley_spec is not None:
             perms = cayley_translations(g.cayley_spec)
-        elif opts.aut_search and g.n <= 512:
-            perms = find_automorphisms(g, limit=opts.aut_limit)
+        elif g.n <= 512:
+            perms = find_automorphisms(g)
     orb = orbits(g, perms) if perms is not None else None
     timings["symmetry"] = time.perf_counter() - t0
 

@@ -77,9 +77,10 @@ def build_graph(args: argparse.Namespace) -> Graph:
         orders = tuple(int(tok) for tok in args.cayley[0].split(","))
         gens: set = set()
         for item in args.cayley[1:]:
-            el = tuple(int(tok) % o for tok, o in zip(item.split(","), orders))
-            if len(el) != len(orders):
+            coords = [int(tok) for tok in item.split(",")]
+            if len(coords) != len(orders):
                 raise ValueError(f"generator {item!r} has wrong arity")
+            el = tuple(c % o for c, o in zip(coords, orders))
             gens.add(el)
             gens.add(tuple((-c) % o for c, o in zip(el, orders)))
         return cayley_abelian(CayleySpec(orders=orders, gens=frozenset(gens)))

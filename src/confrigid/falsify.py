@@ -37,9 +37,16 @@ def simplex_projection(v: np.ndarray, total: float) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _value(g: Graph, w: np.ndarray, end: str) -> float:
-    lam2, lamn = lambda_ends(g, w)
+def _unit_value(g: Graph, end: str) -> float:
+    """Target eigenvalue at unit weights; lambda_ends rejects disconnected
+    graphs and n < 2, so every public entry point checks its input here."""
+    lam2, lamn = lambda_ends(g)
     return lam2 if end == "lower" else lamn
+
+
+def _value(g: Graph, w: np.ndarray, end: str) -> float:
+    vals = np.linalg.eigvalsh(laplacian(g, w))
+    return float(vals[1] if end == "lower" else vals[-1])
 
 
 def _better(end: str, candidate: float, incumbent: float) -> bool:
@@ -62,7 +69,7 @@ def random_weight_search(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    unit = _value(g, np.ones(g.m), end)
+    unit = _unit_value(g, end)
     best_w = np.ones(g.m)
     best = unit
     for _ in range(trials):
@@ -100,7 +107,7 @@ def subgradient_ascent(
     if end not in ("lower", "upper"):
         raise ValueError("end must be 'lower' or 'upper'")
     rng = np.random.default_rng(seed)
-    unit = _value(g, np.ones(g.m), end)
+    unit = _unit_value(g, end)
     if start_w is None:
         w = simplex_projection(
             np.ones(g.m) + 0.01 * rng.standard_normal(g.m), float(g.m)
@@ -134,8 +141,8 @@ def subgradient_ascent(
 def reverify(g: Graph, res: FalsifierResult) -> bool:
     """Recompute the claimed value with a fresh eigensolve and confirm both
     the value and the improvement margin."""
+    unit = _unit_value(g, res.end)
     val = _value(g, res.best_w, res.end)
     if abs(val - res.best_value) > 1e-9 * (1.0 + abs(val)):
         return False
-    unit = _value(g, np.ones(g.m), res.end)
     return _is_improvement(res.end, val, unit) == res.improved

@@ -224,12 +224,13 @@ def laplacian(g: Graph, w=None) -> np.ndarray:
         raise WeightError(f"expected {g.m} weights, got shape {w.shape}")
     if np.any(w < 0):
         raise WeightError("negative edge weight")
+    e = np.array(g.edges, dtype=int).reshape(-1, 2)
     L = np.zeros((g.n, g.n))
-    for (i, j), we in zip(g.edges, w):
-        L[i, j] -= we
-        L[j, i] -= we
-        L[i, i] += we
-        L[j, j] += we
+    # bit for bit what a per-edge loop gives: `-=` keeps a zero weight +0.0,
+    # and bincount sums each vertex's weights in edge order
+    L[e[:, 0], e[:, 1]] -= w
+    L[e[:, 1], e[:, 0]] -= w
+    L[np.diag_indices(g.n)] = np.bincount(e.ravel(), np.repeat(w, 2), g.n)
     return L
 
 

@@ -93,24 +93,10 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _check_preserves_edges(g: Graph, p: PermutationSet) -> None:
-    edge_set = set(g.edges)
-    for perm in p.gens:
-        for i, j in g.edges:
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            if (a, b) not in edge_set:
-                raise NotAutomorphismError(
-                    f"generator maps edge ({i},{j}) to non-edge ({a},{b})"
-                )
-
-
 def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
     """Vertex and edge orbits as connected components of the generator action."""
     if p.n != g.n:
         raise ValueError("permutation degree does not match graph order")
-    _check_preserves_edges(g, p)
     uf_v = _UnionFind(g.n)
     for perm in p.gens:
         for i in range(g.n):
@@ -122,7 +108,12 @@ def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
             a, b = perm[i], perm[j]
             if a > b:
                 a, b = b, a
-            uf_e.union(k, eidx[(a, b)])
+            t = eidx.get((a, b))
+            if t is None:
+                raise NotAutomorphismError(
+                    f"generator maps edge ({i},{j}) to non-edge ({a},{b})"
+                )
+            uf_e.union(k, t)
     vblocks: dict[int, list[int]] = {}
     for i in range(g.n):
         vblocks.setdefault(uf_v.find(i), []).append(i)
@@ -169,87 +160,83 @@ def _refine_colors(A: np.ndarray) -> np.ndarray:
 def find_automorphisms(
     g: Graph, limit: int = 500_000, max_n: int = 512
 ) -> PermutationSet:
-    """Generating set of Aut(G) by backtracking over an equitable-partition
-    refinement.  If the node budget is exhausted, the partial set found so
-    far is returned with the Exhausted flag; downstream results then hold for
-    the subgroup generated."""
+    """Generating set of Aut(G), one automorphism per point of each basic
+    orbit: at most n - 1 generators, and the group is never held.
+
+    Walks the levels of the vertex order from the deepest to the shallowest.
+    At level l, with order[:l] fixed pointwise, each vertex c of the colour
+    of v = order[l] outside v's orbit under the generators found so far gets
+    one depth-first search for an automorphism with v -> c, which stops at
+    the first.  Generators found deeper fix order[:l], so the orbit test is
+    exact and the result generates Aut(G) (Schreier-Sims, with the first-path
+    orbit pruning of McKay-Piperno).  Each candidate assignment counts one
+    node against `limit`; if the budget is exhausted, the generators found so
+    far are returned with the exhausted flag, and downstream results then
+    hold for the subgroup they generate."""
     if g.n > max_n:
         raise GraphTooLargeError(f"automorphism search capped at n = {max_n}")
     n = g.n
     A = g.adjacency()
     colors = _refine_colors(A)
-    # order vertices so each new one touches as many assigned ones as possible
-    order: list[int] = []
+    # order vertices so each new one touches as many assigned ones as
+    # possible, then has the smallest colour class, then the smallest index
+    class_size = np.bincount(colors)[colors]
+    touched = np.zeros(n, dtype=int)
     placed = np.zeros(n, dtype=bool)
+    order: list[int] = []
     for _ in range(n):
-        best, best_key = -1, None
-        for v in range(n):
-            if placed[v]:
-                continue
-            key = (int(A[v, placed].sum()), -int((colors == colors[v]).sum()), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+        key = np.where(placed, -1, touched * (n + 1) + n - class_size)
+        best = int(np.argmax(key))
         order.append(best)
         placed[best] = True
+        touched += A[best]
 
+    order_arr = np.array(order, dtype=int)
+    level_of = np.argsort(order_arr)
+    image = order_arr.copy()  # image[i] is the image of order[i]
+    used = np.ones(n, dtype=bool)
     gens: list[tuple[int, ...]] = []
-    closure: set[tuple[int, ...]] = {identity_perm(n)}
+    orbit_of = _UnionFind(n)
     nodes = 0
     exhausted = False
 
-    def extend_closure(new: tuple[int, ...]):
-        frontier = [new]
-        closure.add(new)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in gens + [new]:
-                    for c in (compose(a, b), compose(b, a)):
-                        if c not in closure:
-                            closure.add(c)
-                            nxt.append(c)
-            frontier = nxt
-
-    image = [-1] * n
-    used = [False] * n
-
-    def backtrack(level: int) -> bool:
-        """Returns False when the node budget is exhausted."""
-        nonlocal nodes, exhausted
-        if level == n:
-            perm = [0] * n
-            for v in order:
-                perm[v] = image[v]
-            t = tuple(perm)
-            if t not in closure:
-                gens.append(t)
-                extend_closure(t)
-            return True
+    def candidates(level: int) -> np.ndarray:
+        """Unused vertices of order[level]'s colour whose adjacency to the
+        mapped prefix is that of order[level] to the prefix."""
         v = order[level]
-        for cand in range(n):
-            if used[cand] or colors[cand] != colors[v]:
-                continue
-            ok = True
-            for prev in order[:level]:
-                if A[v, prev] != A[cand, image[prev]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > limit:
-                exhausted = True
-                return False
-            image[v] = cand
-            used[cand] = True
-            alive = backtrack(level + 1)
-            used[cand] = False
-            image[v] = -1
-            if not alive:
-                return False
-        return True
+        cand = np.flatnonzero((colors == colors[v]) & ~used)
+        match = A[np.ix_(cand, image[:level])] == A[v, order_arr[:level]]
+        return cand[match.all(axis=1)]
 
-    backtrack(0)
+    def extend(level: int, c: int) -> bool:
+        """Map order[level] to c and complete the map depth-first to an
+        automorphism, stopping at the first; `used` is restored on return."""
+        nonlocal nodes, exhausted
+        if nodes >= limit:
+            exhausted = True
+            return False
+        nodes += 1
+        image[level] = c
+        used[c] = True
+        found = level + 1 == n
+        if not found:
+            for d in candidates(level + 1):
+                if extend(level + 1, d):
+                    found = True
+                    break
+        used[c] = False
+        return found
+
+    for level in range(n - 1, -1, -1):
+        v = order[level]
+        used[v] = False  # order[:level] stays fixed pointwise
+        for c in candidates(level):
+            if orbit_of.find(c) != orbit_of.find(v) and extend(level, c):
+                gens.append(tuple(image[level_of].tolist()))
+                for i, j in enumerate(gens[-1]):
+                    orbit_of.union(i, j)
+        if exhausted:
+            break
     return PermutationSet(n=n, gens=tuple(gens), exhausted=exhausted)
 
 

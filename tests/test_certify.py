@@ -176,9 +176,16 @@ def test_skipping_everything_gives_undecided():
 
 
 def test_disconnected_rejected():
-    g = Graph(4, ((0, 1), (2, 3)))
-    with pytest.raises(DisconnectedError):
-        check_conformal_rigidity(g)
+    for g in (Graph(4, ((0, 1), (2, 3))), Graph(1, ())):
+        with pytest.raises(DisconnectedError):
+            check_conformal_rigidity(g)
+
+
+def test_complete_bipartite_6_7_is_edge_transitive():
+    rep = check_conformal_rigidity(catalog("complete_bipartite_6_7"))
+    assert rep.edge_orbits == 1
+    assert rep.lower.method == "EdgeTransitive"
+    assert rep.upper.method == "EdgeTransitive"
 
 
 def test_product_rigidity_c4_c4_and_k3_k3():

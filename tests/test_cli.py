@@ -88,10 +88,17 @@ def test_bad_stage_skip_is_input_error(capsys):
 
 def test_disconnected_edges_file_is_input_error(tmp_path, capsys):
     f = tmp_path / "g.txt"
-    f.write_text("4 2\n0 1\n2 3\n")
-    code, _, err = _run(capsys, ["check", "--edges", str(f)])
+    for text in ("4 2\n0 1\n2 3\n", "1 0\n"):
+        f.write_text(text)
+        code, _, err = _run(capsys, ["check", "--edges", str(f)])
+        assert code == 1
+        assert "Disconnected" in err
+
+
+def test_cayley_generator_arity_is_input_error(capsys):
+    code, _, err = _run(capsys, ["check", "--cayley", "6", "1,5"])
     assert code == 1
-    assert "Disconnected" in err
+    assert "wrong arity" in err
 
 
 def test_graph6_file_input(tmp_path, capsys):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confrigid.catalog import catalog
+from confrigid.errors import DisconnectedError
 from confrigid.falsify import (
     random_weight_search,
     reverify,
     simplex_projection,
     subgradient_ascent,
 )
+from confrigid.graphs import Graph
 from confrigid.spectra import lambda_ends
 
 
@@ -76,6 +78,12 @@ def test_no_improvement_on_rigid_graphs():
             assert not res.improved, (name, end)
             res = subgradient_ascent(g, end, steps=100, seed=2)
             assert not res.improved, (name, end)
+
+
+def test_random_search_rejects_disconnected_graph():
+    g = Graph(4, ((0, 1), (2, 3)))
+    with pytest.raises(DisconnectedError):
+        random_weight_search(g, "lower", trials=10)
 
 
 def test_rejects_bad_end():

@@ -83,6 +83,16 @@ def test_laplacian_rows_sum_to_zero():
     w = np.arange(1, g.m + 1, dtype=float)
     Lw = laplacian(g, w)
     assert np.allclose(Lw.sum(axis=1), 0.0)
+    # bit for bit what a per-edge loop gives, zero weights included
+    w = np.random.default_rng(0).exponential(size=g.m)
+    w[::3] = 0.0
+    ref = np.zeros((g.n, g.n))
+    for (i, j), we in zip(g.edges, w):
+        ref[i, j] -= we
+        ref[j, i] -= we
+        ref[i, i] += we
+        ref[j, j] += we
+    assert laplacian(g, w).tobytes() == ref.tobytes()
 
 
 def test_normalized_weights_scale_and_reject():

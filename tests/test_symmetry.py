@@ -1,10 +1,11 @@
 """Automorphism search, group closure, and orbit partitions."""
 
+import numpy as np
 import pytest
 
 from confrigid.catalog import catalog
 from confrigid.errors import NotAutomorphismError
-from confrigid.graphs import circulant
+from confrigid.graphs import Graph, circulant, normalize_edges
 from confrigid.symmetry import (
     PermutationSet,
     cayley_translations,
@@ -41,7 +42,29 @@ def test_known_group_orders(name, order):
     g = catalog(name)
     p = find_automorphisms(g)
     assert not p.exhausted
+    assert len(p.gens) <= g.n - 1
     assert group_order(p) == order
+    perm = np.random.default_rng(0).permutation(g.n).tolist()
+    h = Graph(g.n, normalize_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges]))
+    assert group_order(find_automorphisms(h)) == order
+
+
+def test_hypercube_6_search_within_budget():
+    g = catalog("hypercube_6")
+    p = find_automorphisms(g)
+    assert not p.exhausted
+    orb = orbits(g, p)
+    assert orb.num_vertex_orbits == 1
+    assert orb.num_edge_orbits == 1
+
+
+def test_exhausted_search_returns_automorphisms_found_so_far():
+    g = catalog("hypercube_4")
+    p = find_automorphisms(g, limit=50)
+    assert p.exhausted
+    assert p.gens
+    orbits(g, p)  # raises NotAutomorphismError on a non-automorphism
+    assert group_order(p) < 384
 
 
 def test_orbit_counts():
