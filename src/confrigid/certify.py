@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,13 @@ from .errors import (
     NotVertexTransitiveError,
     NumericalRankAmbiguityError,
 )
-from .falsify import FalsifierResult, random_weight_search, reverify, subgradient_ascent
+from .falsify import (
+    FalsifierResult,
+    _better,
+    _random_search,
+    reverify,
+    subgradient_ascent,
+)
 from .graphs import CayleySpec, Graph, laplacian
 from .lp import phase1_feasibility
 from .sdp import (
@@ -492,24 +499,23 @@ def product_rigidity(
 # ---------------------------------------------------------------------------
 
 
-def _falsify_end(g: Graph, end: str, opts: CheckOptions) -> FalsifierResult | None:
-    best: FalsifierResult | None = None
-    if opts.trials > 0:
-        best = random_weight_search(g, end, trials=opts.trials, seed=opts.seed)
+RandomDraw = Callable[[], dict[str, FalsifierResult]]
+
+
+def _falsify_end(
+    g: Graph, end: str, opts: CheckOptions, draw: RandomDraw
+) -> FalsifierResult | None:
+    """Best weighting found at this end (random draw, then subgradient steps
+    from its best row when that improves), or None when neither search runs."""
+    best: FalsifierResult | None = draw()[end] if opts.trials > 0 else None
     if opts.steps > 0:
         start = best.best_w if (best is not None and best.improved) else None
         asc = subgradient_ascent(
             g, end, start_w=start, steps=opts.steps, seed=opts.seed + 1
         )
-        if best is None or (
-            asc.best_value > best.best_value
-            if end == "lower"
-            else asc.best_value < best.best_value
-        ):
+        if best is None or _better(end, asc.best_value, best.best_value):
             best = asc
-    if best is not None and best.improved and reverify(g, best):
-        return best
-    return None
+    return best
 
 
 def _certify_end(
@@ -521,6 +527,7 @@ def _certify_end(
     orb: OrbitPartition | None,
     walk1: bool | None,
     opts: CheckOptions,
+    draw: RandomDraw,
 ) -> EndReport:
     spec = g.cayley_spec
     lp_refuted = False
@@ -616,9 +623,10 @@ def _certify_end(
                     end, "certified", "SdpGram", cert, None, cert.residuals
                 )
 
+    residuals = {"lp_refuted": 1.0} if lp_refuted else {}
     if opts.stage_enabled("falsify"):
-        wit = _falsify_end(g, end, opts)
-        if wit is not None:
+        wit = _falsify_end(g, end, opts, draw)
+        if wit is not None and wit.improved and reverify(g, wit):
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
             return EndReport(
                 end,
@@ -628,8 +636,10 @@ def _certify_end(
                 wit.best_w,
                 {"best_value": wit.best_value},
             )
+        if wit is not None:
+            # why this end stays undecided: how close the falsifier came
+            residuals.update(falsifier_best=wit.best_value, falsifier_unit=lam)
 
-    residuals = {"lp_refuted": 1.0} if lp_refuted else {}
     return EndReport(end, "undecided", None, None, None, residuals)
 
 
@@ -671,11 +681,17 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     walk1 = canonical_walk1_check(g, dec) if g.is_regular() else None
     timings["walkreg"] = time.perf_counter() - t0
 
+    @functools.cache
+    def draw() -> dict[str, FalsifierResult]:
+        """One random draw, made when the first end reaches the falsifier
+        and scored there at both ends."""
+        return _random_search(g, opts.trials, opts.seed)
+
     t0 = time.perf_counter()
-    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, opts)
+    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, opts, draw)
     timings["lower"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, opts)
+    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, opts, draw)
     timings["upper"] = time.perf_counter() - t0
 
     return RigidityReport(

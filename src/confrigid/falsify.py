@@ -12,6 +12,11 @@ from .graphs import Graph, laplacian
 from .spectra import lambda_ends
 
 IMPROVE_MARGIN = 1e-6
+ENDS = ("lower", "upper")
+
+# Cap on one chunk of stacked Laplacians in the random search (5 matrices at
+# n = 40); chunking changes no result, only how many solves share a call.
+STACK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -37,11 +42,16 @@ def simplex_projection(v: np.ndarray, total: float) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _unit_value(g: Graph, end: str) -> float:
-    """Target eigenvalue at unit weights; lambda_ends rejects disconnected
+def _check_end(end: str) -> None:
+    if end not in ENDS:
+        raise ValueError("end must be 'lower' or 'upper'")
+
+
+def _unit_values(g: Graph) -> dict[str, float]:
+    """Target eigenvalues at unit weights; lambda_ends rejects disconnected
     graphs and n < 2, so every public entry point checks its input here."""
     lam2, lamn = lambda_ends(g)
-    return lam2 if end == "lower" else lamn
+    return {"lower": lam2, "upper": lamn}
 
 
 def _value(g: Graph, w: np.ndarray, end: str) -> float:
@@ -59,34 +69,50 @@ def _is_improvement(end: str, value: float, unit_value: float) -> bool:
     return value < unit_value * (1.0 - IMPROVE_MARGIN)
 
 
+def _random_search(g: Graph, trials: int, seed: int) -> dict[str, FalsifierResult]:
+    """One draw of `trials` simplex samples, scored at both ends.
+
+    Rows are drawn and solved in chunks of at most STACK_BYTES of
+    Laplacians, one batched eigvalsh per chunk.  The result for each end is
+    bit for bit that of drawing, normalizing and solving one row at a time
+    and keeping the first strictly best row.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    unit = _unit_values(g)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, STACK_BYTES // (8 * g.n * g.n))
+    best = dict(unit)
+    best_w = {end: np.ones(g.m) for end in ENDS}
+    for done in range(0, trials, chunk):
+        e = rng.exponential(size=(min(chunk, trials - done), g.m))
+        W = e * (g.m / e.sum(axis=1, keepdims=True))
+        vals = np.linalg.eigvalsh(laplacian(g, W))
+        for end, col, pick in (("lower", 1, np.argmax), ("upper", -1, np.argmin)):
+            r = int(pick(vals[:, col]))
+            if _better(end, float(vals[r, col]), best[end]):
+                best[end], best_w[end] = float(vals[r, col]), W[r].copy()
+    return {
+        end: FalsifierResult(
+            end=end,
+            best_w=best_w[end],
+            best_value=best[end],
+            improved=_is_improvement(end, best[end], unit[end]),
+            trials=trials,
+            steps=0,
+            seed=seed,
+        )
+        for end in ENDS
+    }
+
+
 def random_weight_search(
     g: Graph, end: str, trials: int = 1000, seed: int = 0
 ) -> FalsifierResult:
     """Sample weights uniformly from the simplex (exponential spacings),
-    keep the best objective value."""
-    if end not in ("lower", "upper"):
-        raise ValueError("end must be 'lower' or 'upper'")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    unit = _unit_value(g, end)
-    best_w = np.ones(g.m)
-    best = unit
-    for _ in range(trials):
-        e = rng.exponential(size=g.m)
-        w = e * (g.m / e.sum())
-        val = _value(g, w, end)
-        if _better(end, val, best):
-            best, best_w = val, w
-    return FalsifierResult(
-        end=end,
-        best_w=best_w,
-        best_value=best,
-        improved=_is_improvement(end, best, unit),
-        trials=trials,
-        steps=0,
-        seed=seed,
-    )
+    keep the best objective value: this end of `_random_search`'s draw."""
+    _check_end(end)
+    return _random_search(g, trials, seed)[end]
 
 
 def subgradient_ascent(
@@ -102,31 +128,41 @@ def subgradient_ascent(
     Per-edge direction is (phi_i - phi_j)^2 for a unit eigenvector phi of the
     target eigenvalue (from the Dirichlet form); with eigenvalue multiplicity
     above one the eigenvector choice makes this a subgradient step, not a
-    gradient step.  Step size eta0 / sqrt(t); always returns the best seen.
+    gradient step.  The direction is mean-centred (the simplex keeps the
+    weight sum) and scaled to norm sqrt(m), since the raw values shrink with
+    the graph; the step is eta0 / sqrt(t) times it, and the run stops early
+    where the direction vanishes.  Each step's eigh also gives the value of
+    the current iterate, so a run makes at most `steps` eigh calls and one
+    eigvalsh for the last iterate; it always returns the best seen.
     """
-    if end not in ("lower", "upper"):
-        raise ValueError("end must be 'lower' or 'upper'")
+    _check_end(end)
     rng = np.random.default_rng(seed)
-    unit = _unit_value(g, end)
+    unit = _unit_values(g)[end]
     if start_w is None:
         w = simplex_projection(
             np.ones(g.m) + 0.01 * rng.standard_normal(g.m), float(g.m)
         )
     else:
         w = simplex_projection(np.asarray(start_w, dtype=float), float(g.m))
-    best_w, best = w.copy(), _value(g, w, end)
-    if _better(end, unit, best):
-        best_w, best = np.ones(g.m), unit
+    best_w, best = np.ones(g.m), unit
     sign = 1.0 if end == "lower" else -1.0
     col = 1 if end == "lower" else g.n - 1
+    e = g.edge_array
     for t in range(1, steps + 1):
         vals, vecs = np.linalg.eigh(laplacian(g, w))
+        if _better(end, float(vals[col]), best):
+            best, best_w = float(vals[col]), w
         phi = vecs[:, col]
-        grad = np.array([(phi[i] - phi[j]) ** 2 for i, j in g.edges])
-        w = simplex_projection(w + sign * (eta0 / np.sqrt(t)) * grad, float(g.m))
-        val = _value(g, w, end)
-        if _better(end, val, best):
-            best, best_w = val, w.copy()
+        grad = (phi[e[:, 0]] - phi[e[:, 1]]) ** 2
+        d = grad - grad.mean()
+        norm = np.linalg.norm(d)
+        if norm <= 1e-12 * np.linalg.norm(grad):
+            break  # stationary to rounding: scaling d up would step on noise
+        step = sign * (eta0 / np.sqrt(t)) * np.sqrt(g.m) / norm
+        w = simplex_projection(w + step * d, float(g.m))
+    val = _value(g, w, end)
+    if _better(end, val, best):
+        best, best_w = val, w
     return FalsifierResult(
         end=end,
         best_w=best_w,
@@ -141,7 +177,7 @@ def subgradient_ascent(
 def reverify(g: Graph, res: FalsifierResult) -> bool:
     """Recompute the claimed value with a fresh eigensolve and confirm both
     the value and the improvement margin."""
-    unit = _unit_value(g, res.end)
+    unit = _unit_values(g)[res.end]
     val = _value(g, res.best_w, res.end)
     if abs(val - res.best_value) > 1e-9 * (1.0 + abs(val)):
         return False

@@ -6,6 +6,7 @@ annotations only, never keys.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -45,6 +46,13 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) integer array, built once."""
+        e = np.array(self.edges, dtype=int).reshape(-1, 2)
+        e.setflags(write=False)
+        return e
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=int)
@@ -214,23 +222,29 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 def laplacian(g: Graph, w=None) -> np.ndarray:
     """Weighted Laplacian L(w) = D(w) - A(w); unit weights when w is None.
 
-    Rows sum to zero exactly by construction.  Weight-zero edges stay in the
-    edge list; they vanish only at the Laplacian level.
+    A (k, m) stack of weight rows gives the (k, n, n) stack of their
+    Laplacians, each bit for bit the Laplacian of its row alone.  Rows sum
+    to zero exactly by construction.  Weight-zero edges stay in the edge
+    list; they vanish only at the Laplacian level.
     """
     if w is None:
         w = np.ones(g.m)
     w = np.asarray(w, dtype=float)
-    if w.shape != (g.m,):
-        raise WeightError(f"expected {g.m} weights, got shape {w.shape}")
+    if w.ndim not in (1, 2) or w.shape[-1] != g.m:
+        raise WeightError(f"expected {g.m} weights per row, got shape {w.shape}")
     if np.any(w < 0):
         raise WeightError("negative edge weight")
-    e = np.array(g.edges, dtype=int).reshape(-1, 2)
-    L = np.zeros((g.n, g.n))
+    e = g.edge_array
+    rows = np.atleast_2d(w)
+    L = np.zeros(w.shape[:-1] + (g.n, g.n))
     # bit for bit what a per-edge loop gives: `-=` keeps a zero weight +0.0,
-    # and bincount sums each vertex's weights in edge order
-    L[e[:, 0], e[:, 1]] -= w
-    L[e[:, 1], e[:, 0]] -= w
-    L[np.diag_indices(g.n)] = np.bincount(e.ravel(), np.repeat(w, 2), g.n)
+    # and bincount sums each vertex's weights in edge order, row by row
+    L[..., e[:, 0], e[:, 1]] -= w
+    L[..., e[:, 1], e[:, 0]] -= w
+    bins = (np.arange(len(rows))[:, None] * g.n + e.ravel()).ravel()
+    deg = np.bincount(bins, np.repeat(rows, 2, axis=1).ravel(), len(rows) * g.n)
+    diag = np.arange(g.n)
+    L[..., diag, diag] = deg.reshape(w.shape[:-1] + (g.n,))
     return L
 
 

@@ -21,7 +21,13 @@ from confrigid.errors import (
     HypothesisViolatedError,
     NotVertexTransitiveError,
 )
-from confrigid.graphs import Graph, cartesian_product, circulant, laplacian
+from confrigid.graphs import (
+    Graph,
+    cartesian_product,
+    circulant,
+    laplacian,
+    normalize_edges,
+)
 from confrigid.spectra import eigendecompose
 from confrigid.symmetry import PermutationSet, cayley_translations
 
@@ -148,6 +154,21 @@ def test_refuted_reports_carry_verified_witness():
         assert er.witness is not None
         assert np.all(er.witness >= 0)
         assert er.witness.sum() == pytest.approx(rep.m, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["path_40", "path_64"])
+def test_long_path_lower_end_refuted_under_relabelling(name):
+    # raw (phi_i - phi_j)^2 steps shrink like n^-3 on paths; the normalized
+    # subgradient step refutes lambda_2 whatever the vertex numbering
+    g = catalog(name)
+    numberings = [np.arange(g.n)] + [
+        np.random.default_rng(seed).permutation(g.n) for seed in range(3)
+    ]
+    for k, p in enumerate(numberings):
+        h = Graph(g.n, normalize_edges(g.n, [(p[i], p[j]) for i, j in g.edges]))
+        rep = check_conformal_rigidity(h)
+        assert rep.lower.verdict == "refuted", k
+        assert rep.lower.method == "Falsifier", k
 
 
 def test_lp_negative_routes_to_falsifier_method():

@@ -48,6 +48,25 @@ def test_check_undecided_exit_three(capsys):
     assert json.loads(out)["lower"]["verdict"] == "undecided"
 
 
+def test_undecided_end_names_falsifier_values(capsys):
+    # only the falsifier runs, and petersen is rigid: it finds nothing and
+    # the report says how close it came
+    skip = "edge_transitive,character_lp,walk_regular,canonical,symmetrized_sdp,trivial_sdp"
+    code, out, _ = _run(
+        capsys, ["check", "--catalog", "petersen", "--stage-skip", skip, "--json"]
+    )
+    assert code == 3
+    report = json.loads(out)
+    jsonschema.validate(report, _schema())
+    for end, unit in (("lower", report["lambda2"]), ("upper", report["lambdaMax"])):
+        assert report[end]["verdict"] == "undecided"
+        res = report[end]["residuals"]
+        assert set(res) == {"falsifier_best", "falsifier_unit"}
+        assert res["falsifier_unit"] == pytest.approx(unit)
+        sign = 1.0 if end == "lower" else -1.0
+        assert sign * (res["falsifier_best"] - unit) <= 1e-6 * unit
+
+
 def test_check_circulant_text(capsys):
     code, out, _ = _run(capsys, ["check", "--circulant", "18", "1,5"])
     assert code == 0

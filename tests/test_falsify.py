@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confrigid.catalog import catalog
+from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.errors import DisconnectedError
 from confrigid.falsify import (
+    STACK_BYTES,
     random_weight_search,
     reverify,
     simplex_projection,
     subgradient_ascent,
 )
-from confrigid.graphs import Graph
+from confrigid.graphs import Graph, laplacian, normalize_edges
 from confrigid.spectra import lambda_ends
 
 
@@ -78,6 +80,92 @@ def test_no_improvement_on_rigid_graphs():
             assert not res.improved, (name, end)
             res = subgradient_ascent(g, end, steps=100, seed=2)
             assert not res.improved, (name, end)
+
+
+def _per_trial_search(g, end, trials, seed):
+    """Reference: draw, normalize and solve one weight row at a time, keep
+    the first strictly best row."""
+    rng = np.random.default_rng(seed)
+    lam2, lamn = lambda_ends(g)
+    unit = lam2 if end == "lower" else lamn
+    best, best_w = unit, np.ones(g.m)
+    for _ in range(trials):
+        e = rng.exponential(size=g.m)
+        w = e * (g.m / e.sum())
+        vals = np.linalg.eigvalsh(laplacian(g, w))
+        val = float(vals[1] if end == "lower" else vals[-1])
+        if (val > best) if end == "lower" else (val < best):
+            best, best_w = val, w
+    if end == "lower":
+        return best, best_w, best > unit * (1.0 + 1e-6)
+    return best, best_w, best < unit * (1.0 - 1e-6)
+
+
+def _gnm(n, m, seed):
+    """A connected G(n, M) graph: m distinct edges drawn uniformly."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        pick = rng.choice(len(pairs), m, replace=False)
+        g = Graph(n, normalize_edges(n, [pairs[k] for k in pick]))
+        if g.is_connected():
+            return g
+
+
+@pytest.mark.parametrize(
+    "g, trials",
+    # 500 prism rows span three chunks of 227; 23 rows at n = 40 span five of 5
+    [(catalog("triangular_prism"), 500), (_gnm(40, 90, 3), 23)],
+)
+def test_random_search_matches_per_trial_loop(g, trials):
+    assert trials > STACK_BYTES // (8 * g.n * g.n)
+    for end in ("lower", "upper"):
+        res = random_weight_search(g, end, trials=trials, seed=4)
+        best, best_w, improved = _per_trial_search(g, end, trials, seed=4)
+        assert res.best_value == best
+        assert np.array_equal(res.best_w, best_w)
+        assert res.improved == improved
+
+
+def _count_solves(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0, "eigvalsh_rows": []}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        calls["eigvalsh_rows"].append(1 if np.ndim(a) == 2 else len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_subgradient_solves_once_per_step(monkeypatch, steps):
+    g = catalog("triangular_prism")
+    calls = _count_solves(monkeypatch)
+    res = subgradient_ascent(g, "lower", steps=steps, seed=1)
+    assert calls["eigh"] == steps
+    # lambda_ends for the unit value, one solve for the last iterate
+    assert calls["eigvalsh"] == 2
+    assert reverify(g, res)
+
+
+def test_check_draws_once_for_both_ends(monkeypatch):
+    g = catalog("triangular_prism")
+    opts = CheckOptions(steps=30)
+    calls = _count_solves(monkeypatch)
+    rep = check_conformal_rigidity(g, opts)
+    assert (rep.lower.method, rep.upper.method) == ("Falsifier", "Falsifier")
+    stacked = [rows for rows in calls["eigvalsh_rows"] if rows > 1]
+    chunk = STACK_BYTES // (8 * g.n * g.n)
+    assert sum(stacked) == opts.trials
+    assert len(stacked) == -(-opts.trials // chunk)
 
 
 def test_random_search_rejects_disconnected_graph():

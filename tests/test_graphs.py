@@ -93,6 +93,13 @@ def test_laplacian_rows_sum_to_zero():
         ref[i, i] += we
         ref[j, j] += we
     assert laplacian(g, w).tobytes() == ref.tobytes()
+    # a stack of rows gives each row's Laplacian, bit for bit
+    W = np.stack([w, np.ones(g.m), np.random.default_rng(1).exponential(size=g.m)])
+    stack = laplacian(g, W)
+    assert stack.shape == (3, g.n, g.n)
+    for Lk, wk in zip(stack, W):
+        assert Lk.tobytes() == laplacian(g, wk).tobytes()
+    assert laplacian(Graph(1, ())).tobytes() == np.zeros((1, 1)).tobytes()
 
 
 def test_normalized_weights_scale_and_reject():
