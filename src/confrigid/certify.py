@@ -35,6 +35,7 @@ from .falsify import (
     FalsifierResult,
     _better,
     _random_search,
+    direction_search,
     reverify,
     subgradient_ascent,
 )
@@ -458,7 +459,7 @@ def product_rigidity(
         except EigenvalueError:
             pass
         for emb in candidates:
-            prof = edge_length_profile(emb, g)
+            prof = edge_length_profile(emb, g, tol=options.iso_tol)
             if prof.is_edge_isometric and prof.is_spherical:
                 return emb
         raise HypothesisViolatedError(
@@ -467,12 +468,16 @@ def product_rigidity(
 
     lowG = repG.lower.certificate.embedding
     lowH = repH.lower.certificate.embedding
-    prod, emb2 = product_embedding(gG, lowG, gH, lowH, mode="lambda2")
+    prod, emb2 = product_embedding(
+        gG, lowG, gH, lowH, mode="lambda2", iso_tol=options.iso_tol
+    )
     maxG = spherical_max_embedding(gG, repG)
     maxH = spherical_max_embedding(gH, repH)
-    _, embmax = product_embedding(gG, maxG, gH, maxH, mode="lambdamax")
-    prof2 = edge_length_profile(emb2, prod)
-    profmax = edge_length_profile(embmax, prod)
+    _, embmax = product_embedding(
+        gG, maxG, gH, maxH, mode="lambdamax", iso_tol=options.iso_tol
+    )
+    prof2 = edge_length_profile(emb2, prod, tol=options.iso_tol)
+    profmax = edge_length_profile(embmax, prod, tol=options.iso_tol)
     if not (prof2.is_edge_isometric and profmax.is_edge_isometric):
         return None
     return Certificate(
@@ -503,10 +508,17 @@ RandomDraw = Callable[[], dict[str, FalsifierResult]]
 
 
 def _falsify_end(
-    g: Graph, end: str, opts: CheckOptions, draw: RandomDraw
-) -> FalsifierResult | None:
-    """Best weighting found at this end (random draw, then subgradient steps
-    from its best row when that improves), or None when neither search runs."""
+    g: Graph, end: str, U: np.ndarray, opts: CheckOptions, draw: RandomDraw
+) -> tuple[FalsifierResult | None, bool]:
+    """Best weighting found at this end and whether it refutes rigidity
+    (improves and re-verifies).  The seed-free line search along the
+    canonical embedding's edge lengths goes first; only when it does not
+    refute does the end take the random draw, then subgradient steps from
+    its best row when that improves.  The result is None when no search
+    runs."""
+    step = direction_search(g, end, U)
+    if step is not None and step.improved and reverify(g, step):
+        return step, True
     best: FalsifierResult | None = draw()[end] if opts.trials > 0 else None
     if opts.steps > 0:
         start = best.best_w if (best is not None and best.improved) else None
@@ -515,7 +527,7 @@ def _falsify_end(
         )
         if best is None or _better(end, asc.best_value, best.best_value):
             best = asc
-    return best
+    return best, best is not None and best.improved and reverify(g, best)
 
 
 def _certify_end(
@@ -625,8 +637,8 @@ def _certify_end(
 
     residuals = {"lp_refuted": 1.0} if lp_refuted else {}
     if opts.stage_enabled("falsify"):
-        wit = _falsify_end(g, end, opts, draw)
-        if wit is not None and wit.improved and reverify(g, wit):
+        wit, refutes = _falsify_end(g, end, dec.basis_for(lam), opts, draw)
+        if refutes:
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
             return EndReport(
                 end,
@@ -634,7 +646,8 @@ def _certify_end(
                 method,
                 None,
                 wit.best_w,
-                {"best_value": wit.best_value},
+                # the margin is re-checkable: best_value against the unit value
+                {"best_value": wit.best_value, "falsifier_unit": lam},
             )
         if wit is not None:
             # why this end stays undecided: how close the falsifier came

@@ -231,6 +231,7 @@ def product_embedding(
     eH: Embedding,
     mode: str,
     tol: float = 1e-8,
+    iso_tol: float = ISO_TOL,
 ) -> tuple[Graph, Embedding]:
     """Edge-isometric embedding of the Cartesian product.
 
@@ -241,10 +242,11 @@ def product_embedding(
     mode="lambdamax": requires spherical edge-isometric inputs whose
     unit-edge radii agree (equivalently equal avg-degree / (2 lambda_max));
     output is the row-wise tensor embedding at the sum of eigenvalues, which
-    is also spherical.
+    is also spherical.  iso_tol is the factors' edge-isometry and
+    sphericity tolerance.
     """
-    profG = edge_length_profile(eG, gG)
-    profH = edge_length_profile(eH, gH)
+    profG = edge_length_profile(eG, gG, iso_tol)
+    profH = edge_length_profile(eH, gH, iso_tol)
     prod = cartesian_product(gG, gH)
     if mode == "lambda2":
         if abs(eG.eigenvalue - eH.eigenvalue) > tol * (1.0 + abs(eG.eigenvalue)):

@@ -1,9 +1,11 @@
-"""Disproof search: randomized weight sampling and projected subgradient
-ascent on lambda_2 (descent on lambda_n) over the normalized weight simplex
-{w >= 0, sum_e w_e = |E|}."""
+"""Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
+|E|}: a line search along the edge lengths of the canonical embedding, then
+randomized weight sampling and projected subgradient ascent on lambda_2
+(descent on lambda_n)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +16,13 @@ from .spectra import lambda_ends
 IMPROVE_MARGIN = 1e-6
 ENDS = ("lower", "upper")
 
-# Cap on one chunk of stacked Laplacians in the random search (5 matrices at
-# n = 40); chunking changes no result, only how many solves share a call.
+# Cap on one chunk of stacked Laplacians in the batched searches (5 matrices
+# at n = 40); chunking changes no result, only how many solves share a call.
 STACK_BYTES = 64 * 1024
+
+# Step sizes of the direction line search, as fractions of the largest step
+# that keeps every weight nonnegative: 1, 1/2, ..., 2^-29.
+DIRECTION_STEPS = 2.0 ** -np.arange(30)
 
 
 @dataclass(frozen=True)
@@ -27,7 +33,7 @@ class FalsifierResult:
     improved: bool
     trials: int
     steps: int
-    seed: int
+    seed: int | None  # None for the seed-free direction search
 
 
 def simplex_projection(v: np.ndarray, total: float) -> np.ndarray:
@@ -69,6 +75,28 @@ def _is_improvement(end: str, value: float, unit_value: float) -> bool:
     return value < unit_value * (1.0 - IMPROVE_MARGIN)
 
 
+def _chunk_rows(g: Graph) -> int:
+    """Weight rows per chunk of stacked Laplacians (at most STACK_BYTES)."""
+    return max(1, STACK_BYTES // (8 * g.n * g.n))
+
+
+def _best_rows(
+    g: Graph, chunks: Iterable[np.ndarray], unit: dict[str, float]
+) -> dict[str, tuple[float, np.ndarray]]:
+    """(value, weights) of the first strictly best row at each end of
+    `unit`, over chunks of weight rows solved by one batched eigvalsh each;
+    the unit value and unit weights when no row beats them."""
+    best = {end: (value, np.ones(g.m)) for end, value in unit.items()}
+    for W in chunks:
+        vals = np.linalg.eigvalsh(laplacian(g, W))
+        for end in unit:
+            col, pick = (1, np.argmax) if end == "lower" else (-1, np.argmin)
+            r = int(pick(vals[:, col]))
+            if _better(end, float(vals[r, col]), best[end][0]):
+                best[end] = (float(vals[r, col]), W[r].copy())
+    return best
+
+
 def _random_search(g: Graph, trials: int, seed: int) -> dict[str, FalsifierResult]:
     """One draw of `trials` simplex samples, scored at both ends.
 
@@ -81,29 +109,67 @@ def _random_search(g: Graph, trials: int, seed: int) -> dict[str, FalsifierResul
         raise ValueError("trials must be >= 1")
     unit = _unit_values(g)
     rng = np.random.default_rng(seed)
-    chunk = max(1, STACK_BYTES // (8 * g.n * g.n))
-    best = dict(unit)
-    best_w = {end: np.ones(g.m) for end in ENDS}
-    for done in range(0, trials, chunk):
-        e = rng.exponential(size=(min(chunk, trials - done), g.m))
-        W = e * (g.m / e.sum(axis=1, keepdims=True))
-        vals = np.linalg.eigvalsh(laplacian(g, W))
-        for end, col, pick in (("lower", 1, np.argmax), ("upper", -1, np.argmin)):
-            r = int(pick(vals[:, col]))
-            if _better(end, float(vals[r, col]), best[end]):
-                best[end], best_w[end] = float(vals[r, col]), W[r].copy()
+    chunk = _chunk_rows(g)
+
+    def chunks() -> Iterator[np.ndarray]:
+        for done in range(0, trials, chunk):
+            e = rng.exponential(size=(min(chunk, trials - done), g.m))
+            yield e * (g.m / e.sum(axis=1, keepdims=True))
+
+    best = _best_rows(g, chunks(), unit)
     return {
         end: FalsifierResult(
             end=end,
-            best_w=best_w[end],
-            best_value=best[end],
-            improved=_is_improvement(end, best[end], unit[end]),
+            best_w=best[end][1],
+            best_value=best[end][0],
+            improved=_is_improvement(end, best[end][0], unit[end]),
             trials=trials,
             steps=0,
             seed=seed,
         )
         for end in ENDS
     }
+
+
+def direction_search(
+    g: Graph, end: str, U: np.ndarray
+) -> FalsifierResult | None:
+    """Line search from unit weights along the canonical embedding's
+    squared edge lengths; None when they are all equal (no direction).
+
+    U is an orthonormal basis of the target eigenspace.  With l_e =
+    |U_i - U_j|^2 the direction is d = l - mean(l) (its negative at the
+    upper end): for a simple eigenvalue the projected gradient of the
+    target, and in general a direction with tr(U^T L(d) U) = |d|^2 > 0 that
+    moves the eigenvalue cluster's mean the right way.  The weights w = 1 +
+    t d keep sum m and stay >= 0 for t up to t_max = 1 / max(-d); the
+    steps t_max * DIRECTION_STEPS are solved as stacked Laplacians, one
+    batched eigvalsh per chunk of at most STACK_BYTES, and the first
+    strictly best step is kept.  No random numbers are drawn.
+    """
+    _check_end(end)
+    e = g.edge_array
+    lengths = np.sum((U[e[:, 0]] - U[e[:, 1]]) ** 2, axis=1)
+    d = lengths - lengths.mean()
+    if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(lengths):
+        return None  # edge-isometric: no first-order direction to follow
+    if end == "upper":
+        d = -d
+    unit = _unit_values(g)[end]
+    # clipping only removes rounding below zero at the boundary step
+    W = np.maximum(1.0 + np.outer(DIRECTION_STEPS / np.max(-d), d), 0.0)
+    chunk = _chunk_rows(g)
+    chunks = (W[done : done + chunk] for done in range(0, len(W), chunk))
+    best, best_w = _best_rows(g, chunks, {end: unit})[end]
+    return FalsifierResult(
+        end=end,
+        best_w=best_w,
+        best_value=best,
+        improved=_is_improvement(end, best, unit),
+        trials=len(W),
+        steps=0,
+        seed=None,
+    )
 
 
 def random_weight_search(

@@ -101,6 +101,26 @@ def test_iso_tol_reaches_symmetrized_sdp_stage(monkeypatch):
     assert set(seen) == {3e-7}
 
 
+def test_iso_tol_reaches_every_product_profile(monkeypatch):
+    from confrigid import embeddings
+
+    seen = []
+
+    def spy(emb, g, tol=1e-7):
+        seen.append(tol)
+        return edge_length_profile(emb, g, tol=tol)
+
+    monkeypatch.setattr(certify, "edge_length_profile", spy)
+    monkeypatch.setattr(embeddings, "edge_length_profile", spy)
+    c4 = catalog("cycle_4")
+    cert = product_rigidity(c4, c4, CheckOptions(iso_tol=3e-7))
+    assert cert is not None and cert.kind == "product"
+    # factor checks, both spherical_max_embedding tests, both factor
+    # profiles of each product_embedding, prof2 and profmax
+    assert len(seen) >= 10
+    assert set(seen) == {3e-7}
+
+
 def test_complete_10_with_supplied_generators_is_edge_transitive():
     # S_10 from a transposition and a 10-cycle: 10! elements, never listed
     gens = PermutationSet(

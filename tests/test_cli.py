@@ -37,6 +37,13 @@ def test_check_refuted_exit_two(capsys):
     jsonschema.validate(report, _schema())
     assert report["lower"]["verdict"] == "refuted"
     assert report["lower"]["witness"] is not None
+    # the margin is re-checkable from the report: best value against unit
+    for end, unit in (("lower", report["lambda2"]), ("upper", report["lambdaMax"])):
+        res = report[end]["residuals"]
+        assert set(res) == {"best_value", "falsifier_unit"}
+        assert res["falsifier_unit"] == pytest.approx(unit)
+        sign = 1.0 if end == "lower" else -1.0
+        assert sign * (res["best_value"] - unit) > 1e-6 * unit
 
 
 def test_check_undecided_exit_three(capsys):

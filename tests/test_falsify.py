@@ -1,21 +1,26 @@
 """Falsifier: simplex projection correctness and improvement behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confrigid import certify
 from confrigid.catalog import catalog
-from confrigid.certify import CheckOptions, check_conformal_rigidity
+from confrigid.certify import STAGES, CheckOptions, check_conformal_rigidity
 from confrigid.errors import DisconnectedError
 from confrigid.falsify import (
+    DIRECTION_STEPS,
     STACK_BYTES,
+    direction_search,
     random_weight_search,
     reverify,
     simplex_projection,
     subgradient_ascent,
 )
-from confrigid.graphs import Graph, laplacian, normalize_edges
-from confrigid.spectra import lambda_ends
+from confrigid.graphs import Graph, cartesian_product, laplacian, normalize_edges
+from confrigid.spectra import eigendecompose, lambda_ends
 
 
 def _brute_force_projection(v, total, iters=20000):
@@ -157,15 +162,130 @@ def test_subgradient_solves_once_per_step(monkeypatch, steps):
 
 
 def test_check_draws_once_for_both_ends(monkeypatch):
-    g = catalog("triangular_prism")
-    opts = CheckOptions(steps=30)
+    # petersen's canonical embedding is edge-isometric at both ends, so the
+    # direction search finds no direction and both ends reach the draw
+    g = catalog("petersen")
+    opts = CheckOptions(steps=30, skip_stages=frozenset(STAGES) - {"falsify"})
     calls = _count_solves(monkeypatch)
     rep = check_conformal_rigidity(g, opts)
-    assert (rep.lower.method, rep.upper.method) == ("Falsifier", "Falsifier")
+    # rigid at both ends: no weighting can refute either
+    assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
     stacked = [rows for rows in calls["eigvalsh_rows"] if rows > 1]
     chunk = STACK_BYTES // (8 * g.n * g.n)
     assert sum(stacked) == opts.trials
     assert len(stacked) == -(-opts.trials // chunk)
+
+
+def _count_draws(monkeypatch):
+    draws = []
+    random_search = certify._random_search
+
+    def counting_random_search(*args, **kwargs):
+        draws.append(args)
+        return random_search(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "_random_search", counting_random_search)
+    return draws
+
+
+def _relabelled(g, seed):
+    p = np.random.default_rng(seed).permutation(g.n)
+    return Graph(g.n, normalize_edges(g.n, [(p[i], p[j]) for i, j in g.edges]))
+
+
+def _step_cases():
+    prism = catalog("triangular_prism")
+    cases = [
+        ("prism", prism, "lower"),
+        ("prism", prism, "upper"),
+        ("petersen_x_k2", cartesian_product(catalog("petersen"), catalog("path_2")), "upper"),
+    ]
+    for name in ("path_40", "path_64"):
+        g = catalog(name)
+        cases.append((name, g, "lower"))
+        cases += [(f"{name}~{s}", _relabelled(g, s), "lower") for s in range(3)]
+    return [pytest.param(g, end, id=f"{name}-{end}") for name, g, end in cases]
+
+
+STEP_CASES = _step_cases()
+
+
+def _assert_witness(g, w):
+    assert np.all(w >= 0)
+    assert abs(w.sum() - g.m) <= 1e-9
+
+
+@pytest.mark.parametrize("g, end", STEP_CASES)
+def test_direction_search_refutes(monkeypatch, g, end):
+    lam2, lamn = lambda_ends(g)
+    U = eigendecompose(laplacian(g)).basis_for(lam2 if end == "lower" else lamn)
+    calls = _count_solves(monkeypatch)
+    res = direction_search(g, end, U)
+    assert calls["eigh"] == 0
+    # the unit value, then one batched solve per chunk of the step grid
+    chunk = max(1, STACK_BYTES // (8 * g.n * g.n))
+    assert calls["eigvalsh"] == 1 + -(-len(DIRECTION_STEPS) // chunk)
+    assert res.improved and res.seed is None
+    _assert_witness(g, res.best_w)
+    assert reverify(g, res)
+
+
+@pytest.mark.parametrize("g, end", STEP_CASES)
+def test_check_refutes_by_direction_step(monkeypatch, g, end):
+    # the falsify stage makes no eigh call (no subgradient step) and no draw
+    calls = _count_solves(monkeypatch)
+    draws = _count_draws(monkeypatch)
+    falsify_eigh = []
+    falsify_end = certify._falsify_end
+
+    def counting_falsify_end(*args, **kwargs):
+        before = calls["eigh"]
+        out = falsify_end(*args, **kwargs)
+        falsify_eigh.append(calls["eigh"] - before)
+        return out
+
+    monkeypatch.setattr(certify, "_falsify_end", counting_falsify_end)
+    reps = [check_conformal_rigidity(g, CheckOptions(seed=s)) for s in (0, 7)]
+    assert falsify_eigh and not any(falsify_eigh)
+    assert not draws
+    ers = [getattr(rep, end) for rep in reps]
+    for er in ers:
+        assert (er.verdict, er.method) == ("refuted", "Falsifier")
+        _assert_witness(g, er.witness)
+    assert np.array_equal(ers[0].witness, ers[1].witness)
+    unit = ers[0].residuals["falsifier_unit"]
+    lam2_w, lamn_w = lambda_ends(g, ers[0].witness)  # independent eigensolve
+    if end == "lower":
+        assert lam2_w > unit * (1.0 + 1e-6)
+    else:
+        assert lamn_w < unit * (1.0 - 1e-6)
+
+
+def test_fallback_refutes_where_the_direction_step_cannot(monkeypatch):
+    # K_7 minus a path on three vertices and a disjoint edge: lambda_max = 7
+    # has multiplicity 3, and the step lowers the cluster's mean but not its
+    # top, so the end falls through to the draw and the subgradient steps
+    missing = {(0, 2), (2, 3), (1, 6)}
+    g = Graph(7, tuple(e for e in itertools.combinations(range(7), 2) if e not in missing))
+    dec = eigendecompose(laplacian(g))
+    step = direction_search(g, "upper", dec.basis_for(dec.eigenvalues[-1]))
+    assert step is not None and not step.improved
+    draws = _count_draws(monkeypatch)
+    rep = check_conformal_rigidity(g)
+    assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
+    assert len(draws) == 1
+    _assert_witness(g, rep.upper.witness)
+    assert lambda_ends(g, rep.upper.witness)[1] < 7.0 * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("name", ["petersen", "complete_bipartite_3_4", "cycle_9"])
+def test_direction_search_finds_no_direction_when_edge_transitive(monkeypatch, name):
+    g = catalog(name)
+    dec = eigendecompose(laplacian(g))
+    calls = _count_solves(monkeypatch)
+    for lam, end in ((dec.eigenvalues[1], "lower"), (dec.eigenvalues[-1], "upper")):
+        assert direction_search(g, end, dec.basis_for(lam)) is None
+    assert calls["eigvalsh"] == 0 and calls["eigh"] == 0
 
 
 def test_random_search_rejects_disconnected_graph():
