@@ -36,15 +36,16 @@ from .falsify import (
     _better,
     _random_search,
     direction_search,
+    line_search,
     reverify,
     subgradient_ascent,
 )
 from .graphs import CayleySpec, Graph, laplacian
 from .lp import phase1_feasibility
 from .sdp import (
-    SdpInstance,
-    SdpResult,
+    LengthDecision,
     build_sdp_instance,
+    length_decision,
     rank_one_vector,
     rank_reduce,
     sdp_feasibility,
@@ -325,7 +326,7 @@ def _commutant_projection(
 
 def _sdp_embedding(
     g: Graph,
-    inst: SdpInstance,
+    U: np.ndarray,
     X: np.ndarray,
     lam: float,
     p: PermutationSet | None,
@@ -334,34 +335,59 @@ def _sdp_embedding(
     commutant of the group when one is attached, factor the result as
     V V^T and embed as U V (n x k at most)."""
     if p is not None:
-        X = _commutant_projection(inst.U, p, X)
+        X = _commutant_projection(U, p, X)
     vals, vecs = np.linalg.eigh((X + X.T) / 2.0)
     keep = vals > 1e-10 * max(float(vals.max()), 1e-30)
     V = vecs[:, keep] * np.sqrt(vals[keep])
     source = "sdp-gram" if p is None else "sdp-gram-symmetrized"
-    return make_embedding(g, inst.U @ V, lam, source=source)
+    return make_embedding(g, U @ V, lam, source=source)
 
 
 def _gram_certificate(
     g: Graph,
-    inst: SdpInstance,
-    res: SdpResult,
+    U: np.ndarray,
+    X: np.ndarray,
+    residual: float,
     lam: float,
     p: PermutationSet | None,
     end: str,
     iso_tol: float,
 ) -> Certificate | None:
-    if res.status != "feasible":
-        return None
     return _verified_certificate(
         g,
-        _sdp_embedding(g, inst, res.X, lam, p),
+        _sdp_embedding(g, U, X, lam, p),
         "sdp_gram",
         end,
-        {"X": res.X},
+        {"X": X},
         iso_tol,
-        extra_residuals={"sdp_residual": res.residual},
+        extra_residuals={"sdp_residual": residual},
     )
+
+
+def _length_certificate(
+    g: Graph,
+    U: np.ndarray,
+    decision: LengthDecision,
+    lam: float,
+    end: str,
+    feas_tol: float,
+    iso_tol: float,
+) -> Certificate | None:
+    """Gram certificate from an equal-length decision that did not find a
+    separating c: embed its X as U V; when that misses the isometry test,
+    polish with the trivial-group SDP, whose functionals are the squared
+    edge lengths."""
+    c = decision.c
+    cert = _gram_certificate(
+        g, U, decision.X, float(np.max(np.abs(c - c[0]))), lam, None, end, iso_tol
+    )
+    if cert is not None:
+        return cert
+    inst = build_sdp_instance(g, U)
+    res = sdp_feasibility(inst, tol=feas_tol)
+    if res.status != "feasible":
+        return None
+    return _gram_certificate(g, U, res.X, res.residual, lam, None, end, iso_tol)
 
 
 def eigenvector_certificate(
@@ -402,7 +428,7 @@ def eigenvector_certificate(
         ):
             cert = _verified_certificate(
                 g,
-                _sdp_embedding(g, inst, aa, lam, p),
+                _sdp_embedding(g, U, aa, lam, p),
                 "eigenvector",
                 end,
                 {"phi": U @ a, "orbit_sums": sums},
@@ -414,7 +440,7 @@ def eigenvector_certificate(
             )
             if cert is not None:
                 return cert
-    return _gram_certificate(g, inst, res, lam, p, end, iso_tol)
+    return _gram_certificate(g, U, res.X, res.residual, lam, p, end, iso_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +534,38 @@ RandomDraw = Callable[[], dict[str, FalsifierResult]]
 
 
 def _falsify_end(
-    g: Graph, end: str, U: np.ndarray, opts: CheckOptions, draw: RandomDraw
+    g: Graph,
+    end: str,
+    U: np.ndarray,
+    opts: CheckOptions,
+    draw: RandomDraw,
+    dual: np.ndarray | None = None,
+    fallback: bool = True,
 ) -> tuple[FalsifierResult | None, bool]:
     """Best weighting found at this end and whether it refutes rigidity
-    (improves and re-verifies).  The seed-free line search along the
-    canonical embedding's edge lengths goes first; only when it does not
-    refute does the end take the random draw, then subgradient steps from
-    its best row when that improves.  The result is None when no search
-    runs."""
-    step = direction_search(g, end, U)
-    if step is not None and step.improved and reverify(g, step):
-        return step, True
-    best: FalsifierResult | None = draw()[end] if opts.trials > 0 else None
+    (improves and re-verifies).  Seed-free line searches go first: along
+    the canonical embedding's edge lengths, then along the dual direction
+    when one is given.  Only when neither refutes and `fallback` is set
+    does the end take the random draw, whose best row is the witness when
+    it refutes, else subgradient steps from it.  The result is None when
+    no search runs."""
+    searches = [lambda: direction_search(g, end, U)]
+    if dual is not None:
+        searches.append(lambda: line_search(g, end, dual))
+    best: FalsifierResult | None = None
+    for search in searches:
+        step = search()
+        if step is None:
+            continue
+        if step.improved and reverify(g, step):
+            return step, True
+        if best is None or _better(end, step.best_value, best.best_value):
+            best = step
+    if not fallback:
+        return best, False
+    best = draw()[end] if opts.trials > 0 else None
+    if best is not None and best.improved and reverify(g, best):
+        return best, True
     if opts.steps > 0:
         start = best.best_w if (best is not None and best.improved) else None
         asc = subgradient_ascent(
@@ -543,6 +589,7 @@ def _certify_end(
 ) -> EndReport:
     spec = g.cayley_spec
     lp_refuted = False
+    decision: LengthDecision | None = None
 
     @functools.cache
     def canonical() -> Certificate | None:
@@ -627,17 +674,34 @@ def _certify_end(
                 return EndReport(end, "certified", method, cert, None, cert.residuals)
 
         if opts.stage_enabled("trivial_sdp"):
-            inst = build_sdp_instance(g, dec.basis_for(lam))
-            res = sdp_feasibility(inst, tol=opts.feas_tol)
-            cert = _gram_certificate(g, inst, res, lam, None, end, opts.iso_tol)
-            if cert is not None:
-                return EndReport(
-                    end, "certified", "SdpGram", cert, None, cert.residuals
+            e = g.edge_array
+            U = dec.basis_for(lam)
+            decision = length_decision(U[e[:, 0]] - U[e[:, 1]], tol=opts.feas_tol)
+            if decision.status != "not_rigid":
+                cert = _length_certificate(
+                    g, U, decision, lam, end, opts.feas_tol, opts.iso_tol
                 )
+                if cert is not None:
+                    return EndReport(
+                        end, "certified", "SdpGram", cert, None, cert.residuals
+                    )
 
+    facts = {} if decision is None else decision.residuals()
     residuals = {"lp_refuted": 1.0} if lp_refuted else {}
+    residuals.update(facts)
     if opts.stage_enabled("falsify"):
-        wit, refutes = _falsify_end(g, end, dec.basis_for(lam), opts, draw)
+        # the dual c differs from the canonical direction once a step is taken
+        moved = decision is not None and decision.iterations > 0
+        wit, refutes = _falsify_end(
+            g,
+            end,
+            dec.basis_for(lam),
+            opts,
+            draw,
+            dual=decision.c if moved else None,
+            # a not-rigid decision settles the end: no seeded search
+            fallback=decision is None or decision.status != "not_rigid",
+        )
         if refutes:
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
             return EndReport(
@@ -647,7 +711,7 @@ def _certify_end(
                 None,
                 wit.best_w,
                 # the margin is re-checkable: best_value against the unit value
-                {"best_value": wit.best_value, "falsifier_unit": lam},
+                {"best_value": wit.best_value, "falsifier_unit": lam, **facts},
             )
         if wit is not None:
             # why this end stays undecided: how close the falsifier came
@@ -661,10 +725,12 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
 
     Stage order per end: edge-transitivity, character LP (abelian Cayley,
     decisive both ways), 1-walk regularity, canonical embedding, symmetrized
-    SDP, trivial-group SDP, falsifier.  The edge-transitivity, 1-walk
-    regularity and canonical stages share one test of the canonical
-    embedding.  walk1 comes from the eigenprojectors (no walk counts), and
-    no group is listed.  Both ends must certify for the headline verdict.
+    SDP, the equal-length decision (stage `trivial_sdp`), falsifier.  The
+    edge-transitivity, 1-walk regularity and canonical stages share one
+    test of the canonical embedding.  A decision that finds a separating c
+    hands it to the falsifier and rules out the seeded search there.
+    walk1 comes from the eigenprojectors (no walk counts), and no group is
+    listed.  Both ends must certify for the headline verdict.
     """
     opts = options or CheckOptions()
     if not g.is_connected():

@@ -1,7 +1,7 @@
 """Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
-|E|}: a line search along the edge lengths of the canonical embedding, then
-randomized weight sampling and projected subgradient ascent on lambda_2
-(descent on lambda_n)."""
+|E|}: line searches along the edge lengths of the canonical embedding or
+along a given direction, then randomized weight sampling and projected
+subgradient ascent on lambda_2 (descent on lambda_n)."""
 
 from __future__ import annotations
 
@@ -134,18 +134,14 @@ def _random_search(g: Graph, trials: int, seed: int) -> dict[str, FalsifierResul
 def direction_search(
     g: Graph, end: str, U: np.ndarray
 ) -> FalsifierResult | None:
-    """Line search from unit weights along the canonical embedding's
-    squared edge lengths; None when they are all equal (no direction).
+    """`line_search` along the canonical embedding's centred squared edge
+    lengths; None when they are all equal (no direction).
 
     U is an orthonormal basis of the target eigenspace.  With l_e =
-    |U_i - U_j|^2 the direction is d = l - mean(l) (its negative at the
-    upper end): for a simple eigenvalue the projected gradient of the
-    target, and in general a direction with tr(U^T L(d) U) = |d|^2 > 0 that
-    moves the eigenvalue cluster's mean the right way.  The weights w = 1 +
-    t d keep sum m and stay >= 0 for t up to t_max = 1 / max(-d); the
-    steps t_max * DIRECTION_STEPS are solved as stacked Laplacians, one
-    batched eigvalsh per chunk of at most STACK_BYTES, and the first
-    strictly best step is kept.  No random numbers are drawn.
+    |U_i - U_j|^2 the direction is d = l - mean(l): for a simple eigenvalue
+    the projected gradient of the target, and in general a direction with
+    tr(U^T L(d) U) = |d|^2 > 0 that moves the eigenvalue cluster's mean
+    the right way.
     """
     _check_end(end)
     e = g.edge_array
@@ -153,6 +149,20 @@ def direction_search(
     d = lengths - lengths.mean()
     if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(lengths):
         return None  # edge-isometric: no first-order direction to follow
+    return line_search(g, end, d)
+
+
+def line_search(g: Graph, end: str, d: np.ndarray) -> FalsifierResult:
+    """Line search from unit weights along a centred edge direction d, which
+    raises the target at the lower end (its negative is followed at the
+    upper end).
+
+    The weights w = 1 + t d keep sum m and stay >= 0 for t up to t_max =
+    1 / max(-d); the steps t_max * DIRECTION_STEPS are solved as stacked
+    Laplacians, one batched eigvalsh per chunk of at most STACK_BYTES, and
+    the first strictly best step is kept.  No random numbers are drawn.
+    """
+    _check_end(end)
     if end == "upper":
         d = -d
     unit = _unit_values(g)[end]

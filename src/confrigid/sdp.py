@@ -1,6 +1,7 @@
 """SDP feasibility over eigenspace Gram matrices with orbit constraints,
-solved by Dykstra-corrected alternating projections, plus Barvinok-Pataki
-rank reduction of feasible points."""
+solved by Dykstra-corrected alternating projections, Barvinok-Pataki rank
+reduction of feasible points, and the primal-dual equal-length decision on
+the k x k problem, solved by Frank-Wolfe over the spectraplex."""
 
 from __future__ import annotations
 
@@ -14,47 +15,53 @@ from .symmetry import OrbitPartition, PermutationSet, orbits
 
 RANK_CUTOFF = 1e-7
 
+# Frank-Wolfe steps `length_decision` takes before it reports "undecided".
+DECISION_ITERATIONS = 500
+# `length_decision` reports "not_rigid" when lambda_min(S(c)) exceeds this
+# multiple of sum_e |c_e| |b_e|^2, a bound on |S(c)|: far above rounding.
+DUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SdpInstance:
     """Feasibility data on S^k: find X psd with <trace_mat, X> = 1 and equal
-    orbit functionals <C_r, X> across edge orbits.
+    functionals <C_r, X> across the edge blocks r.
 
-    orbit_mats[r] is the k x k coefficient matrix of the functional
-    X -> mean over the edges (i, j) of orbit E_r of (U X U^T)_{ij}, which is
-    the sum over the group of (U X U^T)_{sigma(i_r) sigma(j_r)} divided by
-    the group order.  group_size is the number of generators the edge orbits
-    came from (0 for the trivial group); the group itself is never listed.
+    With a group, the blocks are its edge orbits and orbit_mats[r] is the
+    mean over the edges (i, j) of orbit E_r of sym(u_i u_j^T), the inner
+    product (U X U^T)_{ij}: the sum over the group of
+    (U X U^T)_{sigma(i_r) sigma(j_r)} divided by the group order.  Without
+    one, every edge is a block and orbit_mats[e] is b_e b_e^T with b_e =
+    u_i - u_j, the squared edge length of the embedding U V (X = V V^T);
+    inner products agree with lengths only when the Gram diagonal is
+    constant.  group_size is the number of generators the edge orbits came
+    from (0 for the trivial group); the group itself is never listed.
     """
 
     U: np.ndarray
-    orbit_mats: tuple[np.ndarray, ...]
+    orbit_mats: np.ndarray  # blocks x k x k
     trace_mat: np.ndarray
     representatives: tuple[tuple[int, int], ...]
     group_size: int
-    degenerate: bool = False
 
     @property
     def k(self) -> int:
         return self.U.shape[1]
 
-    def constraint_mats(self) -> list[np.ndarray]:
-        """Equality constraints as (matrix, rhs): trace = 1 and
-        orbit_r - orbit_1 = 0."""
-        mats = [self.trace_mat]
-        for C in self.orbit_mats[1:]:
-            mats.append(C - self.orbit_mats[0])
-        return mats
+    def constraint_mats(self) -> np.ndarray:
+        """Equality constraints: trace = 1 and orbit_r - orbit_1 = 0."""
+        return np.concatenate(
+            [self.trace_mat[None], self.orbit_mats[1:] - self.orbit_mats[:1]]
+        )
 
     def rhs(self) -> np.ndarray:
-        return np.array([1.0] + [0.0] * (len(self.orbit_mats) - 1))
+        b = np.zeros(len(self.orbit_mats))
+        b[0] = 1.0
+        return b
 
     def residual(self, X: np.ndarray) -> float:
-        vals = [abs(float(np.tensordot(self.trace_mat, X)) - 1.0)]
-        base = float(np.tensordot(self.orbit_mats[0], X))
-        for C in self.orbit_mats[1:]:
-            vals.append(abs(float(np.tensordot(C, X)) - base))
-        return max(vals)
+        vals = np.tensordot(self.constraint_mats(), X) - self.rhs()
+        return float(np.max(np.abs(vals)))
 
 
 def build_sdp_instance(
@@ -63,24 +70,29 @@ def build_sdp_instance(
     p: PermutationSet | None = None,
     orb: OrbitPartition | None = None,
 ) -> SdpInstance:
-    """Precompute the orbit functionals for eigenspace basis U under the
-    group generated by p (trivial group when p is None: one constraint per
-    edge)."""
+    """Precompute the block functionals for eigenspace basis U: edge-orbit
+    inner products under the group generated by p, or one squared edge
+    length per edge when p is None (the trivial group)."""
     U = np.asarray(U, dtype=float)
     if p is None:
-        blocks = [(k,) for k in range(g.m)]
+        e = g.edge_array
+        B = U[e[:, 0]] - U[e[:, 1]]
+        mats = B[:, :, None] * B[:, None, :]
+        reps = tuple(g.edges)
     else:
         blocks = (orb or orbits(g, p)).edge_orbits
-    mats = []
-    for block in blocks:
-        ij = np.array([g.edges[k] for k in block])
-        C = U[ij[:, 0]].T @ U[ij[:, 1]] / len(block)
-        mats.append((C + C.T) / 2.0)
+        mats = []
+        for block in blocks:
+            ij = np.array([g.edges[k] for k in block])
+            C = U[ij[:, 0]].T @ U[ij[:, 1]] / len(block)
+            mats.append((C + C.T) / 2.0)
+        mats = np.stack(mats)
+        reps = tuple(g.edges[block[0]] for block in blocks)
     return SdpInstance(
         U=U,
-        orbit_mats=tuple(mats),
+        orbit_mats=mats,
         trace_mat=U.T @ U,
-        representatives=tuple(g.edges[block[0]] for block in blocks),
+        representatives=reps,
         group_size=0 if p is None else len(p.gens),
     )
 
@@ -104,24 +116,27 @@ def sdp_feasibility(
     inst: SdpInstance, tol: float = 1e-8, max_iter: int = 5000
 ) -> SdpResult:
     """Dykstra alternating projection between the PSD cone (eigenvalue clip)
-    and the affine constraint set (least-squares projector).
+    and the affine constraint set.
 
+    The constraint matrices span at most k(k+1)/2 dimensions of S^k, so
+    the affine projection works in the row space of the constraint matrix
+    A (one row per constraint, on vec(X)), from one thin SVD: with A = W
+    diag(s) Vt, the projection of v is v - Vt^T (Vt v - diag(1/s) W^T b).
     Never claims infeasibility: after max_iter the result is `undecided`
     with the final residual.
     """
     k = inst.k
-    mats = inst.constraint_mats()
-    b = inst.rhs()
-    A = np.stack([C.reshape(-1) for C in mats])  # c x k^2 on vec(X)
-    AAt = A @ A.T
-    rank = np.linalg.matrix_rank(AAt, tol=1e-12 * max(1.0, np.max(np.abs(AAt))))
-    degenerate = rank < len(mats)
-    AAt_pinv = np.linalg.pinv(AAt)
+    A = inst.constraint_mats().reshape(-1, k * k)  # one row per constraint on vec(X)
+    W, s, Vt = np.linalg.svd(A, full_matrices=False)
+    # the cutoff a pinv of A A^T applies, on the scale of A's singular values
+    rank = int(np.sum(s > np.sqrt(max(A.shape) * np.finfo(float).eps) * s[0]))
+    degenerate = rank < len(A)
+    Vt = Vt[:rank]
+    y0 = (W[:, :rank].T @ inst.rhs()) / s[:rank]
 
     def affine_project(X: np.ndarray) -> np.ndarray:
         v = X.reshape(-1)
-        corr = A.T @ (AAt_pinv @ (A @ v - b))
-        Y = (v - corr).reshape(k, k)
+        Y = (v - Vt.T @ (Vt @ v - y0)).reshape(k, k)
         return (Y + Y.T) / 2.0
 
     X = affine_project(np.eye(k) / max(float(np.trace(inst.trace_mat)), 1.0))
@@ -141,15 +156,88 @@ def sdp_feasibility(
     cand = _psd_project(X)
     resid = inst.residual(cand)
     min_eig = float(np.linalg.eigvalsh((X + X.T) / 2.0)[0])
-    if resid <= 10 * tol * scale and min_eig >= -10 * tol * scale:
-        return SdpResult(
-            status="feasible", X=cand, residual=resid, iterations=it,
-            degenerate=degenerate,
-        )
-    return SdpResult(
-        status="undecided", X=cand, residual=resid, iterations=it,
-        degenerate=degenerate,
+    status = (
+        "feasible"
+        if resid <= 10 * tol * scale and min_eig >= -10 * tol * scale
+        else "undecided"
     )
+    return SdpResult(
+        status=status, X=cand, residual=resid, iterations=it, degenerate=degenerate
+    )
+
+
+@dataclass(frozen=True)
+class LengthDecision:
+    """Outcome of `length_decision`.
+
+    status is "rigid" when X gives every edge the same squared length to
+    within the tolerance, "not_rigid" when S(c) is positive definite,
+    "undecided" at the iteration cap.  c is the centred squared edge
+    lengths of X, dual_min_eig is lambda_min(S(c)) and gap is |c| / |l|.
+    """
+
+    status: str  # "rigid" | "not_rigid" | "undecided"
+    X: np.ndarray
+    c: np.ndarray
+    dual_min_eig: float
+    gap: float
+    iterations: int
+
+    def residuals(self) -> dict[str, float]:
+        """What an end reports when this decision certified nothing: the
+        dual certificate, or how far the decision got."""
+        if self.status == "not_rigid":
+            return {"dual_min_eig": self.dual_min_eig}
+        return {"decision_gap": self.gap, "decision_iterations": self.iterations}
+
+
+def length_decision(
+    B: np.ndarray, tol: float = 1e-8, max_iter: int = DECISION_ITERATIONS
+) -> LengthDecision:
+    """Decide whether some X on the spectraplex {X psd, tr X = 1} gives
+    every row b_e of B (m x k) the same squared length l_e = b_e^T X b_e.
+
+    Exactly one of two things holds: such an X exists, or some centred c
+    has S(c) = B^T diag(c) B positive definite (the separating hyperplane
+    between the convex set {l(X)} and the line R 1).  Frank-Wolfe on
+    |c(X)|^2, with c(X) = l(X) - mean(l(X)), finds the minimum-norm point:
+    its gradient is S(c), its linear minimizer over the spectraplex is the
+    atom v v^T for the bottom eigenvector v of S(c), and the step to that
+    atom is line-searched exactly.  The run starts at X = I / k, whose c is
+    the canonical embedding's centred edge lengths divided by k, and stops
+    at "rigid" when |c| <= tol |l|, at "not_rigid" when lambda_min(S(c)) >
+    0 beyond rounding (DUAL_TOL).  At k = 1, S(c) is the scalar |c|^2, so
+    the first two tests decide.
+    With B = U_i - U_j over the edges (U an eigenspace basis), "rigid"
+    means U V is an edge-isometric embedding for X = V V^T, and
+    U^T L(1 + t c) U = lambda I + t S(c) means a small step along c (-c at
+    lambda_n) moves the whole eigenvalue cluster the improving way.
+    """
+    k = B.shape[1]
+    sq = np.sum(B * B, axis=1)
+    X = np.eye(k) / k
+    lengths = sq / k
+    it = 0
+    while True:
+        c = lengths - lengths.mean()
+        gap = float(np.linalg.norm(c) / np.linalg.norm(lengths))
+        if gap <= tol:
+            return LengthDecision("rigid", X, c, np.nan, gap, it)
+        vals, vecs = np.linalg.eigh((B.T * c) @ B)
+        # sum |c_e| |b_e|^2 bounds |S(c)|, so rounding cannot pass this test
+        if vals[0] > DUAL_TOL * float(np.abs(c) @ sq):
+            return LengthDecision("not_rigid", X, c, float(vals[0]), gap, it)
+        v = vecs[:, 0]
+        atom = (B @ v) ** 2
+        d = atom - atom.mean() - c
+        # <c, d> = lambda_min - |c|^2, negative unless rounding hides the step
+        descent = -float(c @ d)
+        if it == max_iter or descent <= 0.0:
+            return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
+        gamma = min(1.0, descent / float(d @ d))
+        X = (1.0 - gamma) * X + gamma * np.outer(v, v)
+        lengths = (1.0 - gamma) * lengths + gamma * atom
+        it += 1
 
 
 def rank_reduce(X: np.ndarray, inst: SdpInstance, tol: float = 1e-8) -> np.ndarray:

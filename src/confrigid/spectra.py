@@ -49,7 +49,7 @@ class EigenspaceDecomposition:
 
 def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
     """Full decomposition of a symmetric matrix; near-equal eigenvalues are
-    merged into one eigenspace whose basis is re-orthonormalized."""
+    merged into one eigenspace, whose basis is eigh's columns for them."""
     M = np.asarray(M, dtype=float)
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
     if not np.allclose(M, M.T, rtol=0, atol=1e-12 * scale):
@@ -59,23 +59,15 @@ def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceD
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
     vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= group_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues, mults, bases = [], [], []
-    for idx in groups:
-        eigenvalues.append(float(np.mean(vals[idx])))
-        mults.append(len(idx))
-        U = vecs[:, idx]
-        # eigh output is already orthonormal; QR guards merged blocks
-        Q, _ = np.linalg.qr(U)
-        bases.append(Q)
+    # a new eigenspace starts wherever consecutive eigenvalues differ by more
+    # than group_tol; eigh's columns are orthonormal, so each slice is a basis
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > group_tol) + 1).tolist(), len(vals)]
+    eigenvalues = [float(np.mean(vals[a:b])) for a, b in zip(cuts, cuts[1:])]
+    mults = np.diff(cuts)
+    bases = [vecs[:, a:b] for a, b in zip(cuts, cuts[1:])]
     return EigenspaceDecomposition(
         eigenvalues=np.array(eigenvalues),
-        multiplicities=np.array(mults, dtype=int),
+        multiplicities=mults,
         bases=bases,
         group_tol=group_tol,
         raw_eigenvalues=vals,

@@ -1,6 +1,8 @@
 """Certificate layer: LP decisions, SDP-backed certificates, product theorem,
 and the full cascade."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from confrigid.graphs import (
     laplacian,
     normalize_edges,
 )
+from confrigid.sdp import length_decision
 from confrigid.spectra import eigendecompose
 from confrigid.symmetry import PermutationSet, cayley_translations
 
@@ -132,6 +135,35 @@ def test_complete_10_with_supplied_generators_is_edge_transitive():
     assert rep.lower.method == "EdgeTransitive"
     assert rep.upper.method == "EdgeTransitive"
     assert rep.lower.certificate.embedding.dim == 9
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_complete_5_minus_edge_upper_end_is_sdp_gram(monkeypatch, capped):
+    # lambda_n = 5 has multiplicity 3 and the canonical embedding is not
+    # edge-isometric, but an equal-length Gram matrix exists: the decision
+    # finds it (inner-product constraints missed it); a decision stopped at
+    # its cap is polished by the trivial-group SDP instead
+    polished = []
+    feasibility = certify.sdp_feasibility
+
+    def counting_feasibility(*args, **kwargs):
+        polished.append(args)
+        return feasibility(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "sdp_feasibility", counting_feasibility)
+    if capped:
+        monkeypatch.setattr(certify, "length_decision", functools.partial(length_decision, max_iter=0))
+    g = Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)))
+    rep = check_conformal_rigidity(g)
+    assert rep.lambda_max == pytest.approx(5.0)
+    assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
+    assert len(polished) == int(capped)
+    emb = rep.upper.certificate.embedding
+    assert emb.dim <= 3
+    assert edge_length_profile(emb, g).is_edge_isometric
+    X = rep.upper.certificate.payload["X"]
+    assert np.trace(X) == pytest.approx(1.0)
+    assert np.min(np.linalg.eigvalsh(X)) >= -1e-12
 
 
 def test_eigenvector_certificate_requires_transitive_group():

@@ -40,10 +40,12 @@ def test_check_refuted_exit_two(capsys):
     # the margin is re-checkable from the report: best value against unit
     for end, unit in (("lower", report["lambda2"]), ("upper", report["lambdaMax"])):
         res = report[end]["residuals"]
-        assert set(res) == {"best_value", "falsifier_unit"}
+        assert set(res) == {"best_value", "falsifier_unit", "dual_min_eig"}
         assert res["falsifier_unit"] == pytest.approx(unit)
         sign = 1.0 if end == "lower" else -1.0
         assert sign * (res["best_value"] - unit) > 1e-6 * unit
+        # the equal-length decision's dual certificate: S(c) is positive definite
+        assert res["dual_min_eig"] > 0
 
 
 def test_check_undecided_exit_three(capsys):

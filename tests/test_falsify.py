@@ -1,7 +1,11 @@
 """Falsifier: simplex projection correctness and improvement behavior."""
 
+import functools
 import itertools
+import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,18 +24,19 @@ from confrigid.falsify import (
     subgradient_ascent,
 )
 from confrigid.graphs import Graph, cartesian_product, laplacian, normalize_edges
+from confrigid.sdp import length_decision
 from confrigid.spectra import eigendecompose, lambda_ends
 
 
-def _brute_force_projection(v, total, iters=20000):
-    """Tiny projected-gradient QP solver used as an oracle."""
-    x = np.full(len(v), total / len(v))
-    for t in range(1, iters + 1):
-        x = x - (2.0 / np.sqrt(t)) * (x - v)
-        x = np.clip(x, 0.0, None)
-        s = x.sum()
-        x = x * (total / s) if s > 0 else np.full(len(v), total / len(v))
-    return x
+def _assert_kkt_projection(v, w, total):
+    """w is the Euclidean projection of v onto {w >= 0, sum w = total} iff
+    w = max(v - theta, 0) for one threshold theta and w sums to total: the
+    KKT conditions of the projection, which has a unique solution."""
+    assert w.sum() == pytest.approx(total, abs=1e-9)
+    support = w > 0
+    assert support.any()
+    theta = float(np.mean(v[support] - w[support]))
+    assert np.allclose(w, np.maximum(v - theta, 0.0), rtol=0, atol=1e-9)
 
 
 def test_simplex_projection_basics():
@@ -53,10 +58,8 @@ def test_simplex_projection_basics():
 def test_simplex_projection_is_euclidean_nearest(vals):
     v = np.array(vals)
     out = simplex_projection(v, 1.0)
-    assert out.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(out >= -1e-12)
-    oracle = _brute_force_projection(v, 1.0)
-    assert np.linalg.norm(out - v) <= np.linalg.norm(oracle - v) + 1e-4
+    _assert_kkt_projection(v, out, 1.0)
 
 
 def test_random_search_improves_triangular_prism():
@@ -261,21 +264,69 @@ def test_check_refutes_by_direction_step(monkeypatch, g, end):
         assert lamn_w < unit * (1.0 - 1e-6)
 
 
-def test_fallback_refutes_where_the_direction_step_cannot(monkeypatch):
+def _k7_minus_path_and_edge():
     # K_7 minus a path on three vertices and a disjoint edge: lambda_max = 7
-    # has multiplicity 3, and the step lowers the cluster's mean but not its
-    # top, so the end falls through to the draw and the subgradient steps
+    # has multiplicity 3, and the canonical step lowers the cluster's mean
+    # but not its top
     missing = {(0, 2), (2, 3), (1, 6)}
-    g = Graph(7, tuple(e for e in itertools.combinations(range(7), 2) if e not in missing))
+    return Graph(7, tuple(e for e in itertools.combinations(range(7), 2) if e not in missing))
+
+
+def test_fallback_refutes_where_the_direction_step_cannot(monkeypatch):
+    # without the equal-length decision there is no dual direction, so the
+    # end falls through to the draw
+    g = _k7_minus_path_and_edge()
     dec = eigendecompose(laplacian(g))
     step = direction_search(g, "upper", dec.basis_for(dec.eigenvalues[-1]))
     assert step is not None and not step.improved
     draws = _count_draws(monkeypatch)
-    rep = check_conformal_rigidity(g)
+    rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset({"trivial_sdp"})))
     assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
     assert len(draws) == 1
     _assert_witness(g, rep.upper.witness)
     assert lambda_ends(g, rep.upper.witness)[1] < 7.0 * (1.0 - 1e-6)
+
+
+def test_dual_direction_refutes_where_the_direction_step_cannot(monkeypatch):
+    # the decision finds c with S(c) positive definite after one step, and
+    # the line search along it refutes: no draw, no subgradient step
+    g = _k7_minus_path_and_edge()
+    draws = _count_draws(monkeypatch)
+    calls = _count_solves(monkeypatch)
+    falsify_eigh = []
+    falsify_end = certify._falsify_end
+
+    def counting_falsify_end(*args, **kwargs):
+        before = calls["eigh"]
+        out = falsify_end(*args, **kwargs)
+        falsify_eigh.append(calls["eigh"] - before)
+        return out
+
+    monkeypatch.setattr(certify, "_falsify_end", counting_falsify_end)
+    rep = check_conformal_rigidity(g)
+    assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
+    assert not draws
+    assert falsify_eigh and not any(falsify_eigh)
+    assert rep.upper.residuals["dual_min_eig"] > 0
+    _assert_witness(g, rep.upper.witness)
+    assert lambda_ends(g, rep.upper.witness)[1] < 7.0 * (1.0 - 1e-6)
+
+
+def test_unsettled_decision_names_gap_and_iterations(monkeypatch):
+    # a decision stopped at its cap settles nothing: the end takes the draw
+    # and its report says how far the decision got
+    monkeypatch.setattr(certify, "length_decision", functools.partial(length_decision, max_iter=0))
+    g = _k7_minus_path_and_edge()
+    draws = _count_draws(monkeypatch)
+    rep = check_conformal_rigidity(g)
+    assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
+    assert len(draws) == 1
+    res = rep.upper.residuals
+    assert set(res) == {"best_value", "falsifier_unit", "decision_gap", "decision_iterations"}
+    assert res["decision_iterations"] == 0
+    assert 0 < res["decision_gap"] < 1
+    with resources.files("confrigid").joinpath("report_schema.json").open() as fh:
+        jsonschema.validate(json.loads(json.dumps(rep.to_json_dict())), json.load(fh))
 
 
 @pytest.mark.parametrize("name", ["petersen", "complete_bipartite_3_4", "cycle_9"])

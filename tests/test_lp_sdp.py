@@ -6,8 +6,10 @@ import pytest
 from confrigid.catalog import catalog
 from confrigid.graphs import circulant, laplacian
 from confrigid.lp import phase1_feasibility
+from confrigid.graphs import Graph
 from confrigid.sdp import (
     build_sdp_instance,
+    length_decision,
     rank_one_vector,
     rank_reduce,
     sdp_feasibility,
@@ -75,6 +77,41 @@ def test_sdp_trivial_group_one_constraint_per_edge():
     assert len(inst.orbit_mats) == g.m
     res = sdp_feasibility(inst)
     assert res.status == "feasible"
+
+
+def _complete_5_minus_edge():
+    return Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)))
+
+
+def test_trivial_group_instance_constrains_edge_lengths():
+    g = _complete_5_minus_edge()
+    dec = eigendecompose(laplacian(g))
+    U = dec.basis_for(dec.eigenvalues[-1])
+    inst = build_sdp_instance(g, U)
+    V = np.random.default_rng(0).standard_normal((U.shape[1], U.shape[1]))
+    P = U @ V
+    lengths = [float(np.sum((P[i] - P[j]) ** 2)) for i, j in g.edges]
+    assert np.allclose(np.tensordot(inst.orbit_mats, V @ V.T), lengths, atol=1e-12)
+
+
+def test_length_decision_simple_eigenvalue_decides_at_once():
+    # k = 1: S(c) is the scalar |c|^2
+    d = length_decision(np.array([[1.0], [2.0], [0.5]]))
+    assert (d.status, d.iterations) == ("not_rigid", 0)
+    assert d.dual_min_eig == pytest.approx(float(d.c @ d.c))
+    assert abs(d.c.sum()) <= 1e-12
+
+
+def test_length_decision_finds_equal_length_gram():
+    # rows e1, e2, e1 + e2: X = [[1/2, -1/4], [-1/4, 1/2]] gives all three
+    # squared length 1/2, while I/2 gives 1/2, 1/2, 1
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    d = length_decision(B)
+    assert d.status == "rigid" and d.iterations > 0
+    lengths = np.einsum("ek,kl,el->e", B, d.X, B)
+    assert np.ptp(lengths) <= 1e-8 * np.linalg.norm(lengths)
+    assert np.trace(d.X) == pytest.approx(1.0)
+    assert np.min(np.linalg.eigvalsh(d.X)) >= -1e-12
 
 
 def test_rank_reduction_to_rank_one_circulant18():
