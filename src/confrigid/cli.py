@@ -9,6 +9,7 @@ Exit codes for `check`: 0 certified at both ends, 2 refuted at some end,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,6 +209,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confrigid",

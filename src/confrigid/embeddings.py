@@ -126,7 +126,8 @@ def edge_length_profile(
     edges count as failures since the common length must be positive).
     """
     P = e.points
-    lengths = np.array([np.linalg.norm(P[i] - P[j]) for i, j in g.edges])
+    ends = g.edge_array
+    lengths = np.linalg.norm(P[ends[:, 0]] - P[ends[:, 1]], axis=1)
     norms = np.linalg.norm(P, axis=1)
     if len(lengths):
         iso = bool(

@@ -55,11 +55,7 @@ class Graph:
         return e
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def is_regular(self) -> bool:
         deg = self.degrees()
@@ -67,8 +63,8 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=int)
-        for i, j in self.edges:
-            A[i, j] = A[j, i] = 1
+        e = self.edge_array
+        A[e[:, 0], e[:, 1]] = A[e[:, 1], e[:, 0]] = 1
         return A
 
     def edge_index(self) -> dict[tuple[int, int], int]:

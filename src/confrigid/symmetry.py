@@ -3,6 +3,7 @@ tests, group closure, and a budgeted backtracking automorphism search."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,21 +141,42 @@ def is_edge_transitive(g: Graph, p: PermutationSet) -> bool:
     return orbits(g, p).num_edge_orbits == 1
 
 
-def _refine_colors(A: np.ndarray) -> np.ndarray:
-    """Equitable partition by iterated (color, multiset of neighbor colors)."""
-    n = A.shape[0]
-    deg = A.sum(axis=1)
+def _refine_colors(g: Graph) -> np.ndarray:
+    """Equitable partition by iterated (color, multiset of neighbor colors),
+    colours numbered by the rank of their signature.
+
+    Each round sorts the half-edges by (source, colour of the far end), which
+    lays out each vertex's neighbour colours as one ascending row padded with
+    -1, and ranks the signatures with one lexsort.  Vertices of one colour
+    have the same degree, so the padding never decides between two
+    signatures."""
+    n = g.n
+    e = g.edge_array
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    deg = g.degrees()
+    start = np.cumsum(deg) - deg
     _, colors = np.unique(deg, return_inverse=True)
     while True:
-        sigs = []
-        for v in range(n):
-            nbr = tuple(sorted(int(colors[u]) for u in range(n) if A[v, u]))
-            sigs.append((int(colors[v]), nbr))
-        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = np.array([palette[s] for s in sigs], dtype=int)
-        if np.array_equal(new, colors):
-            return colors
+        half = np.argsort(src * n + colors[dst])
+        rows = np.full((n, int(deg.max())), -1)
+        rows[src[half], np.arange(len(half)) - start[src[half]]] = colors[dst[half]]
+        sigs = np.column_stack([colors, rows])
+        rank = np.lexsort(sigs.T[::-1])
+        ordered = sigs[rank]
+        new = np.zeros(n, dtype=colors.dtype)
+        new[rank[1:]] = np.cumsum(np.any(ordered[1:] != ordered[:-1], axis=1))
+        if new[rank[-1]] == n - 1 or np.array_equal(new, colors):
+            return new  # a discrete partition is stable
         colors = new
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def find_automorphisms(
@@ -172,67 +194,97 @@ def find_automorphisms(
     orbit pruning of McKay-Piperno).  Each candidate assignment counts one
     node against `limit`; if the budget is exhausted, the generators found so
     far are returned with the exhausted flag, and downstream results then
-    hold for the subgroup they generate."""
+    hold for the subgroup they generate.
+
+    Neighbourhoods, colour classes and the used vertices are bitsets held
+    in Python ints, so each node costs a few word operations."""
     if g.n > max_n:
         raise GraphTooLargeError(f"automorphism search capped at n = {max_n}")
     n = g.n
-    A = g.adjacency()
-    colors = _refine_colors(A)
+    colors = _refine_colors(g)
+    class_size = np.bincount(colors)
+    if len(class_size) == n:  # discrete: only the identity
+        return PermutationSet(n=n, gens=())
+    adj = [0] * n
+    for i, j in g.edge_array.tolist():
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    color = colors.tolist()
+    class_mask = [0] * len(class_size)
+    for v, c in enumerate(color):
+        class_mask[c] |= 1 << v
     # order vertices so each new one touches as many assigned ones as
-    # possible, then has the smallest colour class, then the smallest index
-    class_size = np.bincount(colors)[colors]
-    touched = np.zeros(n, dtype=int)
-    placed = np.zeros(n, dtype=bool)
+    # possible, then has the smallest colour class, then the smallest index:
+    # a heap of (-touched, class size, vertex), stale entries skipped
+    size_of = class_size[colors].tolist()
+    touched = [0] * n
+    placed = [False] * n
+    heap = [(0, size_of[v], v) for v in range(n)]
+    heapq.heapify(heap)
     order: list[int] = []
-    for _ in range(n):
-        key = np.where(placed, -1, touched * (n + 1) + n - class_size)
-        best = int(np.argmax(key))
-        order.append(best)
-        placed[best] = True
-        touched += A[best]
-
-    order_arr = np.array(order, dtype=int)
-    level_of = np.argsort(order_arr)
-    image = order_arr.copy()  # image[i] is the image of order[i]
-    used = np.ones(n, dtype=bool)
+    while len(order) < n:
+        t, _, v = heapq.heappop(heap)
+        if placed[v] or -t != touched[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in _bits(adj[v]):
+            if not placed[u]:
+                touched[u] += 1
+                heapq.heappush(heap, (-touched[u], size_of[u], u))
+    level_of = [0] * n
+    for level, v in enumerate(order):
+        level_of[v] = level
+    # per level: the class of order[l], and the prefix levels adjacent to it
+    level_class = [class_mask[color[v]] for v in order]
+    prefix_nbrs = [
+        [level_of[u] for u in _bits(adj[v]) if level_of[u] < level]
+        for level, v in enumerate(order)
+    ]
+    image = list(order)  # image[i] is the image of order[i]
+    used = (1 << n) - 1
     gens: list[tuple[int, ...]] = []
     orbit_of = _UnionFind(n)
     nodes = 0
     exhausted = False
 
-    def candidates(level: int) -> np.ndarray:
+    def candidates(level: int) -> list[int]:
         """Unused vertices of order[level]'s colour whose adjacency to the
-        mapped prefix is that of order[level] to the prefix."""
-        v = order[level]
-        cand = np.flatnonzero((colors == colors[v]) & ~used)
-        match = A[np.ix_(cand, image[:level])] == A[v, order_arr[:level]]
-        return cand[match.all(axis=1)]
+        mapped prefix is that of order[level] to the prefix, in ascending
+        order.  The prefix is exactly `used`: a vertex adjacent to the images
+        of all of order[level]'s prefix neighbours has no other used
+        neighbour iff it has as many used neighbours as they are."""
+        mask = level_class[level] & ~used
+        nbrs = prefix_nbrs[level]
+        for j in nbrs:
+            mask &= adj[image[j]]
+        return [c for c in _bits(mask) if (adj[c] & used).bit_count() == len(nbrs)]
 
     def extend(level: int, c: int) -> bool:
         """Map order[level] to c and complete the map depth-first to an
         automorphism, stopping at the first; `used` is restored on return."""
-        nonlocal nodes, exhausted
+        nonlocal nodes, exhausted, used
         if nodes >= limit:
             exhausted = True
             return False
         nodes += 1
         image[level] = c
-        used[c] = True
+        used |= 1 << c
         found = level + 1 == n
         if not found:
             for d in candidates(level + 1):
                 if extend(level + 1, d):
                     found = True
                     break
-        used[c] = False
+        used &= ~(1 << c)
         return found
 
     for level in range(n - 1, -1, -1):
         v = order[level]
-        used[v] = False  # order[:level] stays fixed pointwise
+        used &= ~(1 << v)  # order[:level] stays fixed pointwise
         for c in candidates(level):
             if orbit_of.find(c) != orbit_of.find(v) and extend(level, c):
-                gens.append(tuple(image[level_of].tolist()))
+                gens.append(tuple(image[level_of[u]] for u in range(n)))
                 for i, j in enumerate(gens[-1]):
                     orbit_of.union(i, j)
         if exhausted:

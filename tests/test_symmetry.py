@@ -8,6 +8,7 @@ from confrigid.errors import NotAutomorphismError
 from confrigid.graphs import Graph, circulant, normalize_edges
 from confrigid.symmetry import (
     PermutationSet,
+    _refine_colors,
     cayley_translations,
     compose,
     find_automorphisms,
@@ -18,6 +19,30 @@ from confrigid.symmetry import (
     orbits,
     parse_generators,
 )
+from test_census import CONNECTED, _connected_graphs
+
+
+def _relabelled(g, seed=0):
+    perm = np.random.default_rng(seed).permutation(g.n).tolist()
+    return Graph(g.n, normalize_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges]))
+
+
+def _refine_colors_by_adjacency(A):
+    """Oracle: refinement by per-vertex signature tuples on the dense
+    adjacency matrix, which `_refine_colors` must match colour for colour."""
+    n = A.shape[0]
+    deg = A.sum(axis=1)
+    _, colors = np.unique(deg, return_inverse=True)
+    while True:
+        sigs = []
+        for v in range(n):
+            nbr = tuple(sorted(int(colors[u]) for u in range(n) if A[v, u]))
+            sigs.append((int(colors[v]), nbr))
+        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        new = np.array([palette[s] for s in sigs], dtype=int)
+        if np.array_equal(new, colors):
+            return colors
+        colors = new
 
 
 def test_compose_order():
@@ -44,9 +69,7 @@ def test_known_group_orders(name, order):
     assert not p.exhausted
     assert len(p.gens) <= g.n - 1
     assert group_order(p) == order
-    perm = np.random.default_rng(0).permutation(g.n).tolist()
-    h = Graph(g.n, normalize_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges]))
-    assert group_order(find_automorphisms(h)) == order
+    assert group_order(find_automorphisms(_relabelled(g))) == order
 
 
 def test_hypercube_6_search_within_budget():
@@ -126,3 +149,100 @@ def test_parse_generators_formats():
     assert p.gens == ((1, 0, 2, 3), (0, 1, 3, 2))
     with pytest.raises(ValueError):
         parse_generators("0 1\n", 4)
+
+
+def _refinement_inputs():
+    for n in CONNECTED:
+        yield from _connected_graphs(n)
+    yield catalog("path_40")
+    for name in ("petersen", "hoffman", "shrikhande_complement", "hypercube_4",
+                 "complete_bipartite_2_3", "triangular_prism", "cycle_12"):
+        for seed in range(3):
+            yield _relabelled(catalog(name), seed)
+    yield Graph(3, ((0, 1),))  # an isolated vertex: a row of padding only
+    yield Graph(1, ())
+
+
+def test_refinement_matches_adjacency_oracle():
+    for g in _refinement_inputs():
+        want = _refine_colors_by_adjacency(g.adjacency())
+        got = _refine_colors(g)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), g.edges
+
+
+# the vertex order, the candidate order and the orbit pruning decide each
+# generator, so these pin the search tree
+PINNED_GENERATORS = {
+    "petersen": (
+        (0, 1, 2, 9, 8, 5, 7, 6, 4, 3),
+        (0, 1, 5, 3, 7, 2, 8, 4, 6, 9),
+        (0, 2, 1, 6, 4, 5, 3, 9, 8, 7),
+        (1, 0, 3, 2, 6, 9, 4, 7, 8, 5),
+    ),
+    "hoffman": (
+        (0, 1, 4, 5, 2, 3, 15, 7, 14, 9, 10, 11, 12, 13, 8, 6),
+        (0, 11, 6, 8, 15, 14, 2, 10, 3, 9, 7, 1, 13, 12, 5, 4),
+        (0, 11, 15, 3, 6, 5, 4, 12, 8, 9, 13, 1, 7, 10, 14, 2),
+        (3, 11, 13, 9, 15, 14, 2, 4, 0, 8, 7, 1, 6, 12, 5, 10),
+    ),
+    "cycle_12": (
+        (0, 2, 1, 11, 10, 6, 5, 8, 7, 9, 4, 3),
+        (1, 0, 5, 8, 7, 2, 10, 4, 3, 11, 6, 9),
+    ),
+    # two colour classes of different sizes, which steer the vertex order
+    "complete_bipartite_4_5": (
+        (0, 1, 2, 3, 4, 5, 6, 8, 7),
+        (0, 1, 2, 7, 4, 5, 6, 3, 8),
+        (0, 1, 2, 3, 4, 6, 5, 7, 8),
+        (0, 3, 2, 1, 4, 5, 6, 7, 8),
+        (0, 1, 2, 3, 5, 4, 6, 7, 8),
+        (1, 0, 2, 3, 4, 5, 6, 7, 8),
+        (0, 1, 4, 3, 2, 5, 6, 7, 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
+def test_generators_pinned_under_relabelling(name):
+    p = find_automorphisms(_relabelled(catalog(name)))
+    assert not p.exhausted
+    assert p.gens == PINNED_GENERATORS[name]
+
+
+@pytest.mark.parametrize(
+    "name,nodes",
+    [
+        ("petersen", 34),
+        ("hoffman", 906),
+        ("cycle_12", 23),
+        ("hypercube_4", 73),
+        ("complete_bipartite_4_5", 41),
+        ("triangular_prism", 25),
+    ],
+)
+def test_search_node_count_pinned(name, nodes):
+    # the whole search takes exactly `nodes` candidate assignments: a budget
+    # one short is exhausted.  Pruning by non-adjacency to the prefix never
+    # changes the generators found, only this count.
+    g = _relabelled(catalog(name))
+    assert not find_automorphisms(g, limit=nodes).exhausted
+    assert find_automorphisms(g, limit=nodes - 1).exhausted
+
+
+def test_exhausted_generators_pinned():
+    p = find_automorphisms(catalog("hypercube_4"), limit=50)
+    assert p.exhausted
+    assert p.gens == (
+        (0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15),
+        (0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15),
+        (0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9, 11, 12, 14, 13, 15),
+    )
+
+
+def test_asymmetric_graph_needs_no_search_nodes():
+    # the smallest asymmetric graphs have 6 vertices; refinement separates
+    # every vertex of this one, so not a single node is spent
+    g = Graph(6, ((0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)))
+    p = find_automorphisms(g, limit=0)
+    assert p.gens == ()
+    assert p.exhausted is False
