@@ -5,8 +5,10 @@ simultaneously a maximizer of the algebraic connectivity lambda_2 and a
 minimizer of the largest Laplacian eigenvalue lambda_n over all nonnegative
 edge weightings with the same total.  The library certifies rigidity through
 edge-isometric spectral embeddings (symmetry orbits, a character-basis LP for
-abelian Cayley graphs, and an SDP feasibility formulation with rank
-reduction) and refutes it with a randomized/subgradient weight search.
+abelian Cayley graphs, and SDP feasibility with rank reduction).  It refutes
+rigidity at an end with a line search along the dual certificate of the
+equal-length decision, falling back to a randomized/subgradient weight
+search only where the decision settles nothing.
 """
 
 from ._version import __version__

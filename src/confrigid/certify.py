@@ -35,7 +35,6 @@ from .falsify import (
     FalsifierResult,
     _better,
     _random_search,
-    direction_search,
     line_search,
     reverify,
     subgradient_ascent,
@@ -71,8 +70,8 @@ STAGES = (
     "character_lp",
     "walk_regular",
     "canonical",
-    "symmetrized_sdp",
     "trivial_sdp",
+    "symmetrized_sdp",
     "falsify",
 )
 
@@ -399,12 +398,14 @@ def eigenvector_certificate(
     max_iter: int = 5000,
     iso_tol: float = 1e-7,
     end: str = "lower",
+    orb: OrbitPartition | None = None,
 ) -> Certificate | None:
     """Symmetrized SDP feasibility followed by rank reduction; a rank-one
     solution a a^T yields an eigenvector phi = U a with constant orbit sums
     (the instance functionals at a a^T), otherwise the Gram certificate
-    itself is returned (still valid for rigidity)."""
-    orb = orbits(g, p)
+    itself is returned (still valid for rigidity).  orb is the orbit
+    partition of p, computed here when not given."""
+    orb = orb or orbits(g, p)
     if orb.num_vertex_orbits != 1:
         raise NotVertexTransitiveError("supplied group is not vertex-transitive")
     if lam <= 0:
@@ -536,33 +537,19 @@ RandomDraw = Callable[[], dict[str, FalsifierResult]]
 def _falsify_end(
     g: Graph,
     end: str,
-    U: np.ndarray,
     opts: CheckOptions,
     draw: RandomDraw,
-    dual: np.ndarray | None = None,
-    fallback: bool = True,
+    decision: LengthDecision | None,
 ) -> tuple[FalsifierResult | None, bool]:
     """Best weighting found at this end and whether it refutes rigidity
-    (improves and re-verifies).  Seed-free line searches go first: along
-    the canonical embedding's edge lengths, then along the dual direction
-    when one is given.  Only when neither refutes and `fallback` is set
-    does the end take the random draw, whose best row is the witness when
+    (improves and re-verifies).  A decision that found a separating c
+    settles the end: one seed-free line search along c, no seeded search.
+    Any other end takes the random draw, whose best row is the witness when
     it refutes, else subgradient steps from it.  The result is None when
     no search runs."""
-    searches = [lambda: direction_search(g, end, U)]
-    if dual is not None:
-        searches.append(lambda: line_search(g, end, dual))
-    best: FalsifierResult | None = None
-    for search in searches:
-        step = search()
-        if step is None:
-            continue
-        if step.improved and reverify(g, step):
-            return step, True
-        if best is None or _better(end, step.best_value, best.best_value):
-            best = step
-    if not fallback:
-        return best, False
+    if decision is not None and decision.status == "not_rigid":
+        step = line_search(g, end, decision.c)
+        return step, step.improved and reverify(g, step)
     best = draw()[end] if opts.trials > 0 else None
     if best is not None and best.improved and reverify(g, best):
         return best, True
@@ -644,7 +631,7 @@ def _certify_end(
                     end, "certified", "CharacterLP", cert, None, cert.residuals
                 )
         elif lp.status == "not_in_polytope":
-            lp_refuted = True  # decisive: go straight to the falsifier for a witness
+            lp_refuted = True  # decisive: nothing certifies; the falsifier refutes
 
     if not lp_refuted:
         found = None
@@ -655,6 +642,13 @@ def _certify_end(
         if found is not None:
             return found
 
+    if opts.stage_enabled("trivial_sdp"):
+        e = g.edge_array
+        U = dec.basis_for(lam)
+        decision = length_decision(U[e[:, 0]] - U[e[:, 1]], tol=opts.feas_tol)
+
+    # a separating c proves no edge-isometric embedding exists: no SDP stage
+    if not lp_refuted and (decision is None or decision.status != "not_rigid"):
         if (
             opts.stage_enabled("symmetrized_sdp")
             and orb is not None
@@ -668,40 +662,26 @@ def _certify_end(
                 feas_tol=opts.feas_tol,
                 iso_tol=opts.iso_tol,
                 end=end,
+                orb=orb,
             )
             if cert is not None:
                 method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
                 return EndReport(end, "certified", method, cert, None, cert.residuals)
 
-        if opts.stage_enabled("trivial_sdp"):
-            e = g.edge_array
-            U = dec.basis_for(lam)
-            decision = length_decision(U[e[:, 0]] - U[e[:, 1]], tol=opts.feas_tol)
-            if decision.status != "not_rigid":
-                cert = _length_certificate(
-                    g, U, decision, lam, end, opts.feas_tol, opts.iso_tol
+        if decision is not None:
+            cert = _length_certificate(
+                g, U, decision, lam, end, opts.feas_tol, opts.iso_tol
+            )
+            if cert is not None:
+                return EndReport(
+                    end, "certified", "SdpGram", cert, None, cert.residuals
                 )
-                if cert is not None:
-                    return EndReport(
-                        end, "certified", "SdpGram", cert, None, cert.residuals
-                    )
 
     facts = {} if decision is None else decision.residuals()
     residuals = {"lp_refuted": 1.0} if lp_refuted else {}
     residuals.update(facts)
     if opts.stage_enabled("falsify"):
-        # the dual c differs from the canonical direction once a step is taken
-        moved = decision is not None and decision.iterations > 0
-        wit, refutes = _falsify_end(
-            g,
-            end,
-            dec.basis_for(lam),
-            opts,
-            draw,
-            dual=decision.c if moved else None,
-            # a not-rigid decision settles the end: no seeded search
-            fallback=decision is None or decision.status != "not_rigid",
-        )
+        wit, refutes = _falsify_end(g, end, opts, draw, decision)
         if refutes:
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
             return EndReport(
@@ -724,11 +704,13 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     """Run the certificate cascade at both spectrum ends.
 
     Stage order per end: edge-transitivity, character LP (abelian Cayley,
-    decisive both ways), 1-walk regularity, canonical embedding, symmetrized
-    SDP, the equal-length decision (stage `trivial_sdp`), falsifier.  The
-    edge-transitivity, 1-walk regularity and canonical stages share one
-    test of the canonical embedding.  A decision that finds a separating c
-    hands it to the falsifier and rules out the seeded search there.
+    decisive both ways), 1-walk regularity, canonical embedding, the
+    equal-length decision (stage `trivial_sdp`), symmetrized SDP, the
+    decision's Gram certificate, falsifier.  The edge-transitivity, 1-walk
+    regularity and canonical stages share one test of the canonical
+    embedding.  A decision that finds a separating c skips both SDP stages
+    and hands c to the falsifier, whose one line search along it replaces
+    the seeded search there.
     walk1 comes from the eigenprojectors (no walk counts), and no group is
     listed.  Both ends must certify for the headline verdict.
     """

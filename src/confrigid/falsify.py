@@ -1,7 +1,7 @@
 """Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
-|E|}: line searches along the edge lengths of the canonical embedding or
-along a given direction, then randomized weight sampling and projected
-subgradient ascent on lambda_2 (descent on lambda_n)."""
+|E|}: a seed-free line search along a given centred edge direction (the
+equal-length decision's dual c), and randomized weight sampling plus
+projected subgradient ascent on lambda_2 (descent on lambda_n)."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ ENDS = ("lower", "upper")
 # at n = 40); chunking changes no result, only how many solves share a call.
 STACK_BYTES = 64 * 1024
 
-# Step sizes of the direction line search, as fractions of the largest step
+# Step sizes of the line search, as fractions of the largest step
 # that keeps every weight nonnegative: 1, 1/2, ..., 2^-29.
 DIRECTION_STEPS = 2.0 ** -np.arange(30)
 
@@ -33,7 +33,7 @@ class FalsifierResult:
     improved: bool
     trials: int
     steps: int
-    seed: int | None  # None for the seed-free direction search
+    seed: int | None  # None for the seed-free line search
 
 
 def simplex_projection(v: np.ndarray, total: float) -> np.ndarray:
@@ -129,27 +129,6 @@ def _random_search(g: Graph, trials: int, seed: int) -> dict[str, FalsifierResul
         )
         for end in ENDS
     }
-
-
-def direction_search(
-    g: Graph, end: str, U: np.ndarray
-) -> FalsifierResult | None:
-    """`line_search` along the canonical embedding's centred squared edge
-    lengths; None when they are all equal (no direction).
-
-    U is an orthonormal basis of the target eigenspace.  With l_e =
-    |U_i - U_j|^2 the direction is d = l - mean(l): for a simple eigenvalue
-    the projected gradient of the target, and in general a direction with
-    tr(U^T L(d) U) = |d|^2 > 0 that moves the eigenvalue cluster's mean
-    the right way.
-    """
-    _check_end(end)
-    e = g.edge_array
-    lengths = np.sum((U[e[:, 0]] - U[e[:, 1]]) ** 2, axis=1)
-    d = lengths - lengths.mean()
-    if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(lengths):
-        return None  # edge-isometric: no first-order direction to follow
-    return line_search(g, end, d)
 
 
 def line_search(g: Graph, end: str, d: np.ndarray) -> FalsifierResult:

@@ -67,9 +67,6 @@ class Graph:
         A[e[:, 0], e[:, 1]] = A[e[:, 1], e[:, 0]] = 1
         return A
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: k for k, e in enumerate(self.edges)}
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True

@@ -41,7 +41,6 @@ class SdpInstance:
     U: np.ndarray
     orbit_mats: np.ndarray  # blocks x k x k
     trace_mat: np.ndarray
-    representatives: tuple[tuple[int, int], ...]
     group_size: int
 
     @property
@@ -78,7 +77,6 @@ def build_sdp_instance(
         e = g.edge_array
         B = U[e[:, 0]] - U[e[:, 1]]
         mats = B[:, :, None] * B[:, None, :]
-        reps = tuple(g.edges)
     else:
         blocks = (orb or orbits(g, p)).edge_orbits
         mats = []
@@ -87,12 +85,10 @@ def build_sdp_instance(
             C = U[ij[:, 0]].T @ U[ij[:, 1]] / len(block)
             mats.append((C + C.T) / 2.0)
         mats = np.stack(mats)
-        reps = tuple(g.edges[block[0]] for block in blocks)
     return SdpInstance(
         U=U,
         orbit_mats=mats,
         trace_mat=U.T @ U,
-        representatives=reps,
         group_size=0 if p is None else len(p.gens),
     )
 

@@ -4,6 +4,7 @@ tests, group closure, and a budgeted backtracking automorphism search."""
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,35 +95,54 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def _orbit_blocks(
+    size: int, images: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits of 0..size-1 under the permutations `images` (one sequence of
+    images each), each sorted and ordered by its smallest member.  In a
+    finite group every inverse is a power, so forward images reach the
+    whole orbit."""
+    seen = [False] * size
+    blocks = []
+    for x in range(size):
+        if seen[x]:
+            continue
+        seen[x] = True
+        block, stack = [x], [x]
+        while stack:
+            y = stack.pop()
+            for img in images:
+                z = img[y]
+                if not seen[z]:
+                    seen[z] = True
+                    block.append(z)
+                    stack.append(z)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
 def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
     """Vertex and edge orbits as connected components of the generator action."""
     if p.n != g.n:
         raise ValueError("permutation degree does not match graph order")
-    uf_v = _UnionFind(g.n)
-    for perm in p.gens:
-        for i in range(g.n):
-            uf_v.union(i, perm[i])
-    eidx = g.edge_index()
-    uf_e = _UnionFind(g.m)
-    for perm in p.gens:
-        for k, (i, j) in enumerate(g.edges):
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            t = eidx.get((a, b))
-            if t is None:
-                raise NotAutomorphismError(
-                    f"generator maps edge ({i},{j}) to non-edge ({a},{b})"
-                )
-            uf_e.union(k, t)
-    vblocks: dict[int, list[int]] = {}
-    for i in range(g.n):
-        vblocks.setdefault(uf_v.find(i), []).append(i)
-    eblocks: dict[int, list[int]] = {}
-    for k in range(g.m):
-        eblocks.setdefault(uf_e.find(k), []).append(k)
-    vorb = tuple(tuple(b) for b in sorted(vblocks.values(), key=lambda b: b[0]))
-    eorb = tuple(tuple(b) for b in sorted(eblocks.values(), key=lambda b: b[0]))
+    P = np.array(p.gens, dtype=int).reshape(-1, g.n)
+    e = g.edge_array
+    # edges are sorted, so their keys i * n + j are too
+    keys = e[:, 0] * g.n + e[:, 1]
+    img = P[:, e]  # generators x edges x 2
+    a, b = img.min(axis=2).ravel(), img.max(axis=2).ravel()
+    # a key past the last edge's searches to m: clip, then compare
+    t = np.minimum(np.searchsorted(keys, a * g.n + b), g.m - 1)
+    bad = np.flatnonzero(keys[t] != a * g.n + b)
+    if len(bad):
+        # generators in order, each over the edges in order: the first one
+        k = bad[0]
+        i, j = g.edges[k % g.m]
+        raise NotAutomorphismError(
+            f"generator maps edge ({i},{j}) to non-edge ({a[k]},{b[k]})"
+        )
+    vorb = _orbit_blocks(g.n, p.gens)
+    eorb = _orbit_blocks(g.m, t.reshape(len(P), g.m).tolist())
     return OrbitPartition(
         vertex_orbits=vorb,
         edge_orbits=eorb,

@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from confrigid import certify
+from confrigid import certify, sdp
 from confrigid.catalog import catalog
 from confrigid.certify import (
     STAGES,
@@ -33,6 +33,7 @@ from confrigid.graphs import (
 from confrigid.sdp import length_decision
 from confrigid.spectra import eigendecompose
 from confrigid.symmetry import PermutationSet, cayley_translations
+from test_falsify import _count_draws
 
 
 def test_lp_certifies_circulant_18_1_5_both_ends():
@@ -227,6 +228,49 @@ def test_lp_negative_routes_to_falsifier_method():
     rep = check_conformal_rigidity(circulant(6, {2, 3}))
     assert rep.lower.verdict == "refuted"
     assert rep.lower.method == "CharacterLP+Falsifier"
+
+
+def test_lp_refuted_ends_follow_the_decisions_dual(monkeypatch):
+    # the character LP refutes both ends of Cay(Z_7, {1, 2}); the decision
+    # still runs there, and the line search along its dual c gives the
+    # witness: no draw
+    draws = _count_draws(monkeypatch)
+    rep = check_conformal_rigidity(circulant(7, {1, 2}))
+    for er in (rep.lower, rep.upper):
+        assert (er.verdict, er.method) == ("refuted", "CharacterLP+Falsifier")
+        assert er.residuals["dual_min_eig"] > 0
+    assert not draws
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):
+    # the prism is vertex-transitive, but the decision separates at both
+    # ends, so no symmetrized SDP is solved
+    calls = _count_calls(monkeypatch, certify, "eigenvector_certificate")
+    rep = check_conformal_rigidity(catalog("triangular_prism"))
+    assert rep.vertex_transitive
+    assert (rep.lower.verdict, rep.upper.verdict) == ("refuted", "refuted")
+    assert not calls
+
+
+def test_orbits_computed_once_per_check(monkeypatch):
+    # the symmetrized SDP stage reuses the cascade's orbit partition
+    calls = _count_calls(monkeypatch, certify, "orbits")
+    calls += _count_calls(monkeypatch, sdp, "orbits")
+    rep = check_conformal_rigidity(_petersen_prism())
+    assert rep.lower.method == "Eigenvector"
+    assert len(calls) == 1
 
 
 def test_stage_skipping_changes_method():

@@ -17,7 +17,7 @@ from confrigid.errors import DisconnectedError
 from confrigid.falsify import (
     DIRECTION_STEPS,
     STACK_BYTES,
-    direction_search,
+    line_search,
     random_weight_search,
     reverify,
     simplex_projection,
@@ -165,8 +165,8 @@ def test_subgradient_solves_once_per_step(monkeypatch, steps):
 
 
 def test_check_draws_once_for_both_ends(monkeypatch):
-    # petersen's canonical embedding is edge-isometric at both ends, so the
-    # direction search finds no direction and both ends reach the draw
+    # with every stage but the falsifier skipped there is no decision, so
+    # both ends reach the draw
     g = catalog("petersen")
     opts = CheckOptions(steps=30, skip_stages=frozenset(STAGES) - {"falsify"})
     calls = _count_solves(monkeypatch)
@@ -218,12 +218,23 @@ def _assert_witness(g, w):
     assert abs(w.sum() - g.m) <= 1e-9
 
 
+def _edge_rows(g, lam):
+    """Rows b_e = U_i - U_j of an orthonormal eigenspace basis U of lam."""
+    U = eigendecompose(laplacian(g)).basis_for(lam)
+    e = g.edge_array
+    return U[e[:, 0]] - U[e[:, 1]]
+
+
 @pytest.mark.parametrize("g, end", STEP_CASES)
 def test_direction_search_refutes(monkeypatch, g, end):
+    # the decision separates at X = I / k, where c is the canonical
+    # embedding's centred squared edge lengths over k, and the line search
+    # along that c refutes
     lam2, lamn = lambda_ends(g)
-    U = eigendecompose(laplacian(g)).basis_for(lam2 if end == "lower" else lamn)
+    decision = length_decision(_edge_rows(g, lam2 if end == "lower" else lamn))
+    assert (decision.status, decision.iterations) == ("not_rigid", 0)
     calls = _count_solves(monkeypatch)
-    res = direction_search(g, end, U)
+    res = line_search(g, end, decision.c)
     assert calls["eigh"] == 0
     # the unit value, then one batched solve per chunk of the step grid
     chunk = max(1, STACK_BYTES // (8 * g.n * g.n))
@@ -274,11 +285,11 @@ def _k7_minus_path_and_edge():
 
 def test_fallback_refutes_where_the_direction_step_cannot(monkeypatch):
     # without the equal-length decision there is no dual direction, so the
-    # end falls through to the draw
+    # end falls through to the draw; the canonical lengths do not refute it
     g = _k7_minus_path_and_edge()
-    dec = eigendecompose(laplacian(g))
-    step = direction_search(g, "upper", dec.basis_for(dec.eigenvalues[-1]))
-    assert step is not None and not step.improved
+    lengths = np.sum(_edge_rows(g, lambda_ends(g)[1]) ** 2, axis=1)
+    step = line_search(g, "upper", lengths - lengths.mean())
+    assert not step.improved
     draws = _count_draws(monkeypatch)
     rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset({"trivial_sdp"})))
     assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
@@ -331,11 +342,14 @@ def test_unsettled_decision_names_gap_and_iterations(monkeypatch):
 
 @pytest.mark.parametrize("name", ["petersen", "complete_bipartite_3_4", "cycle_9"])
 def test_direction_search_finds_no_direction_when_edge_transitive(monkeypatch, name):
+    # the canonical embedding is edge-isometric: the decision stops at
+    # X = I / k before its first eigensolve, and there is no c to follow
     g = catalog(name)
-    dec = eigendecompose(laplacian(g))
+    rows = [_edge_rows(g, lam) for lam in lambda_ends(g)]
     calls = _count_solves(monkeypatch)
-    for lam, end in ((dec.eigenvalues[1], "lower"), (dec.eigenvalues[-1], "upper")):
-        assert direction_search(g, end, dec.basis_for(lam)) is None
+    for B in rows:
+        decision = length_decision(B)
+        assert (decision.status, decision.iterations) == ("rigid", 0)
     assert calls["eigvalsh"] == 0 and calls["eigh"] == 0
 
 

@@ -129,8 +129,30 @@ def test_cayley_translations_circulant():
 def test_non_automorphism_rejected():
     g = catalog("path_4")
     bad = PermutationSet(n=4, gens=((1, 0, 2, 3),))
-    with pytest.raises(NotAutomorphismError):
-        orbits(g, bad)
+    # (0,1) maps to itself; (1,2) is the first edge it breaks, also after
+    # the reflection, which is an automorphism
+    for p in (bad, PermutationSet(n=4, gens=((3, 2, 1, 0),) + bad.gens)):
+        with pytest.raises(NotAutomorphismError, match=r"edge \(1,2\) to non-edge \(0,2\)$"):
+            orbits(g, p)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog(name) for name in ("hoffman", "petersen", "path_5", "complete_bipartite_2_3")]
+    + [_relabelled(circulant(12, {1, 4}), 3), _relabelled(catalog("hypercube_3"), 1)],
+)
+def test_edge_orbits_match_group_listing(g):
+    # oracle: map every edge by every element of the listed group
+    p = find_automorphisms(g)
+    index = {e: k for k, e in enumerate(g.edges)}
+    seen, blocks = set(), []
+    elems = group_closure(p)
+    for k, (i, j) in enumerate(g.edges):
+        if k not in seen:
+            block = sorted({index[tuple(sorted((s[i], s[j])))] for s in elems})
+            seen.update(block)
+            blocks.append(tuple(block))
+    assert orbits(g, p).edge_orbits == tuple(blocks)
 
 
 def test_group_closure_is_a_group():
