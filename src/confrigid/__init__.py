@@ -7,8 +7,7 @@ edge weightings with the same total.  The library certifies rigidity through
 edge-isometric spectral embeddings (symmetry orbits, a character-basis LP for
 abelian Cayley graphs, and SDP feasibility with rank reduction).  It refutes
 rigidity at an end with a line search along the dual certificate of the
-equal-length decision, falling back to a randomized/subgradient weight
-search only where the decision settles nothing.
+equal-length decision; no verdict depends on a random seed.
 """
 
 from ._version import __version__

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,14 +30,7 @@ from .errors import (
     NotVertexTransitiveError,
     NumericalRankAmbiguityError,
 )
-from .falsify import (
-    FalsifierResult,
-    _better,
-    _random_search,
-    line_search,
-    reverify,
-    subgradient_ascent,
-)
+from .falsify import FalsifierResult, line_search, reverify
 from .graphs import CayleySpec, Graph, laplacian
 from .lp import phase1_feasibility
 from .sdp import (
@@ -70,8 +62,8 @@ STAGES = (
     "character_lp",
     "walk_regular",
     "canonical",
-    "trivial_sdp",
     "symmetrized_sdp",
+    "trivial_sdp",
     "falsify",
 )
 
@@ -81,9 +73,6 @@ class CheckOptions:
     group_tol: float | None = None
     iso_tol: float = 1e-7
     feas_tol: float = 1e-8
-    trials: int = 1000
-    steps: int = 500
-    seed: int = 0
     generators: PermutationSet | None = None
     skip_stages: frozenset = field(default_factory=frozenset)
 
@@ -123,7 +112,6 @@ class RigidityReport:
     walk1: bool | None
     vertex_transitive: bool | None
     edge_orbits: int | None
-    seed: int
     timings: dict
 
     @property
@@ -161,7 +149,6 @@ class RigidityReport:
             "vertexTransitive": self.vertex_transitive,
             "edgeOrbits": self.edge_orbits,
             "rigid": self.rigid,
-            "seed": self.seed,
             "toolVersion": __version__,
             "timings": {k: float(v) for k, v in self.timings.items()},
         }
@@ -531,36 +518,13 @@ def product_rigidity(
 # ---------------------------------------------------------------------------
 
 
-RandomDraw = Callable[[], dict[str, FalsifierResult]]
-
-
 def _falsify_end(
-    g: Graph,
-    end: str,
-    opts: CheckOptions,
-    draw: RandomDraw,
-    decision: LengthDecision | None,
-) -> tuple[FalsifierResult | None, bool]:
-    """Best weighting found at this end and whether it refutes rigidity
-    (improves and re-verifies).  A decision that found a separating c
-    settles the end: one seed-free line search along c, no seeded search.
-    Any other end takes the random draw, whose best row is the witness when
-    it refutes, else subgradient steps from it.  The result is None when
-    no search runs."""
-    if decision is not None and decision.status == "not_rigid":
-        step = line_search(g, end, decision.c)
-        return step, step.improved and reverify(g, step)
-    best = draw()[end] if opts.trials > 0 else None
-    if best is not None and best.improved and reverify(g, best):
-        return best, True
-    if opts.steps > 0:
-        start = best.best_w if (best is not None and best.improved) else None
-        asc = subgradient_ascent(
-            g, end, start_w=start, steps=opts.steps, seed=opts.seed + 1
-        )
-        if best is None or _better(end, asc.best_value, best.best_value):
-            best = asc
-    return best, best is not None and best.improved and reverify(g, best)
+    g: Graph, end: str, decision: LengthDecision
+) -> tuple[FalsifierResult, bool]:
+    """One line search along the decision's dual c and whether its best
+    step refutes rigidity (improves and re-verifies)."""
+    step = line_search(g, end, decision.c)
+    return step, step.improved and reverify(g, step)
 
 
 def _certify_end(
@@ -572,11 +536,9 @@ def _certify_end(
     orb: OrbitPartition | None,
     walk1: bool | None,
     opts: CheckOptions,
-    draw: RandomDraw,
 ) -> EndReport:
     spec = g.cayley_spec
     lp_refuted = False
-    decision: LengthDecision | None = None
 
     @functools.cache
     def canonical() -> Certificate | None:
@@ -642,13 +604,12 @@ def _certify_end(
         if found is not None:
             return found
 
-    if opts.stage_enabled("trivial_sdp"):
-        e = g.edge_array
-        U = dec.basis_for(lam)
-        decision = length_decision(U[e[:, 0]] - U[e[:, 1]], tol=opts.feas_tol)
+    e = g.edge_array
+    U = dec.basis_for(lam)
+    decision = length_decision(U[e[:, 0]] - U[e[:, 1]], tol=opts.feas_tol)
 
     # a separating c proves no edge-isometric embedding exists: no SDP stage
-    if not lp_refuted and (decision is None or decision.status != "not_rigid"):
+    if not lp_refuted and decision.status != "not_rigid":
         if (
             opts.stage_enabled("symmetrized_sdp")
             and orb is not None
@@ -668,7 +629,7 @@ def _certify_end(
                 method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
                 return EndReport(end, "certified", method, cert, None, cert.residuals)
 
-        if decision is not None:
+        if opts.stage_enabled("trivial_sdp"):
             cert = _length_certificate(
                 g, U, decision, lam, end, opts.feas_tol, opts.iso_tol
             )
@@ -677,11 +638,12 @@ def _certify_end(
                     end, "certified", "SdpGram", cert, None, cert.residuals
                 )
 
-    facts = {} if decision is None else decision.residuals()
+    facts = decision.residuals()
     residuals = {"lp_refuted": 1.0} if lp_refuted else {}
     residuals.update(facts)
-    if opts.stage_enabled("falsify"):
-        wit, refutes = _falsify_end(g, end, opts, draw, decision)
+    # a rigid decision found equal lengths: there is no direction to follow
+    if opts.stage_enabled("falsify") and decision.status != "rigid":
+        wit, refutes = _falsify_end(g, end, decision)
         if refutes:
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
             return EndReport(
@@ -693,9 +655,8 @@ def _certify_end(
                 # the margin is re-checkable: best_value against the unit value
                 {"best_value": wit.best_value, "falsifier_unit": lam, **facts},
             )
-        if wit is not None:
-            # why this end stays undecided: how close the falsifier came
-            residuals.update(falsifier_best=wit.best_value, falsifier_unit=lam)
+        # why this end stays undecided: how close the falsifier came
+        residuals.update(falsifier_best=wit.best_value, falsifier_unit=lam)
 
     return EndReport(end, "undecided", None, None, None, residuals)
 
@@ -705,12 +666,14 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
 
     Stage order per end: edge-transitivity, character LP (abelian Cayley,
     decisive both ways), 1-walk regularity, canonical embedding, the
-    equal-length decision (stage `trivial_sdp`), symmetrized SDP, the
-    decision's Gram certificate, falsifier.  The edge-transitivity, 1-walk
-    regularity and canonical stages share one test of the canonical
-    embedding.  A decision that finds a separating c skips both SDP stages
-    and hands c to the falsifier, whose one line search along it replaces
-    the seeded search there.
+    equal-length decision, symmetrized SDP, the decision's Gram
+    certificate and its polish (stage `trivial_sdp`), falsifier.  The
+    edge-transitivity, 1-walk regularity and canonical stages share one
+    test of the canonical embedding.  The decision runs at every end those
+    stages leave open, whatever is skipped.  A decision that finds a
+    separating c skips both SDP stages; at every end it does not settle as
+    rigid, the falsifier makes one line search along c.  No random numbers
+    are drawn, so no verdict depends on a seed.
     walk1 comes from the eigenprojectors (no walk counts), and no group is
     listed.  Both ends must certify for the headline verdict.
     """
@@ -742,17 +705,11 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     walk1 = canonical_walk1_check(g, dec) if g.is_regular() else None
     timings["walkreg"] = time.perf_counter() - t0
 
-    @functools.cache
-    def draw() -> dict[str, FalsifierResult]:
-        """One random draw, made when the first end reaches the falsifier
-        and scored there at both ends."""
-        return _random_search(g, opts.trials, opts.seed)
-
     t0 = time.perf_counter()
-    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, opts, draw)
+    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, opts)
     timings["lower"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, opts, draw)
+    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, opts)
     timings["upper"] = time.perf_counter() - t0
 
     return RigidityReport(
@@ -766,6 +723,5 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
         walk1=walk1,
         vertex_transitive=None if orb is None else orb.num_vertex_orbits == 1,
         edge_orbits=None if orb is None else orb.num_edge_orbits,
-        seed=opts.seed,
         timings=timings,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -52,10 +51,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="edge-isometry tolerance (relative)")
     p.add_argument("--tol-feas", type=float, default=1e-8,
                    help="SDP feasibility tolerance")
-    p.add_argument("--trials", type=int, default=1000, help="falsifier random trials")
-    p.add_argument("--steps", type=int, default=500, help="falsifier subgradient steps")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (env CRG_SEED overrides)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--stage-skip", default="",
                    help="comma list of stages to skip; stages: " + ", ".join(STAGES))
@@ -89,7 +84,6 @@ def build_graph(args: argparse.Namespace) -> Graph:
 
 
 def build_options(args: argparse.Namespace, g: Graph) -> CheckOptions:
-    seed = int(os.environ.get("CRG_SEED", args.seed))
     skip = frozenset(tok.strip() for tok in args.stage_skip.split(",") if tok.strip())
     unknown = skip - set(STAGES)
     if unknown:
@@ -102,16 +96,13 @@ def build_options(args: argparse.Namespace, g: Graph) -> CheckOptions:
         group_tol=args.tol_group,
         iso_tol=args.tol_iso,
         feas_tol=args.tol_feas,
-        trials=args.trials,
-        steps=args.steps,
-        seed=seed,
         generators=gens,
         skip_stages=skip,
     )
 
 
 def _print_text_report(rep: RigidityReport, opts: CheckOptions) -> None:
-    print(f"confrigid {__version__}  (seed={opts.seed}, iso_tol={opts.iso_tol:g}, "
+    print(f"confrigid {__version__}  (iso_tol={opts.iso_tol:g}, "
           f"feas_tol={opts.feas_tol:g})")
     name = rep.graph_name or "<unnamed>"
     print(f"graph: {name}  n={rep.n} m={rep.m}")
@@ -243,8 +234,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means "refuted" here
+        return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
     except (ConfrigidError, ValueError, OSError) as exc:

@@ -1,7 +1,9 @@
 """Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
-|E|}: a seed-free line search along a given centred edge direction (the
-equal-length decision's dual c), and randomized weight sampling plus
-projected subgradient ascent on lambda_2 (descent on lambda_n)."""
+|E|}.  The rigidity check uses only the seed-free line search along a
+given centred edge direction (the equal-length decision's dual c).
+Randomized weight sampling and projected subgradient ascent on lambda_2
+(descent on lambda_n) remain as stand-alone searches for library callers;
+no verdict depends on them."""
 
 from __future__ import annotations
 
@@ -80,55 +82,20 @@ def _chunk_rows(g: Graph) -> int:
     return max(1, STACK_BYTES // (8 * g.n * g.n))
 
 
-def _best_rows(
-    g: Graph, chunks: Iterable[np.ndarray], unit: dict[str, float]
-) -> dict[str, tuple[float, np.ndarray]]:
-    """(value, weights) of the first strictly best row at each end of
-    `unit`, over chunks of weight rows solved by one batched eigvalsh each;
-    the unit value and unit weights when no row beats them."""
-    best = {end: (value, np.ones(g.m)) for end, value in unit.items()}
+def _best_row(
+    g: Graph, chunks: Iterable[np.ndarray], end: str, unit: float
+) -> tuple[float, np.ndarray]:
+    """(value, weights) of the first strictly best row at `end`, over
+    chunks of weight rows solved by one batched eigvalsh each; the unit
+    value and unit weights when no row beats them."""
+    best, best_w = unit, np.ones(g.m)
+    col, pick = (1, np.argmax) if end == "lower" else (-1, np.argmin)
     for W in chunks:
-        vals = np.linalg.eigvalsh(laplacian(g, W))
-        for end in unit:
-            col, pick = (1, np.argmax) if end == "lower" else (-1, np.argmin)
-            r = int(pick(vals[:, col]))
-            if _better(end, float(vals[r, col]), best[end][0]):
-                best[end] = (float(vals[r, col]), W[r].copy())
-    return best
-
-
-def _random_search(g: Graph, trials: int, seed: int) -> dict[str, FalsifierResult]:
-    """One draw of `trials` simplex samples, scored at both ends.
-
-    Rows are drawn and solved in chunks of at most STACK_BYTES of
-    Laplacians, one batched eigvalsh per chunk.  The result for each end is
-    bit for bit that of drawing, normalizing and solving one row at a time
-    and keeping the first strictly best row.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    unit = _unit_values(g)
-    rng = np.random.default_rng(seed)
-    chunk = _chunk_rows(g)
-
-    def chunks() -> Iterator[np.ndarray]:
-        for done in range(0, trials, chunk):
-            e = rng.exponential(size=(min(chunk, trials - done), g.m))
-            yield e * (g.m / e.sum(axis=1, keepdims=True))
-
-    best = _best_rows(g, chunks(), unit)
-    return {
-        end: FalsifierResult(
-            end=end,
-            best_w=best[end][1],
-            best_value=best[end][0],
-            improved=_is_improvement(end, best[end][0], unit[end]),
-            trials=trials,
-            steps=0,
-            seed=seed,
-        )
-        for end in ENDS
-    }
+        vals = np.linalg.eigvalsh(laplacian(g, W))[:, col]
+        r = int(pick(vals))
+        if _better(end, float(vals[r]), best):
+            best, best_w = float(vals[r]), W[r].copy()
+    return best, best_w
 
 
 def line_search(g: Graph, end: str, d: np.ndarray) -> FalsifierResult:
@@ -149,7 +116,7 @@ def line_search(g: Graph, end: str, d: np.ndarray) -> FalsifierResult:
     W = np.maximum(1.0 + np.outer(DIRECTION_STEPS / np.max(-d), d), 0.0)
     chunk = _chunk_rows(g)
     chunks = (W[done : done + chunk] for done in range(0, len(W), chunk))
-    best, best_w = _best_rows(g, chunks, {end: unit})[end]
+    best, best_w = _best_row(g, chunks, end, unit)
     return FalsifierResult(
         end=end,
         best_w=best_w,
@@ -165,9 +132,35 @@ def random_weight_search(
     g: Graph, end: str, trials: int = 1000, seed: int = 0
 ) -> FalsifierResult:
     """Sample weights uniformly from the simplex (exponential spacings),
-    keep the best objective value: this end of `_random_search`'s draw."""
+    keep the best objective value.
+
+    Rows are drawn and solved in chunks of at most STACK_BYTES of
+    Laplacians, one batched eigvalsh per chunk.  The result is bit for bit
+    that of drawing, normalizing and solving one row at a time and keeping
+    the first strictly best row.
+    """
     _check_end(end)
-    return _random_search(g, trials, seed)[end]
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    unit = _unit_values(g)[end]
+    rng = np.random.default_rng(seed)
+    chunk = _chunk_rows(g)
+
+    def chunks() -> Iterator[np.ndarray]:
+        for done in range(0, trials, chunk):
+            e = rng.exponential(size=(min(chunk, trials - done), g.m))
+            yield e * (g.m / e.sum(axis=1, keepdims=True))
+
+    best, best_w = _best_row(g, chunks(), end, unit)
+    return FalsifierResult(
+        end=end,
+        best_w=best_w,
+        best_value=best,
+        improved=_is_improvement(end, best, unit),
+        trials=trials,
+        steps=0,
+        seed=seed,
+    )
 
 
 def subgradient_ascent(

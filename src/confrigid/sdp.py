@@ -99,7 +99,6 @@ class SdpResult:
     X: np.ndarray | None
     residual: float
     iterations: int
-    degenerate: bool
 
 
 def _psd_project(X: np.ndarray) -> np.ndarray:
@@ -126,7 +125,6 @@ def sdp_feasibility(
     W, s, Vt = np.linalg.svd(A, full_matrices=False)
     # the cutoff a pinv of A A^T applies, on the scale of A's singular values
     rank = int(np.sum(s > np.sqrt(max(A.shape) * np.finfo(float).eps) * s[0]))
-    degenerate = rank < len(A)
     Vt = Vt[:rank]
     y0 = (W[:, :rank].T @ inst.rhs()) / s[:rank]
 
@@ -157,9 +155,7 @@ def sdp_feasibility(
         if resid <= 10 * tol * scale and min_eig >= -10 * tol * scale
         else "undecided"
     )
-    return SdpResult(
-        status=status, X=cand, residual=resid, iterations=it, degenerate=degenerate
-    )
+    return SdpResult(status=status, X=cand, residual=resid, iterations=it)
 
 
 @dataclass(frozen=True)

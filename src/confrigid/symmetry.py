@@ -62,13 +62,10 @@ def group_order(p: PermutationSet, cap: int = 10**6) -> int:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Vertex and edge orbits; blocks ordered by their smallest member and
-    represented by it."""
+    """Vertex and edge orbits; blocks ordered by their smallest member."""
 
     vertex_orbits: tuple[tuple[int, ...], ...]
     edge_orbits: tuple[tuple[int, ...], ...]
-    vertex_representatives: tuple[int, ...]
-    edge_representatives: tuple[int, ...]
 
     @property
     def num_vertex_orbits(self) -> int:
@@ -141,13 +138,9 @@ def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
         raise NotAutomorphismError(
             f"generator maps edge ({i},{j}) to non-edge ({a[k]},{b[k]})"
         )
-    vorb = _orbit_blocks(g.n, p.gens)
-    eorb = _orbit_blocks(g.m, t.reshape(len(P), g.m).tolist())
     return OrbitPartition(
-        vertex_orbits=vorb,
-        edge_orbits=eorb,
-        vertex_representatives=tuple(b[0] for b in vorb),
-        edge_representatives=tuple(b[0] for b in eorb),
+        vertex_orbits=_orbit_blocks(g.n, p.gens),
+        edge_orbits=_orbit_blocks(g.m, t.reshape(len(P), g.m).tolist()),
     )
 
 

@@ -23,7 +23,7 @@ from confrigid.falsify import (
     simplex_projection,
     subgradient_ascent,
 )
-from confrigid.graphs import Graph, cartesian_product, laplacian, normalize_edges
+from confrigid.graphs import Graph, cartesian_product, circulant, laplacian, normalize_edges
 from confrigid.sdp import length_decision
 from confrigid.spectra import eigendecompose, lambda_ends
 
@@ -136,7 +136,7 @@ def test_random_search_matches_per_trial_loop(g, trials):
 
 
 def _count_solves(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0, "eigvalsh_rows": []}
+    calls = {"eigh": 0, "eigvalsh": 0}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counting_eigh(a, *args, **kwargs):
@@ -145,7 +145,6 @@ def _count_solves(monkeypatch):
 
     def counting_eigvalsh(a, *args, **kwargs):
         calls["eigvalsh"] += 1
-        calls["eigvalsh_rows"].append(1 if np.ndim(a) == 2 else len(a))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -162,33 +161,6 @@ def test_subgradient_solves_once_per_step(monkeypatch, steps):
     # lambda_ends for the unit value, one solve for the last iterate
     assert calls["eigvalsh"] == 2
     assert reverify(g, res)
-
-
-def test_check_draws_once_for_both_ends(monkeypatch):
-    # with every stage but the falsifier skipped there is no decision, so
-    # both ends reach the draw
-    g = catalog("petersen")
-    opts = CheckOptions(steps=30, skip_stages=frozenset(STAGES) - {"falsify"})
-    calls = _count_solves(monkeypatch)
-    rep = check_conformal_rigidity(g, opts)
-    # rigid at both ends: no weighting can refute either
-    assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
-    stacked = [rows for rows in calls["eigvalsh_rows"] if rows > 1]
-    chunk = STACK_BYTES // (8 * g.n * g.n)
-    assert sum(stacked) == opts.trials
-    assert len(stacked) == -(-opts.trials // chunk)
-
-
-def _count_draws(monkeypatch):
-    draws = []
-    random_search = certify._random_search
-
-    def counting_random_search(*args, **kwargs):
-        draws.append(args)
-        return random_search(*args, **kwargs)
-
-    monkeypatch.setattr(certify, "_random_search", counting_random_search)
-    return draws
 
 
 def _relabelled(g, seed):
@@ -246,9 +218,8 @@ def test_direction_search_refutes(monkeypatch, g, end):
 
 @pytest.mark.parametrize("g, end", STEP_CASES)
 def test_check_refutes_by_direction_step(monkeypatch, g, end):
-    # the falsify stage makes no eigh call (no subgradient step) and no draw
+    # the falsify stage makes no eigh call (no subgradient step)
     calls = _count_solves(monkeypatch)
-    draws = _count_draws(monkeypatch)
     falsify_eigh = []
     falsify_end = certify._falsify_end
 
@@ -259,9 +230,8 @@ def test_check_refutes_by_direction_step(monkeypatch, g, end):
         return out
 
     monkeypatch.setattr(certify, "_falsify_end", counting_falsify_end)
-    reps = [check_conformal_rigidity(g, CheckOptions(seed=s)) for s in (0, 7)]
+    reps = [check_conformal_rigidity(g) for _ in range(2)]
     assert falsify_eigh and not any(falsify_eigh)
-    assert not draws
     ers = [getattr(rep, end) for rep in reps]
     for er in ers:
         assert (er.verdict, er.method) == ("refuted", "Falsifier")
@@ -283,26 +253,24 @@ def _k7_minus_path_and_edge():
     return Graph(7, tuple(e for e in itertools.combinations(range(7), 2) if e not in missing))
 
 
-def test_fallback_refutes_where_the_direction_step_cannot(monkeypatch):
-    # without the equal-length decision there is no dual direction, so the
-    # end falls through to the draw; the canonical lengths do not refute it
+def test_line_search_refutes_with_trivial_sdp_skipped():
+    # skipping the stage drops only the Gram certificate: the decision still
+    # runs and its dual refutes where the canonical lengths do not
     g = _k7_minus_path_and_edge()
     lengths = np.sum(_edge_rows(g, lambda_ends(g)[1]) ** 2, axis=1)
     step = line_search(g, "upper", lengths - lengths.mean())
     assert not step.improved
-    draws = _count_draws(monkeypatch)
     rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset({"trivial_sdp"})))
     assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
-    assert len(draws) == 1
+    assert rep.upper.residuals["dual_min_eig"] > 0
     _assert_witness(g, rep.upper.witness)
     assert lambda_ends(g, rep.upper.witness)[1] < 7.0 * (1.0 - 1e-6)
 
 
-def test_dual_direction_refutes_where_the_direction_step_cannot(monkeypatch):
+def test_decision_dual_refutes_where_the_canonical_lengths_cannot(monkeypatch):
     # the decision finds c with S(c) positive definite after one step, and
-    # the line search along it refutes: no draw, no subgradient step
+    # the line search along it refutes: no subgradient step
     g = _k7_minus_path_and_edge()
-    draws = _count_draws(monkeypatch)
     calls = _count_solves(monkeypatch)
     falsify_eigh = []
     falsify_end = certify._falsify_end
@@ -316,7 +284,6 @@ def test_dual_direction_refutes_where_the_direction_step_cannot(monkeypatch):
     monkeypatch.setattr(certify, "_falsify_end", counting_falsify_end)
     rep = check_conformal_rigidity(g)
     assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
-    assert not draws
     assert falsify_eigh and not any(falsify_eigh)
     assert rep.upper.residuals["dual_min_eig"] > 0
     _assert_witness(g, rep.upper.witness)
@@ -324,20 +291,48 @@ def test_dual_direction_refutes_where_the_direction_step_cannot(monkeypatch):
 
 
 def test_unsettled_decision_names_gap_and_iterations(monkeypatch):
-    # a decision stopped at its cap settles nothing: the end takes the draw
-    # and its report says how far the decision got
+    # a decision stopped at its cap settles nothing: the line search along
+    # its iteration-0 c does not refute, and the report says how far the
+    # decision and the falsifier got
     monkeypatch.setattr(certify, "length_decision", functools.partial(length_decision, max_iter=0))
     g = _k7_minus_path_and_edge()
-    draws = _count_draws(monkeypatch)
     rep = check_conformal_rigidity(g)
-    assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
-    assert len(draws) == 1
+    assert (rep.upper.verdict, rep.upper.method) == ("undecided", None)
     res = rep.upper.residuals
-    assert set(res) == {"best_value", "falsifier_unit", "decision_gap", "decision_iterations"}
+    assert set(res) == {"falsifier_best", "falsifier_unit", "decision_gap", "decision_iterations"}
     assert res["decision_iterations"] == 0
     assert 0 < res["decision_gap"] < 1
+    assert res["falsifier_unit"] == pytest.approx(7.0)
+    assert res["falsifier_best"] >= 7.0 * (1.0 - 1e-6)
     with resources.files("confrigid").joinpath("report_schema.json").open() as fh:
         jsonschema.validate(json.loads(json.dumps(rep.to_json_dict())), json.load(fh))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        catalog("triangular_prism"),
+        catalog("path_40"),
+        catalog("petersen"),
+        circulant(7, {1, 2}),
+        _k7_minus_path_and_edge(),
+    ],
+    ids=["prism", "path_40", "petersen", "circulant_7_1_2", "k7_minus_path_and_edge"],
+)
+def test_check_draws_no_random_numbers(monkeypatch, g):
+    # no stage, and no stage skipped, reaches a random generator; the ends
+    # a skip leaves decided keep one verdict
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the check drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    verdicts = {"lower": set(), "upper": set()}
+    for skip in [frozenset()] + [frozenset({stage}) for stage in STAGES]:
+        rep = check_conformal_rigidity(g, CheckOptions(skip_stages=skip))
+        for er in (rep.lower, rep.upper):
+            verdicts[er.end].add(er.verdict)
+    for seen in verdicts.values():
+        assert len(seen - {"undecided"}) == 1
 
 
 @pytest.mark.parametrize("name", ["petersen", "complete_bipartite_3_4", "cycle_9"])
