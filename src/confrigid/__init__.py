@@ -5,9 +5,9 @@ simultaneously a maximizer of the algebraic connectivity lambda_2 and a
 minimizer of the largest Laplacian eigenvalue lambda_n over all nonnegative
 edge weightings with the same total.  The library certifies rigidity through
 edge-isometric spectral embeddings (symmetry orbits, a character-basis LP for
-abelian Cayley graphs, and SDP feasibility with rank reduction).  It refutes
-rigidity at an end with a line search along the dual certificate of the
-equal-length decision; no verdict depends on a random seed.
+abelian Cayley graphs, and one equal-length Gram matrix per end with rank
+reduction).  It refutes rigidity at an end by a line search along the dual
+certificate of the equal-length decision; no verdict depends on a seed.
 """
 
 from ._version import __version__

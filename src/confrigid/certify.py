@@ -35,6 +35,7 @@ from .graphs import CayleySpec, Graph, laplacian
 from .lp import phase1_feasibility
 from .sdp import (
     LengthDecision,
+    SdpResult,
     build_sdp_instance,
     length_decision,
     rank_one_vector,
@@ -49,6 +50,7 @@ from .spectra import (
     eigendecompose,
 )
 from .symmetry import (
+    SEARCH_MAX_N,
     OrbitPartition,
     PermutationSet,
     cayley_translations,
@@ -271,12 +273,18 @@ def abelian_lp_certificate(
 
 
 def lp_certificate_embedding(
-    spec: CayleySpec, lam: float, lp: LpCertificateResult, g: Graph
+    spec: CayleySpec,
+    lam: float,
+    lp: LpCertificateResult,
+    g: Graph,
+    table: CharacterTable | None = None,
 ) -> Embedding:
     """Concrete embedding implied by a certified LP solution: the n x 2d
     columns sqrt(c_j) * [Re chi^j, Im chi^j].  Its Gram matrix is that of the
-    group-symmetrized phi = sum_j sqrt(c_j) chi^j divided by the group order."""
-    table = character_spectrum(spec)
+    group-symmetrized phi = sum_j sqrt(c_j) chi^j divided by the group order.
+    table is the character table of spec, built here when not given."""
+    if table is None:
+        table = character_spectrum(spec)
     cols = []
     for ck, k in zip(lp.coefficients, lp.character_indices):
         if ck > 0:
@@ -310,70 +318,52 @@ def _commutant_projection(
     return (N @ (N.T @ X.reshape(-1))).reshape(k, k)
 
 
-def _sdp_embedding(
-    g: Graph,
-    U: np.ndarray,
-    X: np.ndarray,
-    lam: float,
-    p: PermutationSet | None,
-) -> Embedding:
-    """Embedding implied by a feasible Gram matrix: project X onto the
-    commutant of the group when one is attached, factor the result as
-    V V^T and embed as U V (n x k at most)."""
-    if p is not None:
-        X = _commutant_projection(U, p, X)
+def _sdp_embedding(g: Graph, U: np.ndarray, X: np.ndarray, lam: float) -> Embedding:
+    """Embedding implied by a Gram matrix: factor X as V V^T and embed as
+    U V (n x k at most)."""
     vals, vecs = np.linalg.eigh((X + X.T) / 2.0)
     keep = vals > 1e-10 * max(float(vals.max()), 1e-30)
     V = vecs[:, keep] * np.sqrt(vals[keep])
-    source = "sdp-gram" if p is None else "sdp-gram-symmetrized"
-    return make_embedding(g, U @ V, lam, source=source)
+    return make_embedding(g, U @ V, lam, source="sdp-gram")
 
 
 def _gram_certificate(
-    g: Graph,
-    U: np.ndarray,
-    X: np.ndarray,
-    residual: float,
-    lam: float,
-    p: PermutationSet | None,
-    end: str,
-    iso_tol: float,
+    g: Graph, U: np.ndarray, gram: SdpResult, lam: float, end: str, iso_tol: float
 ) -> Certificate | None:
-    return _verified_certificate(
-        g,
-        _sdp_embedding(g, U, X, lam, p),
-        "sdp_gram",
-        end,
-        {"X": X},
-        iso_tol,
-        extra_residuals={"sdp_residual": residual},
-    )
+    emb = _sdp_embedding(g, U, gram.X, lam)
+    extra = {"sdp_residual": gram.residual}
+    return _verified_certificate(g, emb, "sdp_gram", end, {"X": gram.X}, iso_tol, extra)
 
 
-def _length_certificate(
+def _decide(
+    g: Graph, U: np.ndarray, orb: OrbitPartition | None, tol: float
+) -> LengthDecision:
+    """The equal-length decision on basis U over the edge orbits of orb."""
+    e = g.edge_array
+    blocks = orb.edge_orbits if orb is not None and orb.num_edge_orbits < g.m else None
+    return length_decision(U[e[:, 0]] - U[e[:, 1]], tol=tol, blocks=blocks)
+
+
+def _end_gram(
     g: Graph,
     U: np.ndarray,
     decision: LengthDecision,
-    lam: float,
-    end: str,
+    p: PermutationSet | None,
+    orb: OrbitPartition | None,
     feas_tol: float,
-    iso_tol: float,
-) -> Certificate | None:
-    """Gram certificate from an equal-length decision that did not find a
-    separating c: embed its X as U V; when that misses the isometry test,
-    polish with the trivial-group SDP, whose functionals are the squared
-    edge lengths."""
-    c = decision.c
-    cert = _gram_certificate(
-        g, U, decision.X, float(np.max(np.abs(c - c[0]))), lam, None, end, iso_tol
-    )
-    if cert is not None:
-        return cert
-    inst = build_sdp_instance(g, U)
-    res = sdp_feasibility(inst, tol=feas_tol)
-    if res.status != "feasible":
+) -> SdpResult | None:
+    """The one Gram matrix an end certifies from: the decision's X when it
+    is rigid, else the Dykstra polish on the same blocks (None after a
+    separating c or an unconverged polish).  Either lies in the commutant,
+    where equal edge-orbit means are equal edge lengths (`length_decision`,
+    `sdp_feasibility`), so neither is projected."""
+    if decision.status == "not_rigid":
         return None
-    return _gram_certificate(g, U, res.X, res.residual, lam, None, end, iso_tol)
+    if decision.status == "rigid":
+        resid = float(np.max(np.abs(decision.c - decision.c[0])))
+        return SdpResult("feasible", decision.X, resid, decision.iterations)
+    gram = sdp_feasibility(build_sdp_instance(g, U, p, orb), tol=feas_tol)
+    return gram if gram.status == "feasible" else None
 
 
 def eigenvector_certificate(
@@ -382,30 +372,31 @@ def eigenvector_certificate(
     lam: float,
     p: PermutationSet,
     feas_tol: float = 1e-8,
-    max_iter: int = 5000,
     iso_tol: float = 1e-7,
     end: str = "lower",
     orb: OrbitPartition | None = None,
+    gram: SdpResult | None = None,
 ) -> Certificate | None:
-    """Symmetrized SDP feasibility followed by rank reduction; a rank-one
-    solution a a^T yields an eigenvector phi = U a with constant orbit sums
-    (the instance functionals at a a^T), otherwise the Gram certificate
-    itself is returned (still valid for rigidity).  orb is the orbit
-    partition of p, computed here when not given."""
+    """Rank reduction of the end's one Gram matrix gram (`_end_gram`; from
+    the equal-length decision on the edge orbits of p when not given): a
+    rank-one a a^T yields an eigenvector phi = U a whose edge orbits have
+    equal mean squared lengths (orbit_sums), embedded through its
+    projection onto the commutant; otherwise the Gram certificate itself
+    is returned.  orb is the orbit partition of p, computed when not given."""
     orb = orb or orbits(g, p)
     if orb.num_vertex_orbits != 1:
         raise NotVertexTransitiveError("supplied group is not vertex-transitive")
     if lam <= 0:
         raise EigenvalueError("certificate needs a positive eigenvalue")
     U = dec.basis_for(lam)
-    inst = build_sdp_instance(g, U, p, orb)
-    res = sdp_feasibility(inst, tol=feas_tol, max_iter=max_iter)
-    if res.status != "feasible":
+    gram = gram or _end_gram(g, U, _decide(g, U, orb, feas_tol), p, orb, feas_tol)
+    if gram is None:
         return None
+    inst = build_sdp_instance(g, U, p, orb)
     try:
-        Xr = rank_reduce(res.X, inst, tol=feas_tol)
+        Xr = rank_reduce(gram.X, inst, tol=feas_tol)
     except NumericalRankAmbiguityError:
-        Xr = res.X
+        Xr = gram.X
     a = rank_one_vector(Xr)
     if a is not None:
         aa = np.outer(a, a)
@@ -416,19 +407,19 @@ def eigenvector_certificate(
         ):
             cert = _verified_certificate(
                 g,
-                _sdp_embedding(g, U, aa, lam, p),
+                _sdp_embedding(g, U, _commutant_projection(U, p, aa), lam),
                 "eigenvector",
                 end,
                 {"phi": U @ a, "orbit_sums": sums},
                 iso_tol,
                 extra_residuals={
                     "orbit_sum_spread": spread,
-                    "sdp_residual": res.residual,
+                    "sdp_residual": gram.residual,
                 },
             )
             if cert is not None:
                 return cert
-    return _gram_certificate(g, U, res.X, res.residual, lam, p, end, iso_tol)
+    return _gram_certificate(g, U, gram, lam, end, iso_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +526,9 @@ def _certify_end(
     perms: PermutationSet | None,
     orb: OrbitPartition | None,
     walk1: bool | None,
+    table: CharacterTable | None,
     opts: CheckOptions,
 ) -> EndReport:
-    spec = g.cayley_spec
     lp_refuted = False
 
     @functools.cache
@@ -570,10 +561,10 @@ def _certify_end(
         if found is not None:
             return found
 
-    if opts.stage_enabled("character_lp") and spec is not None:
-        lp = abelian_lp_certificate(spec, lam)
+    if table is not None:
+        lp = abelian_lp_certificate(table.spec, lam, table)
         if lp.status == "certified":
-            emb = lp_certificate_embedding(spec, lam, lp, g)
+            emb = lp_certificate_embedding(table.spec, lam, lp, g, table)
             cert = _verified_certificate(
                 g,
                 emb,
@@ -604,39 +595,26 @@ def _certify_end(
         if found is not None:
             return found
 
-    e = g.edge_array
     U = dec.basis_for(lam)
-    decision = length_decision(U[e[:, 0]] - U[e[:, 1]], tol=opts.feas_tol)
+    decision = _decide(g, U, orb, opts.feas_tol)
 
-    # a separating c proves no edge-isometric embedding exists: no SDP stage
-    if not lp_refuted and decision.status != "not_rigid":
-        if (
-            opts.stage_enabled("symmetrized_sdp")
-            and orb is not None
-            and orb.num_vertex_orbits == 1
-        ):
+    # both SDP stages certify from the end's one Gram matrix (none after a
+    # separating c, which proves no edge-isometric embedding exists)
+    vt = orb is not None and orb.num_vertex_orbits == 1
+    symmetrized = vt and opts.stage_enabled("symmetrized_sdp")
+    gram = None
+    if not lp_refuted and (symmetrized or opts.stage_enabled("trivial_sdp")):
+        gram = _end_gram(g, U, decision, perms, orb, opts.feas_tol)
+    if gram is not None:
+        if symmetrized:
             cert = eigenvector_certificate(
-                g,
-                dec,
-                lam,
-                perms,
-                feas_tol=opts.feas_tol,
-                iso_tol=opts.iso_tol,
-                end=end,
-                orb=orb,
+                g, dec, lam, perms, opts.feas_tol, opts.iso_tol, end, orb, gram
             )
-            if cert is not None:
-                method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
-                return EndReport(end, "certified", method, cert, None, cert.residuals)
-
-        if opts.stage_enabled("trivial_sdp"):
-            cert = _length_certificate(
-                g, U, decision, lam, end, opts.feas_tol, opts.iso_tol
-            )
-            if cert is not None:
-                return EndReport(
-                    end, "certified", "SdpGram", cert, None, cert.residuals
-                )
+        else:
+            cert = _gram_certificate(g, U, gram, lam, end, opts.iso_tol)
+        if cert is not None:
+            method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
+            return EndReport(end, "certified", method, cert, None, cert.residuals)
 
     facts = decision.residuals()
     residuals = {"lp_refuted": 1.0} if lp_refuted else {}
@@ -666,11 +644,12 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
 
     Stage order per end: edge-transitivity, character LP (abelian Cayley,
     decisive both ways), 1-walk regularity, canonical embedding, the
-    equal-length decision, symmetrized SDP, the decision's Gram
-    certificate and its polish (stage `trivial_sdp`), falsifier.  The
-    edge-transitivity, 1-walk regularity and canonical stages share one
-    test of the canonical embedding.  The decision runs at every end those
-    stages leave open, whatever is skipped.  A decision that finds a
+    equal-length decision on the edge orbits, symmetrized SDP, the Gram
+    certificate (stage `trivial_sdp`), falsifier.  The edge-transitivity,
+    1-walk regularity and canonical stages share one test of the canonical
+    embedding.  The decision runs at every end those stages leave open,
+    whatever is skipped; both SDP stages certify from the end's one Gram
+    matrix, the decision's or its polish.  A decision that finds a
     separating c skips both SDP stages; at every end it does not settle as
     rigid, the falsifier makes one line search along c.  No random numbers
     are drawn, so no verdict depends on a seed.
@@ -689,6 +668,9 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     dec = eigendecompose(L, group_tol=opts.group_tol)
     lam2 = float(dec.eigenvalues[1])
     lamn = float(dec.eigenvalues[-1])
+    table = None
+    if opts.stage_enabled("character_lp") and g.cayley_spec is not None:
+        table = character_spectrum(g.cayley_spec)  # shared by both ends
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -696,7 +678,7 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     if perms is None:
         if g.cayley_spec is not None:
             perms = cayley_translations(g.cayley_spec)
-        elif g.n <= 512:
+        elif g.n <= SEARCH_MAX_N:
             perms = find_automorphisms(g)
     orb = orbits(g, perms) if perms is not None else None
     timings["symmetry"] = time.perf_counter() - t0
@@ -706,10 +688,10 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings["walkreg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, opts)
+    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, table, opts)
     timings["lower"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, opts)
+    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, table, opts)
     timings["upper"] = time.perf_counter() - t0
 
     return RigidityReport(

@@ -13,8 +13,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from ._version import __version__
 from .catalog import catalog, catalog_names
 from .certify import STAGES, CheckOptions, RigidityReport, check_conformal_rigidity

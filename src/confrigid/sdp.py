@@ -1,10 +1,11 @@
-"""SDP feasibility over eigenspace Gram matrices with orbit constraints,
-solved by Dykstra-corrected alternating projections, Barvinok-Pataki rank
-reduction of feasible points, and the primal-dual equal-length decision on
-the k x k problem, solved by Frank-Wolfe over the spectraplex."""
+"""One equal-length Gram matrix per eigenspace: the primal-dual decision on
+the mean squared lengths of edge blocks (Frank-Wolfe over the spectraplex),
+its Dykstra polish when the decision stops short of "rigid", and
+Barvinok-Pataki rank reduction of a feasible Gram matrix."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,13 @@ class SdpInstance:
     """Feasibility data on S^k: find X psd with <trace_mat, X> = 1 and equal
     functionals <C_r, X> across the edge blocks r.
 
-    With a group, the blocks are its edge orbits and orbit_mats[r] is the
-    mean over the edges (i, j) of orbit E_r of sym(u_i u_j^T), the inner
-    product (U X U^T)_{ij}: the sum over the group of
-    (U X U^T)_{sigma(i_r) sigma(j_r)} divided by the group order.  Without
-    one, every edge is a block and orbit_mats[e] is b_e b_e^T with b_e =
-    u_i - u_j, the squared edge length of the embedding U V (X = V V^T);
-    inner products agree with lengths only when the Gram diagonal is
-    constant.  group_size is the number of generators the edge orbits came
-    from (0 for the trivial group); the group itself is never listed.
+    orbit_mats[r] is the mean of b_e b_e^T (b_e = u_i - u_j) over the edges
+    e = (i, j) of block r, so <C_r, X> is the block's mean squared edge
+    length in the embedding U V (X = V V^T).  The blocks are the edge orbits
+    of a group, or single edges; in the commutant of the group equal block
+    means are equal lengths.
+    group_size is the number of generators the edge orbits came from (0
+    for the trivial group); the group itself is never listed.
     """
 
     U: np.ndarray
@@ -69,22 +68,17 @@ def build_sdp_instance(
     p: PermutationSet | None = None,
     orb: OrbitPartition | None = None,
 ) -> SdpInstance:
-    """Precompute the block functionals for eigenspace basis U: edge-orbit
-    inner products under the group generated by p, or one squared edge
-    length per edge when p is None (the trivial group)."""
+    """Precompute the block functionals for eigenspace basis U: the mean of
+    b_e b_e^T over each edge orbit of the group generated by p (orb is its
+    orbit partition, computed here when not given), or over each single
+    edge when p is None (the trivial group)."""
     U = np.asarray(U, dtype=float)
-    if p is None:
-        e = g.edge_array
-        B = U[e[:, 0]] - U[e[:, 1]]
-        mats = B[:, :, None] * B[:, None, :]
-    else:
+    e = g.edge_array
+    B = U[e[:, 0]] - U[e[:, 1]]
+    mats = B[:, :, None] * B[:, None, :]
+    if p is not None:
         blocks = (orb or orbits(g, p)).edge_orbits
-        mats = []
-        for block in blocks:
-            ij = np.array([g.edges[k] for k in block])
-            C = U[ij[:, 0]].T @ U[ij[:, 1]] / len(block)
-            mats.append((C + C.T) / 2.0)
-        mats = np.stack(mats)
+        mats = np.stack([mats[list(block)].mean(axis=0) for block in blocks])
     return SdpInstance(
         U=U,
         orbit_mats=mats,
@@ -117,8 +111,11 @@ def sdp_feasibility(
     the affine projection works in the row space of the constraint matrix
     A (one row per constraint, on vec(X)), from one thin SVD: with A = W
     diag(s) Vt, the projection of v is v - Vt^T (Vt v - diag(1/s) W^T b).
-    Never claims infeasibility: after max_iter the result is `undecided`
-    with the final residual.
+    It starts at the affine projection of I / k.  On edge-orbit blocks the
+    constraints are invariant under the group's action X -> R X R^T, so
+    both projections commute with it and every iterate stays in the
+    commutant.  Never claims infeasibility: after max_iter the result is
+    `undecided` with the final residual.
     """
     k = inst.k
     A = inst.constraint_mats().reshape(-1, k * k)  # one row per constraint on vec(X)
@@ -162,10 +159,11 @@ def sdp_feasibility(
 class LengthDecision:
     """Outcome of `length_decision`.
 
-    status is "rigid" when X gives every edge the same squared length to
-    within the tolerance, "not_rigid" when S(c) is positive definite,
-    "undecided" at the iteration cap.  c is the centred squared edge
-    lengths of X, dual_min_eig is lambda_min(S(c)) and gap is |c| / |l|.
+    status is "rigid" when X gives every edge block the same mean squared
+    length to within the tolerance, "not_rigid" when S(c) is positive
+    definite, "undecided" at the iteration cap.  c is the centred block
+    means of the squared edge lengths of X, one entry per edge, dual_min_eig
+    is lambda_min(S(c)) and gap is |c| / |l|.
     """
 
     status: str  # "rigid" | "not_rigid" | "undecided"
@@ -184,31 +182,46 @@ class LengthDecision:
 
 
 def length_decision(
-    B: np.ndarray, tol: float = 1e-8, max_iter: int = DECISION_ITERATIONS
+    B: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int = DECISION_ITERATIONS,
+    blocks: Sequence[Sequence[int]] | None = None,
 ) -> LengthDecision:
     """Decide whether some X on the spectraplex {X psd, tr X = 1} gives
-    every row b_e of B (m x k) the same squared length l_e = b_e^T X b_e.
+    every block of rows of B (m x k) the same mean squared length
+    l_e = b_e^T X b_e; blocks partitions the rows (edge orbits), and
+    without it every row is a block.
 
-    Exactly one of two things holds: such an X exists, or some centred c
-    has S(c) = B^T diag(c) B positive definite (the separating hyperplane
-    between the convex set {l(X)} and the line R 1).  Frank-Wolfe on
-    |c(X)|^2, with c(X) = l(X) - mean(l(X)), finds the minimum-norm point:
-    its gradient is S(c), its linear minimizer over the spectraplex is the
-    atom v v^T for the bottom eigenvector v of S(c), and the step to that
-    atom is line-searched exactly.  The run starts at X = I / k, whose c is
-    the canonical embedding's centred edge lengths divided by k, and stops
-    at "rigid" when |c| <= tol |l|, at "not_rigid" when lambda_min(S(c)) >
-    0 beyond rounding (DUAL_TOL).  At k = 1, S(c) is the scalar |c|^2, so
-    the first two tests decide.
-    With B = U_i - U_j over the edges (U an eigenspace basis), "rigid"
-    means U V is an edge-isometric embedding for X = V V^T, and
-    U^T L(1 + t c) U = lambda I + t S(c) means a small step along c (-c at
+    Exactly one of two things holds: such an X exists, or some centred c,
+    constant on the blocks, has S(c) = B^T diag(c) B positive definite (the
+    separating hyperplane).  Frank-Wolfe on |c(X)|^2, with c(X) the block
+    means of l(X) less their mean, finds the minimum-norm point: its
+    gradient is S(c), its linear minimizer over the spectraplex is the atom
+    V V^T / j on the bottom eigenspace V of S(c) (j columns), and the step
+    to that atom is line-searched exactly.  The run starts at X = I / k,
+    whose c is the canonical embedding's centred lengths divided by k, and
+    stops at "rigid" when |c| <= tol |l|, at "not_rigid" when
+    lambda_min(S(c)) > 0 beyond rounding (DUAL_TOL).  At k = 1, S(c) is the
+    scalar |c|^2, so the first two tests decide.
+    With B = U_i - U_j over the edges (U an eigenspace basis) and edge-orbit
+    blocks, S(c), I / k and every atom commute with the group's action on
+    the eigenspace, so X lies in the commutant, where an orbit's edges have
+    equal lengths: "rigid" means U V is edge-isometric for X = V V^T.  And
+    U^T L(1 + t c) U = lambda I + t S(c): a small step along c (-c at
     lambda_n) moves the whole eigenvalue cluster the improving way.
     """
     k = B.shape[1]
+    label = np.arange(len(B))
+    for r, block in enumerate(blocks or ()):
+        label[list(block)] = r
+    size = np.bincount(label)
+
+    def mean(x: np.ndarray) -> np.ndarray:  # exact on single rows
+        return (np.bincount(label, weights=x) / size)[label]
+
     sq = np.sum(B * B, axis=1)
     X = np.eye(k) / k
-    lengths = sq / k
+    lengths = mean(sq) / k
     it = 0
     while True:
         c = lengths - lengths.mean()
@@ -217,17 +230,20 @@ def length_decision(
             return LengthDecision("rigid", X, c, np.nan, gap, it)
         vals, vecs = np.linalg.eigh((B.T * c) @ B)
         # sum |c_e| |b_e|^2 bounds |S(c)|, so rounding cannot pass this test
-        if vals[0] > DUAL_TOL * float(np.abs(c) @ sq):
+        bound = DUAL_TOL * float(np.abs(c) @ sq)
+        if vals[0] > bound:
             return LengthDecision("not_rigid", X, c, float(vals[0]), gap, it)
-        v = vecs[:, 0]
-        atom = (B @ v) ** 2
+        # the bottom eigenvalue's whole eigenspace, split only by rounding
+        j = int(np.count_nonzero(vals - vals[0] <= bound))
+        V = vecs[:, :j]
+        atom = mean(np.sum((B @ V) ** 2, axis=1)) / j
         d = atom - atom.mean() - c
         # <c, d> = lambda_min - |c|^2, negative unless rounding hides the step
         descent = -float(c @ d)
         if it == max_iter or descent <= 0.0:
             return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
         gamma = min(1.0, descent / float(d @ d))
-        X = (1.0 - gamma) * X + gamma * np.outer(v, v)
+        X = (1.0 - gamma) * X + gamma * (V @ V.T) / j
         lengths = (1.0 - gamma) * lengths + gamma * atom
         it += 1
 

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import GraphTooLargeError, GroupTooLargeError, NotAutomorphismError
 from .graphs import CayleySpec, Graph
 
+SEARCH_MAX_N = 512  # default order cap of the search; the check skips it above
+
 
 @dataclass(frozen=True)
 class PermutationSet:
@@ -193,7 +195,7 @@ def _bits(mask: int):
 
 
 def find_automorphisms(
-    g: Graph, limit: int = 500_000, max_n: int = 512
+    g: Graph, limit: int = 500_000, max_n: int = SEARCH_MAX_N
 ) -> PermutationSet:
     """Generating set of Aut(G), one automorphism per point of each basic
     orbit: at most n - 1 generators, and the group is never held.

@@ -74,13 +74,14 @@ def canonical_walk1_check(
     edges.  Must agree with walk_regularity().walk1 on every regular input."""
     if not g.is_regular():
         raise NotRegularError("canonical walk-regularity check needs a regular graph")
+    e = g.edge_array
     for U in dec.bases:
         P = U @ U.T
         d = np.diag(P)
         if d.max() - d.min() > tol:
             return False
         if g.m:
-            ev = np.array([P[i, j] for i, j in g.edges])
+            ev = P[e[:, 0], e[:, 1]]
             if ev.max() - ev.min() > tol:
                 return False
     return True

@@ -17,7 +17,7 @@ from confrigid.embeddings import (
     explicit_embedding,
     unit_edge_normalized,
 )
-from confrigid.falsify import random_weight_search, subgradient_ascent
+from confrigid.falsify import random_weight_search
 from confrigid.graphs import CayleySpec, Graph, circulant, laplacian, normalize_edges
 from confrigid.sdp import build_sdp_instance, rank_one_vector, rank_reduce, sdp_feasibility
 from confrigid.spectra import (

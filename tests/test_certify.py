@@ -20,6 +20,7 @@ from confrigid.certify import (
 from confrigid.embeddings import edge_length_profile
 from confrigid.errors import (
     DisconnectedError,
+    GraphTooLargeError,
     HypothesisViolatedError,
     NotVertexTransitiveError,
 )
@@ -32,7 +33,12 @@ from confrigid.graphs import (
 )
 from confrigid.sdp import length_decision
 from confrigid.spectra import eigendecompose
-from confrigid.symmetry import PermutationSet, cayley_translations
+from confrigid.symmetry import (
+    PermutationSet,
+    cayley_translations,
+    find_automorphisms,
+    orbits,
+)
 
 
 def test_lp_certifies_circulant_18_1_5_both_ends():
@@ -259,6 +265,90 @@ def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):
     assert rep.vertex_transitive
     assert (rep.lower.verdict, rep.upper.verdict) == ("refuted", "refuted")
     assert not calls
+
+
+@pytest.mark.parametrize("case", ["circulant_12_upper", "petersen_prism_lower"])
+def test_eigenvector_end_needs_no_sdp_feasibility(monkeypatch, case):
+    # the decision on the edge orbits is rigid, so its own Gram matrix is
+    # rank-reduced: no Dykstra polish runs
+    calls = _count_calls(monkeypatch, certify, "sdp_feasibility")
+    if case == "circulant_12_upper":
+        c = circulant(12, {1, 2})
+        rep = check_conformal_rigidity(Graph(c.n, c.edges))
+        er = rep.upper
+    else:
+        rep = check_conformal_rigidity(_petersen_prism())
+        er = rep.lower
+    assert (er.verdict, er.method) == ("certified", "Eigenvector")
+    assert not calls
+
+
+@pytest.mark.parametrize("n", [7, 40])
+def test_rigid_decision_gram_needs_no_projection(monkeypatch, n):
+    # K_n minus a 3-edge matching is not vertex-transitive: at lambda_n = n
+    # the decision on its edge orbits is rigid, and its atoms commute with
+    # the group, so X has equal lengths inside each orbit and is certified
+    # as it is, with no polish and no projection onto the commutant
+    cut = {(0, 1), (2, 3), (4, 5)}
+    g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in cut))
+    U = eigendecompose(laplacian(g)).basis_for(float(n))
+    assert U.shape[1] == n - 4
+    p = find_automorphisms(g)
+    orb = orbits(g, p)
+    B = U[g.edge_array[:, 0]] - U[g.edge_array[:, 1]]
+    d = length_decision(B, blocks=orb.edge_orbits)
+    assert d.status == "rigid"
+    for sigma in p.gens:
+        R = U.T @ U[list(sigma)]
+        assert np.allclose(R @ d.X @ R.T, d.X, rtol=0.0, atol=1e-12)
+    lengths = np.einsum("ek,kl,el->e", B, d.X, B)
+    for block in orb.edge_orbits:
+        assert np.ptp(lengths[list(block)]) <= 1e-12
+    polish = _count_calls(monkeypatch, certify, "sdp_feasibility")
+    projections = _count_calls(monkeypatch, certify, "_commutant_projection")
+    rep = check_conformal_rigidity(g)
+    assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
+    assert not polish and not projections
+
+
+def test_polish_stays_in_the_commutant(monkeypatch):
+    # the same K7 minus a matching with the decision stopped at its cap:
+    # the Dykstra polish on the edge orbits starts at I / k and every
+    # projection commutes with the group, so its X needs no projection
+    monkeypatch.setattr(certify, "length_decision", functools.partial(length_decision, max_iter=0))
+    polish = _count_calls(monkeypatch, certify, "sdp_feasibility")
+    projections = _count_calls(monkeypatch, certify, "_commutant_projection")
+    cut = {(0, 1), (2, 3), (4, 5)}
+    g = Graph(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7) if (i, j) not in cut))
+    rep = check_conformal_rigidity(g)
+    assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
+    assert len(polish) == 1 and not projections
+    U = eigendecompose(laplacian(g)).basis_for(7.0)
+    X = rep.upper.certificate.payload["X"]
+    for sigma in find_automorphisms(g).gens:
+        R = U.T @ U[list(sigma)]
+        assert np.allclose(R @ X @ R.T, X, rtol=0.0, atol=1e-12)
+
+
+def test_character_table_built_once_per_check(monkeypatch):
+    calls = _count_calls(monkeypatch, certify, "character_spectrum")
+    rep = check_conformal_rigidity(circulant(18, {1, 5}))
+    assert (rep.lower.method, rep.upper.method) == ("CharacterLP", "CharacterLP")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [512, 513])
+def test_check_searches_automorphisms_up_to_the_search_cap(n):
+    g = catalog(f"cycle_{n}")
+    rep = check_conformal_rigidity(g)
+    if n == 512:
+        assert rep.edge_orbits == 1
+        assert (rep.lower.method, rep.upper.method) == ("EdgeTransitive",) * 2
+    else:
+        with pytest.raises(GraphTooLargeError):
+            find_automorphisms(g)
+        assert rep.edge_orbits is None
+        assert (rep.lower.method, rep.upper.method) == ("OneWalkRegular",) * 2
 
 
 def test_orbits_computed_once_per_check(monkeypatch):

@@ -21,7 +21,7 @@ from confrigid.embeddings import (
 from confrigid.errors import EigenvalueError, HypothesisViolatedError
 from confrigid.graphs import CayleySpec, circulant, laplacian
 from confrigid.spectra import eigendecompose
-from confrigid.symmetry import PermutationSet, cayley_translations, find_automorphisms
+from confrigid.symmetry import cayley_translations, find_automorphisms
 
 SQRT2 = np.sqrt(2.0)
 

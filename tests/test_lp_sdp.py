@@ -114,6 +114,46 @@ def test_length_decision_finds_equal_length_gram():
     assert np.min(np.linalg.eigvalsh(d.X)) >= -1e-12
 
 
+def _edge_rows(g, lam, dec):
+    U = dec.basis_for(lam)
+    e = g.edge_array
+    return U[e[:, 0]] - U[e[:, 1]]
+
+
+def test_length_decision_on_edge_orbits_is_rigid_at_once():
+    # circulant(12, {1, 2}) as a plain edge list: at lambda_n = 6 (k = 4)
+    # the decision over its 2 edge orbits is a one-dimensional problem
+    c = circulant(12, {1, 2})
+    g = Graph(c.n, c.edges)
+    dec = eigendecompose(laplacian(g))
+    lam = dec.eigenvalues[-1]
+    assert lam == pytest.approx(6.0) and dec.basis_for(lam).shape[1] == 4
+    orb = orbits(g, find_automorphisms(g))
+    assert orb.num_edge_orbits == 2
+    d = length_decision(_edge_rows(g, lam, dec), blocks=orb.edge_orbits)
+    assert d.status == "rigid" and d.iterations <= 3
+    # c is constant on each orbit, so it is a valid dual direction
+    for block in orb.edge_orbits:
+        assert np.ptp(d.c[list(block)]) == 0.0
+
+
+def test_singleton_blocks_match_no_blocks_bit_for_bit():
+    rng = np.random.default_rng(7)
+    iu, ju = np.triu_indices(12, k=1)
+    while True:
+        keep = np.sort(rng.choice(len(iu), size=27, replace=False))
+        g = Graph(12, tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
+        if g.is_connected():
+            break
+    dec = eigendecompose(laplacian(g))
+    for lam in (dec.eigenvalues[1], dec.eigenvalues[-1]):
+        B = _edge_rows(g, lam, dec)
+        plain = length_decision(B)
+        single = length_decision(B, blocks=[(e,) for e in range(g.m)])
+        assert (single.status, single.iterations) == (plain.status, plain.iterations)
+        assert np.array_equal(single.X, plain.X) and np.array_equal(single.c, plain.c)
+
+
 def test_rank_reduction_to_rank_one_circulant18():
     g = circulant(18, {1, 5})
     dec = eigendecompose(laplacian(g))
