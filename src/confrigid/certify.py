@@ -510,12 +510,13 @@ def product_rigidity(
 
 
 def _falsify_end(
-    g: Graph, end: str, decision: LengthDecision
+    g: Graph, end: str, lam: float, decision: LengthDecision
 ) -> tuple[FalsifierResult, bool]:
-    """One line search along the decision's dual c and whether its best
-    step refutes rigidity (improves and re-verifies)."""
-    step = line_search(g, end, decision.c)
-    return step, step.improved and reverify(g, step)
+    """One line search along the decision's dual c from the unit value lam
+    and whether its witness refutes rigidity: the first improving step,
+    confirmed by one fresh eigensolve.  No solve recomputes lam."""
+    step = line_search(g, end, decision.c, lam)
+    return step, step.improved and reverify(g, step, lam)
 
 
 def _certify_end(
@@ -621,7 +622,7 @@ def _certify_end(
     residuals.update(facts)
     # a rigid decision found equal lengths: there is no direction to follow
     if opts.stage_enabled("falsify") and decision.status != "rigid":
-        wit, refutes = _falsify_end(g, end, decision)
+        wit, refutes = _falsify_end(g, end, lam, decision)
         if refutes:
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
             return EndReport(

@@ -1,6 +1,7 @@
 """Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
 |E|}.  The rigidity check uses only the seed-free line search along a
-given centred edge direction (the equal-length decision's dual c).
+given centred edge direction (the equal-length decision's dual c), which
+solves one Laplacian per step and stops at the first improving step.
 Randomized weight sampling and projected subgradient ascent on lambda_2
 (descent on lambda_n) remain as stand-alone searches for library callers;
 no verdict depends on them."""
@@ -18,7 +19,7 @@ from .spectra import lambda_ends
 IMPROVE_MARGIN = 1e-6
 ENDS = ("lower", "upper")
 
-# Cap on one chunk of stacked Laplacians in the batched searches (5 matrices
+# Cap on one chunk of stacked Laplacians in random_weight_search (5 matrices
 # at n = 40); chunking changes no result, only how many solves share a call.
 STACK_BYTES = 64 * 1024
 
@@ -57,7 +58,8 @@ def _check_end(end: str) -> None:
 
 def _unit_values(g: Graph) -> dict[str, float]:
     """Target eigenvalues at unit weights; lambda_ends rejects disconnected
-    graphs and n < 2, so every public entry point checks its input here."""
+    graphs and n < 2, so the stand-alone searches check their input here
+    (line_search and reverify take the unit value from their caller)."""
     lam2, lamn = lambda_ends(g)
     return {"lower": lam2, "upper": lamn}
 
@@ -98,31 +100,38 @@ def _best_row(
     return best, best_w
 
 
-def line_search(g: Graph, end: str, d: np.ndarray) -> FalsifierResult:
+def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResult:
     """Line search from unit weights along a centred edge direction d, which
     raises the target at the lower end (its negative is followed at the
-    upper end).
+    upper end); `unit` is the target's value at unit weights.
 
     The weights w = 1 + t d keep sum m and stay >= 0 for t up to t_max =
-    1 / max(-d); the steps t_max * DIRECTION_STEPS are solved as stacked
-    Laplacians, one batched eigvalsh per chunk of at most STACK_BYTES, and
-    the first strictly best step is kept.  No random numbers are drawn.
+    1 / max(-d).  The steps t_max * DIRECTION_STEPS are solved one at a
+    time from the largest down, and the first step that improves on `unit`
+    by IMPROVE_MARGIN is returned.  When none does, the result is the first
+    strictly best step of the grid (unit weights if no step beats them),
+    with `improved` false.  `trials` counts the steps solved.  No random
+    numbers are drawn.
     """
     _check_end(end)
     if end == "upper":
         d = -d
-    unit = _unit_values(g)[end]
-    # clipping only removes rounding below zero at the boundary step
-    W = np.maximum(1.0 + np.outer(DIRECTION_STEPS / np.max(-d), d), 0.0)
-    chunk = _chunk_rows(g)
-    chunks = (W[done : done + chunk] for done in range(0, len(W), chunk))
-    best, best_w = _best_row(g, chunks, end, unit)
+    best, best_w = unit, np.ones(g.m)
+    steps = DIRECTION_STEPS / np.max(-d)
+    for j, t in enumerate(steps, start=1):
+        # clipping only removes rounding below zero at the boundary step
+        w = np.maximum(1.0 + t * d, 0.0)
+        val = _value(g, w, end)
+        if _better(end, val, best):
+            best, best_w = val, w
+        if _is_improvement(end, val, unit):
+            break
     return FalsifierResult(
         end=end,
         best_w=best_w,
         best_value=best,
         improved=_is_improvement(end, best, unit),
-        trials=len(W),
+        trials=j,
         steps=0,
         seed=None,
     )
@@ -222,10 +231,10 @@ def subgradient_ascent(
     )
 
 
-def reverify(g: Graph, res: FalsifierResult) -> bool:
-    """Recompute the claimed value with a fresh eigensolve and confirm both
-    the value and the improvement margin."""
-    unit = _unit_values(g)[res.end]
+def reverify(g: Graph, res: FalsifierResult, unit: float) -> bool:
+    """Recompute the claimed value with one fresh eigensolve and confirm
+    both the value and the improvement margin over `unit`, the target's
+    value at unit weights."""
     val = _value(g, res.best_w, res.end)
     if abs(val - res.best_value) > 1e-9 * (1.0 + abs(val)):
         return False

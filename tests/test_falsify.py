@@ -16,6 +16,7 @@ from confrigid.certify import STAGES, CheckOptions, check_conformal_rigidity
 from confrigid.errors import DisconnectedError
 from confrigid.falsify import (
     DIRECTION_STEPS,
+    ENDS,
     STACK_BYTES,
     line_search,
     random_weight_search,
@@ -68,7 +69,7 @@ def test_random_search_improves_triangular_prism():
     lam2_unit, _ = lambda_ends(g)
     assert res.improved
     assert res.best_value > lam2_unit * (1.0 + 1e-6)
-    assert reverify(g, res)
+    assert reverify(g, res, lam2_unit)
 
 
 def test_subgradient_improves_triangular_prism():
@@ -160,7 +161,7 @@ def test_subgradient_solves_once_per_step(monkeypatch, steps):
     assert calls["eigh"] == steps
     # lambda_ends for the unit value, one solve for the last iterate
     assert calls["eigvalsh"] == 2
-    assert reverify(g, res)
+    assert reverify(g, res, lambda_ends(g)[0])
 
 
 def _relabelled(g, seed):
@@ -197,27 +198,45 @@ def _edge_rows(g, lam):
     return U[e[:, 0]] - U[e[:, 1]]
 
 
+def _improves(end, value, unit):
+    if end == "lower":
+        return value > unit * (1.0 + 1e-6)
+    return value < unit * (1.0 - 1e-6)
+
+
+def _grid(g, end, d):
+    """Independent oracle: every step row w = 1 + t d of the line search's
+    grid, built at once, and its target eigenvalue, one lambda_ends each."""
+    d = d if end == "lower" else -d
+    rows = np.maximum(1.0 + np.outer(DIRECTION_STEPS / np.max(-d), d), 0.0)
+    col = 0 if end == "lower" else 1
+    return rows, [lambda_ends(g, w)[col] for w in rows]
+
+
 @pytest.mark.parametrize("g, end", STEP_CASES)
-def test_direction_search_refutes(monkeypatch, g, end):
+def test_line_search_refutes(monkeypatch, g, end):
     # the decision separates at X = I / k, where c is the canonical
     # embedding's centred squared edge lengths over k, and the line search
-    # along that c refutes
-    lam2, lamn = lambda_ends(g)
-    decision = length_decision(_edge_rows(g, lam2 if end == "lower" else lamn))
+    # along that c refutes at its first improving step
+    unit = lambda_ends(g)[0 if end == "lower" else 1]
+    decision = length_decision(_edge_rows(g, unit))
     assert (decision.status, decision.iterations) == ("not_rigid", 0)
+    rows, vals = _grid(g, end, decision.c)
+    first = next(j for j, val in enumerate(vals) if _improves(end, val, unit))
     calls = _count_solves(monkeypatch)
-    res = line_search(g, end, decision.c)
-    assert calls["eigh"] == 0
-    # the unit value, then one batched solve per chunk of the step grid
-    chunk = max(1, STACK_BYTES // (8 * g.n * g.n))
-    assert calls["eigvalsh"] == 1 + -(-len(DIRECTION_STEPS) // chunk)
-    assert res.improved and res.seed is None
+    res = line_search(g, end, decision.c, unit)
+    # no solve for the unit value, one per step down to the first improving
+    # one: no larger step improves
+    assert calls == {"eigh": 0, "eigvalsh": first + 1}
+    assert res.improved and res.seed is None and res.trials == first + 1
+    assert np.array_equal(res.best_w, rows[first])
+    assert res.best_value == vals[first]
     _assert_witness(g, res.best_w)
-    assert reverify(g, res)
+    assert reverify(g, res, unit)
 
 
 @pytest.mark.parametrize("g, end", STEP_CASES)
-def test_check_refutes_by_direction_step(monkeypatch, g, end):
+def test_check_refutes_by_line_search(monkeypatch, g, end):
     # the falsify stage makes no eigh call (no subgradient step)
     calls = _count_solves(monkeypatch)
     falsify_eigh = []
@@ -253,12 +272,70 @@ def _k7_minus_path_and_edge():
     return Graph(7, tuple(e for e in itertools.combinations(range(7), 2) if e not in missing))
 
 
+EQUIVALENCE_CASES = STEP_CASES + [
+    pytest.param(g, end, id=f"{name}-{end}")
+    for name, g in [
+        *((f"gnm_{n}_{m}~{s}", _gnm(n, m, s)) for n, m, s in [(10, 22, 0), (14, 31, 1), (18, 40, 2)]),
+        ("k7_minus_path_and_edge", _k7_minus_path_and_edge()),
+    ]
+    for end in ENDS
+]
+
+
+@pytest.mark.parametrize("g, end", EQUIVALENCE_CASES)
+def test_line_search_improves_exactly_when_some_grid_step_does(g, end):
+    # along the canonical lengths (which do not improve at the upper end of
+    # K_7 minus a path and an edge); with no improving step the result is
+    # the grid's first strictly best step, as when the whole grid was kept
+    unit = lambda_ends(g)[0 if end == "lower" else 1]
+    lengths = np.sum(_edge_rows(g, unit) ** 2, axis=1)
+    d = lengths - lengths.mean()
+    rows, vals = _grid(g, end, d)
+    res = line_search(g, end, d, unit)
+    assert res.improved == any(_improves(end, val, unit) for val in vals)
+    if not res.improved:
+        best, best_w = unit, np.ones(g.m)
+        for w, val in zip(rows, vals):
+            if (val > best) if end == "lower" else (val < best):
+                best, best_w = val, w
+        assert res.best_value == best
+        assert np.array_equal(res.best_w, best_w)
+        assert res.trials == len(DIRECTION_STEPS)
+
+
+def test_falsify_end_solves_no_step_past_the_first_improving_one(monkeypatch):
+    # a solve budget rather than a timing: each end's falsifier makes at most
+    # the scan's solves plus the witness's fresh solve, so a fall back to
+    # the whole 30-step grid fails here
+    g = catalog("path_128")
+    calls = _count_solves(monkeypatch)
+    seen = []
+    falsify_end = certify._falsify_end
+
+    def counting_falsify_end(g, end, lam, decision):
+        before = dict(calls)
+        out = falsify_end(g, end, lam, decision)
+        spent = {k: calls[k] - before[k] for k in calls}
+        seen.append((end, lam, decision.c, spent))
+        return out
+
+    monkeypatch.setattr(certify, "_falsify_end", counting_falsify_end)
+    rep = check_conformal_rigidity(g)
+    assert sorted(end for end, *_ in seen) == ["lower", "upper"]
+    for end, lam, c, spent in seen:
+        assert getattr(rep, end).verdict == "refuted"
+        _, vals = _grid(g, end, c)
+        scan = 1 + next(j for j, val in enumerate(vals) if _improves(end, val, lam))
+        assert spent["eigh"] == 0
+        assert spent["eigvalsh"] <= scan + 1 < len(DIRECTION_STEPS)
+
+
 def test_line_search_refutes_with_trivial_sdp_skipped():
     # skipping the stage drops only the Gram certificate: the decision still
     # runs and its dual refutes where the canonical lengths do not
     g = _k7_minus_path_and_edge()
     lengths = np.sum(_edge_rows(g, lambda_ends(g)[1]) ** 2, axis=1)
-    step = line_search(g, "upper", lengths - lengths.mean())
+    step = line_search(g, "upper", lengths - lengths.mean(), lambda_ends(g)[1])
     assert not step.improved
     rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset({"trivial_sdp"})))
     assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
@@ -336,7 +413,7 @@ def test_check_draws_no_random_numbers(monkeypatch, g):
 
 
 @pytest.mark.parametrize("name", ["petersen", "complete_bipartite_3_4", "cycle_9"])
-def test_direction_search_finds_no_direction_when_edge_transitive(monkeypatch, name):
+def test_decision_finds_no_direction_when_edge_transitive(monkeypatch, name):
     # the canonical embedding is edge-isometric: the decision stops at
     # X = I / k before its first eigensolve, and there is no c to follow
     g = catalog(name)
