@@ -31,7 +31,7 @@ from .errors import (
     NumericalRankAmbiguityError,
 )
 from .falsify import FalsifierResult, line_search, reverify
-from .graphs import CayleySpec, Graph, laplacian
+from .graphs import CayleySpec, Graph
 from .lp import phase1_feasibility
 from .sdp import (
     LengthDecision,
@@ -458,7 +458,7 @@ def product_rigidity(
 
     def spherical_max_embedding(g: Graph, rep: RigidityReport) -> Embedding:
         candidates = [rep.upper.certificate.embedding]
-        dec = eigendecompose(laplacian(g))
+        dec = eigendecompose(g.unit_laplacian)
         try:
             candidates.append(canonical_embedding(g, dec, rep.lambda_max))
         except EigenvalueError:
@@ -665,8 +665,7 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    L = laplacian(g)
-    dec = eigendecompose(L, group_tol=opts.group_tol)
+    dec = eigendecompose(g.unit_laplacian, group_tol=opts.group_tol)
     lam2 = float(dec.eigenvalues[1])
     lamn = float(dec.eigenvalues[-1])
     table = None

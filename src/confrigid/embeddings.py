@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenvalueError, HypothesisViolatedError
-from .graphs import CayleySpec, Graph, cartesian_product, laplacian
+from .graphs import CayleySpec, Graph, cartesian_product
 from .spectra import EigenspaceDecomposition
 from .symmetry import OrbitPartition, PermutationSet, group_closure, orbits
 
@@ -46,7 +46,7 @@ def make_embedding(
     scale = float(np.max(np.abs(P)))
     if scale == 0.0:
         raise ValueError("zero embedding")
-    L = laplacian(g)
+    L = g.unit_laplacian
     resid = np.max(np.abs(L @ P - eigenvalue * P))
     if resid > tol * (1.0 + abs(eigenvalue)) * max(scale, 1.0):
         raise EigenvalueError(
@@ -81,7 +81,7 @@ def rayleigh_eigenvalue(g: Graph, phi: np.ndarray, tol: float = RESIDUAL_TOL) ->
     nrm = float(np.linalg.norm(phi))
     if nrm == 0:
         raise ValueError("zero vector")
-    L = laplacian(g)
+    L = g.unit_laplacian
     lam = float(phi @ L @ phi) / (nrm * nrm)
     resid = np.max(np.abs(L @ phi - lam * phi))
     if resid > tol * (1.0 + abs(lam)) * nrm:

@@ -54,6 +54,14 @@ class Graph:
         e.setflags(write=False)
         return e
 
+    @functools.cached_property
+    def unit_laplacian(self) -> np.ndarray:
+        """The unit-weight Laplacian laplacian(self) as a read-only n x n
+        array, built once."""
+        L = laplacian(self)
+        L.setflags(write=False)
+        return L
+
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
@@ -106,8 +114,10 @@ def normalize_edges(n: int, pairs) -> tuple[tuple[int, int], ...]:
 class CayleySpec:
     """Abelian group Z_{n1} x ... x Z_{nr} together with a symmetric generating set.
 
-    Group elements are tuples; the generating set must be closed under
-    negation and must not contain the identity.
+    Group elements are tuples.  Generators are reduced mod the orders and
+    repeats dropped, keeping first occurrences in order; gens is then a
+    tuple, even when given as a set.  The generating set must be closed
+    under negation and must not contain the identity.
     """
 
     orders: tuple[int, ...]
@@ -118,15 +128,20 @@ class CayleySpec:
             raise ValueError("orders must be positive")
         if not self.gens:
             raise GeneratorError("empty generating set")
-        gens = set(self.gens)
-        zero = tuple(0 for _ in self.orders)
-        for s in gens:
+        # each generator reduced mod the orders, repeats dropped, first
+        # occurrence kept: a valid spec keeps its gens and their order
+        reduced: dict = {}
+        for s in self.gens:
             if len(s) != len(self.orders):
                 raise GeneratorError(f"generator {s} has wrong arity")
-            s = tuple(c % o for c, o in zip(s, self.orders))
+            reduced.setdefault(tuple(c % o for c, o in zip(s, self.orders)), None)
+        gens = tuple(reduced)
+        object.__setattr__(self, "gens", gens)
+        zero = tuple(0 for _ in self.orders)
+        for s in gens:
             if s == zero:
                 raise GeneratorError("identity element in generating set")
-            if self.neg(s) not in gens:
+            if self.neg(s) not in reduced:
                 raise GeneratorError(f"generating set not symmetric: missing -{s}")
 
     @property
@@ -153,28 +168,40 @@ class CayleySpec:
         return idx
 
 
+def _cayley_edges(spec: CayleySpec) -> tuple[tuple[int, int], ...]:
+    """Sorted edges {g, g+s} of the Cayley graph, g in mixed-radix order:
+    one wrapped ravel_multi_index of the element grid shifted by every
+    generator at once, then lexicographic order with duplicates (each edge
+    twice, an involution's once per end) removed by sort-and-diff."""
+    N = spec.size
+    grid = np.indices(spec.orders).reshape(len(spec.orders), 1, N)
+    shift = np.array(spec.gens).T[:, :, None]  # r x |S| x 1
+    head = np.ravel_multi_index(grid + shift, spec.orders, mode="wrap").ravel()
+    tail = np.tile(np.arange(N), len(spec.gens))
+    key = np.minimum(tail, head) * N + np.maximum(tail, head)
+    # argsort, not np.sort or np.unique: the check path already runs it,
+    # while either of those maps more of numpy into memory on first call
+    key = key[np.argsort(key)]
+    key = key[np.concatenate(([True], np.diff(key) != 0))]
+    lo, hi = divmod(key, N)
+    return tuple(zip(lo.tolist(), hi.tolist()))
+
+
 def cayley_abelian(spec: CayleySpec, name: str | None = None) -> Graph:
     """Cayley graph of an abelian group: vertices enumerate the group in
     mixed-radix order, with an edge {g, g+s} for every generator s."""
-    elems = spec.elements()
-    pairs = []
-    for g in elems:
-        gi = spec.index_of(g)
-        for s in spec.gens:
-            hi = spec.index_of(spec.add(g, s))
-            if gi != hi:
-                pairs.append((gi, hi))
     return Graph(
         n=spec.size,
-        edges=normalize_edges(spec.size, pairs),
-        labels=tuple(elems),
+        edges=_cayley_edges(spec),
+        labels=tuple(spec.elements()),
         name=name,
         cayley_spec=spec,
     )
 
 
 def circulant(N: int, S) -> Graph:
-    """Circulant graph Cay(Z_N, S).  S is symmetrized internally."""
+    """Circulant graph Cay(Z_N, S).  S is symmetrized internally; the
+    Graph is built once, on cayley_abelian's edges, labelled 0..N-1."""
     if N < 3:
         raise ValueError("circulant needs N >= 3")
     residues = set()
@@ -187,11 +214,10 @@ def circulant(N: int, S) -> Graph:
     if not residues:
         raise GeneratorError("empty generating set")
     spec = CayleySpec(orders=(N,), gens=tuple((s,) for s in sorted(residues)))
-    g = cayley_abelian(spec)
     half = sorted(s for s in residues if s <= N - s)
     return Graph(
-        n=g.n,
-        edges=g.edges,
+        n=N,
+        edges=_cayley_edges(spec),
         labels=tuple(range(N)),
         name=f"circulant_{N}_{','.join(map(str, half))}",
         cayley_spec=spec,

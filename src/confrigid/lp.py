@@ -22,7 +22,11 @@ class Phase1Result:
 
 def phase1_feasibility(A: np.ndarray, b: np.ndarray, max_iter: int = 10_000) -> Phase1Result:
     """Solve min 1^T a  s.t.  A x + a = b (rows pre-flipped so b >= 0),
-    x, a >= 0, with Bland's anti-cycling rule.  Feasible iff optimum ~ 0."""
+    x, a >= 0, with Bland's anti-cycling rule.  Feasible iff optimum ~ 0.
+
+    Each pivot enters the first eligible column (flatnonzero), runs the
+    ratio test over the rows with a positive entering entry only, and
+    eliminates with one rank-1 update of the rows with a nonzero one."""
     A = np.asarray(A, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     m, n = A.shape
@@ -43,29 +47,26 @@ def phase1_feasibility(A: np.ndarray, b: np.ndarray, max_iter: int = 10_000) -> 
     it = 0
     while it < max_iter:
         it += 1
-        enter = -1
-        for j in range(n + m):  # Bland: smallest eligible index
-            if T[m, j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = np.flatnonzero(T[m, : n + m] < -PIVOT_TOL)
+        if eligible.size == 0:
             break
+        enter = int(eligible[0])  # Bland: smallest eligible index
         leave, best = -1, np.inf
-        for i in range(m):
-            if T[i, enter] > PIVOT_TOL:
-                ratio = T[i, -1] / T[i, enter]
-                if ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best, leave = ratio, i
+        for i in np.flatnonzero(T[:m, enter] > PIVOT_TOL).tolist():
+            ratio = T[i, -1] / T[i, enter]
+            if ratio < best - PIVOT_TOL or (
+                abs(ratio - best) <= PIVOT_TOL
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best, leave = ratio, i
         if leave < 0:
             break  # unbounded cannot happen in phase 1; guard anyway
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and abs(T[i, enter]) > 0:
-                T[i] -= T[i, enter] * T[leave]
+        T[leave] /= T[leave, enter]
+        # one rank-1 update of every other row with a nonzero entering entry
+        col = T[:, enter].copy()
+        col[leave] = 0.0
+        rows = np.flatnonzero(np.abs(col) > 0)
+        T[rows] -= np.outer(col[rows], T[leave])
         basis[leave] = enter
 
     x = np.zeros(n)

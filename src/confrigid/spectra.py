@@ -49,7 +49,9 @@ class EigenspaceDecomposition:
 
 def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
     """Full decomposition of a symmetric matrix; near-equal eigenvalues are
-    merged into one eigenspace, whose basis is eigh's columns for them."""
+    merged into one eigenspace, whose basis is eigh's columns for them and
+    whose value is the mean of the merged eigenvalues (np.mean's, bit for
+    bit, with no call per eigenspace of dimension one or two)."""
     M = np.asarray(M, dtype=float)
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
     if not np.allclose(M, M.T, rtol=0, atol=1e-12 * scale):
@@ -61,12 +63,18 @@ def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceD
     vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
     # a new eigenspace starts wherever consecutive eigenvalues differ by more
     # than group_tol; eigh's columns are orthonormal, so each slice is a basis
-    cuts = [0, *(np.flatnonzero(np.diff(vals) > group_tol) + 1).tolist(), len(vals)]
-    eigenvalues = [float(np.mean(vals[a:b])) for a, b in zip(cuts, cuts[1:])]
-    mults = np.diff(cuts)
-    bases = [vecs[:, a:b] for a, b in zip(cuts, cuts[1:])]
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > group_tol) + 1, [len(vals)]))
+    starts, mults = cuts[:-1], np.diff(cuts)
+    # each value bit for bit np.mean of its group: a singleton is its value,
+    # a pair (a + b) / 2, and only larger groups call np.mean
+    eigenvalues = vals[starts]
+    pair = mults == 2
+    eigenvalues[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
+    for k in np.flatnonzero(mults > 2):
+        eigenvalues[k] = np.mean(vals[starts[k] : cuts[k + 1]])
+    bases = [vecs[:, a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
     return EigenspaceDecomposition(
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=eigenvalues,
         multiplicities=mults,
         bases=bases,
         group_tol=group_tol,
@@ -109,15 +117,16 @@ class CharacterTable:
 
 def character_spectrum(spec: CayleySpec) -> CharacterTable:
     """All characters of the group with eigenvalues
-    lambda_k = sum over the full symmetric S of (1 - Re chi^k(s))."""
-    elems = spec.elements()
-    N = spec.size
-    arr = np.array(elems, dtype=float)  # N x r
+    lambda_k = sum over the full symmetric S of (1 - Re chi^k(s)).
+    Element coordinates come from one np.indices grid, generator columns
+    from one ravel of the generators."""
+    grid = np.indices(spec.orders).reshape(len(spec.orders), -1)
+    arr = grid.T.astype(float)  # N x r, mixed-radix order
     orders = np.array(spec.orders, dtype=float)
     # phase[k, g] = sum_t k_t * g_t / n_t
     phase = (arr / orders) @ arr.T
     chars = np.exp(2j * np.pi * phase)
-    gen_idx = [spec.index_of(s) for s in spec.gens]
+    gen_idx = np.ravel_multi_index(np.array(spec.gens).T, spec.orders)
     eigenvalues = np.sum(1.0 - chars[:, gen_idx].real, axis=1)
     return CharacterTable(spec=spec, chars=chars, eigenvalues=eigenvalues)
 
@@ -126,7 +135,7 @@ def characters_for_eigenvalue(
     table: CharacterTable, lam: float, tol: float = 1e-8
 ) -> list[int]:
     """Indices of characters whose eigenvalue matches lam within tol."""
-    hits = [k for k in range(table.size) if abs(table.eigenvalues[k] - lam) <= tol]
+    hits = np.flatnonzero(np.abs(table.eigenvalues - lam) <= tol).tolist()
     if not hits:
         raise EigenvalueError(f"no character eigenvalue near {lam}")
     return hits

@@ -309,13 +309,17 @@ def find_automorphisms(
 
 def cayley_translations(spec: CayleySpec) -> PermutationSet:
     """Translation action of the group on itself (one generator per cyclic
-    factor), making the Cayley graph vertex-transitive by construction."""
-    elems = spec.elements()
-    gens = []
-    for t in range(len(spec.orders)):
-        unit = tuple(1 if i == t else 0 for i in range(len(spec.orders)))
-        gens.append(tuple(spec.index_of(spec.add(gel, unit)) for gel in elems))
-    return PermutationSet(n=spec.size, gens=tuple(gens))
+    factor), making the Cayley graph vertex-transitive by construction.
+    Generator t maps element g to g + e_t: one wrapped ravel of the element
+    grid with coordinate t advanced."""
+    r = len(spec.orders)
+    grid = np.indices(spec.orders).reshape(r, -1)
+    units = np.eye(r, dtype=int)[:, :, None]  # units[:, t] is e_t as a column
+    gens = tuple(
+        tuple(np.ravel_multi_index(grid + units[:, t], spec.orders, mode="wrap").tolist())
+        for t in range(r)
+    )
+    return PermutationSet(n=spec.size, gens=gens)
 
 
 def parse_generators(text: str, n: int) -> PermutationSet:

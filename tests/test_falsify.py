@@ -214,7 +214,7 @@ def _grid(g, end, d):
 
 
 @pytest.mark.parametrize("g, end", STEP_CASES)
-def test_direction_search_refutes(monkeypatch, g, end):
+def test_line_search_refutes_at_first_improving_step(monkeypatch, g, end):
     # the decision separates at X = I / k, where c is the canonical
     # embedding's centred squared edge lengths over k, and the line search
     # along that c refutes at its first improving step

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.errors import GeneratorError, WeightError
 from confrigid.graphs import (
     CayleySpec,
@@ -15,6 +16,7 @@ from confrigid.graphs import (
     normalized_weights,
     parse_edge_list,
 )
+from confrigid.spectra import character_spectrum
 
 
 def test_normalize_edges_sorts_and_dedups():
@@ -40,6 +42,34 @@ def test_cayley_spec_requires_symmetry():
         CayleySpec(orders=(5,), gens=frozenset({(1,)}))
     with pytest.raises(GeneratorError):
         CayleySpec(orders=(5,), gens=frozenset({(0,)}))
+
+
+def test_cayley_spec_reduces_generators_mod_the_orders():
+    # -1 is 5 in Z_6: the set is symmetric once reduced
+    spec = CayleySpec(orders=(6,), gens=((1,), (-1,)))
+    assert spec.gens == ((1,), (5,))
+    assert cayley_abelian(spec).edges == circulant(6, {1}).edges
+
+
+def test_cayley_spec_drops_repeated_generators():
+    # 7 is 1 in Z_6; summed twice, the table's eigenvalues were {0, 1.5, 4.5, 6}
+    spec = CayleySpec(orders=(6,), gens=((1,), (5,), (7,)))
+    assert spec.gens == ((1,), (5,))
+    g = cayley_abelian(spec)
+    assert g.edges == circulant(6, {1}).edges
+    lam = np.unique(np.round(character_spectrum(spec).eigenvalues, 9))
+    assert lam.tolist() == [0.0, 1.0, 3.0, 4.0]
+    opts = CheckOptions(skip_stages=frozenset({"edge_transitive"}))
+    rep = check_conformal_rigidity(g, opts)
+    assert (rep.lower.verdict, rep.upper.verdict) == ("certified", "certified")
+    assert (rep.lower.method, rep.upper.method) == ("CharacterLP", "CharacterLP")
+
+
+def test_cayley_spec_keeps_valid_generators_in_order():
+    gens = ((0, 1), (2, 0), (1, 0), (0, 2))
+    assert CayleySpec(orders=(3, 3), gens=gens).gens == gens
+    as_set = frozenset(gens)
+    assert CayleySpec(orders=(3, 3), gens=as_set).gens == tuple(as_set)
 
 
 def test_circulant_structure():
