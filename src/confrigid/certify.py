@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,9 +46,12 @@ from .sdp import (
 from .spectra import (
     CharacterTable,
     EigenspaceDecomposition,
+    character_eigenspaces,
     character_spectrum,
+    character_walk1,
     characters_for_eigenvalue,
     eigendecompose,
+    resolve_group_tol,
 )
 from .symmetry import (
     SEARCH_MAX_N,
@@ -216,20 +220,10 @@ def abelian_lp_certificate(
     if table is None:
         table = character_spectrum(spec)
     idxs = characters_for_eigenvalue(table, lam, tol=char_tol)
-    gen_idx = [spec.index_of(s) for s in spec.gens]
     # chi_Gamma / |Gamma| has entry s equal to conj(chi(s))
-    V = np.conj(table.chars[np.ix_(idxs, gen_idx)])  # d x |S|
+    V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])  # d x |S|
     d = len(idxs)
-    # variables: c_1..c_d, t_plus, t_minus (all >= 0)
-    rows, rhs = [], []
-    for col in range(len(gen_idx)):
-        rows.append(np.concatenate([V[:, col].real, [-1.0, 1.0]]))
-        rhs.append(0.0)
-        rows.append(np.concatenate([V[:, col].imag, [0.0, 0.0]]))
-        rhs.append(0.0)
-    rows.append(np.concatenate([np.ones(d), [0.0, 0.0]]))
-    rhs.append(1.0)
-    res = phase1_feasibility(np.stack(rows), np.array(rhs))
+    res = phase1_feasibility(*character_lp_system(V))
     if res.objective > 1e-7:
         return LpCertificateResult(
             status="not_in_polytope",
@@ -270,6 +264,23 @@ def abelian_lp_certificate(
         lp_objective=res.objective,
         complex_only=complex_only,
     )
+
+
+def character_lp_system(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The character LP A x = b, x >= 0, for the d x |S| generator values V
+    of d characters.  The variables are c_1..c_d, t_plus and t_minus; each
+    generator s gives the rows Re(c V[:, s]) - t = 0 and Im(c V[:, s]) = 0,
+    in that order, and the last row is sum c = 1: (2|S| + 1) x (d + 2)."""
+    d, s = V.shape
+    A = np.zeros((2 * s + 1, d + 2))
+    A[0 : 2 * s : 2, :d] = V.real.T
+    A[0 : 2 * s : 2, d] = -1.0
+    A[0 : 2 * s : 2, d + 1] = 1.0
+    A[1 : 2 * s : 2, :d] = V.imag.T
+    A[-1, :d] = 1.0
+    b = np.zeros(2 * s + 1)
+    b[-1] = 1.0
+    return A, b
 
 
 def lp_certificate_embedding(
@@ -523,19 +534,22 @@ def _certify_end(
     g: Graph,
     end: str,
     lam: float,
-    dec: EigenspaceDecomposition,
+    decomposition: Callable[[], EigenspaceDecomposition],
     perms: PermutationSet | None,
     orb: OrbitPartition | None,
     walk1: bool | None,
     table: CharacterTable | None,
     opts: CheckOptions,
 ) -> EndReport:
+    """One end of the cascade.  decomposition returns the dense
+    eigendecomposition, built on its first call, so an end the character LP
+    certifies before any stage asks for it makes no dense eigensolve."""
     lp_refuted = False
 
     @functools.cache
     def canonical() -> Certificate | None:
         try:
-            emb = canonical_embedding(g, dec, lam)
+            emb = canonical_embedding(g, decomposition(), lam)
         except EigenvalueError:
             return None
         return _verified_certificate(
@@ -596,7 +610,7 @@ def _certify_end(
         if found is not None:
             return found
 
-    U = dec.basis_for(lam)
+    U = decomposition().basis_for(lam)
     decision = _decide(g, U, orb, opts.feas_tol)
 
     # both SDP stages certify from the end's one Gram matrix (none after a
@@ -609,7 +623,7 @@ def _certify_end(
     if gram is not None:
         if symmetrized:
             cert = eigenvector_certificate(
-                g, dec, lam, perms, opts.feas_tol, opts.iso_tol, end, orb, gram
+                g, decomposition(), lam, perms, opts.feas_tol, opts.iso_tol, end, orb, gram
             )
         else:
             cert = _gram_certificate(g, U, gram, lam, end, opts.iso_tol)
@@ -655,7 +669,13 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     rigid, the falsifier makes one line search along c.  No random numbers
     are drawn, so no verdict depends on a seed.
     walk1 comes from the eigenprojectors (no walk counts), and no group is
-    listed.  Both ends must certify for the headline verdict.
+    listed.  On an abelian Cayley graph with the character LP enabled,
+    lambda_2, lambda_n and walk1 come from the character table (closed-form
+    eigenvalues, projector entries summed over each eigenvalue's
+    characters), and the dense eigendecomposition is built only for an
+    end that needs it: the edge-transitive stage's canonical test, or an
+    end the LP does not certify.  Both ends must certify for the headline
+    verdict.
     """
     opts = options or CheckOptions()
     if not g.is_connected():
@@ -665,12 +685,19 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    dec = eigendecompose(g.unit_laplacian, group_tol=opts.group_tol)
-    lam2 = float(dec.eigenvalues[1])
-    lamn = float(dec.eigenvalues[-1])
+    decomposition = functools.cache(
+        lambda: eigendecompose(g.unit_laplacian, group_tol=opts.group_tol)
+    )
     table = None
     if opts.stage_enabled("character_lp") and g.cayley_spec is not None:
         table = character_spectrum(g.cayley_spec)  # shared by both ends
+        values, order, cuts = character_eigenspaces(
+            table, resolve_group_tol(g.unit_laplacian, opts.group_tol)
+        )
+    else:
+        values = decomposition().eigenvalues
+    lam2 = float(values[1])
+    lamn = float(values[-1])
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -684,14 +711,19 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings["symmetry"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    walk1 = canonical_walk1_check(g, dec) if g.is_regular() else None
+    if table is not None:
+        walk1 = character_walk1(table, order, cuts)
+    elif g.is_regular():
+        walk1 = canonical_walk1_check(g, decomposition())
+    else:
+        walk1 = None
     timings["walkreg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lower = _certify_end(g, "lower", lam2, dec, perms, orb, walk1, table, opts)
+    lower = _certify_end(g, "lower", lam2, decomposition, perms, orb, walk1, table, opts)
     timings["lower"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    upper = _certify_end(g, "upper", lamn, dec, perms, orb, walk1, table, opts)
+    upper = _certify_end(g, "upper", lamn, decomposition, perms, orb, walk1, table, opts)
     timings["upper"] = time.perf_counter() - t0
 
     return RigidityReport(

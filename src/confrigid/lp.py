@@ -1,6 +1,7 @@
 """Dense phase-1 simplex (Bland's rule) for small equality-form feasibility
 problems: find x >= 0 with A x = b, by minimizing the sum of artificial
-variables.  Dimensions here are tiny (eigenspace multiplicity + 1), so the
+variables.  Dimensions here are tiny: the character LP over d characters of
+an eigenvalue and a generating set S is (2|S| + 1) x (d + 2), so the
 priority is determinism, not speed."""
 
 from __future__ import annotations

@@ -47,35 +47,47 @@ class EigenspaceDecomposition:
         return self.bases[self.index_of(lam, tol)]
 
 
-def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
-    """Full decomposition of a symmetric matrix; near-equal eigenvalues are
-    merged into one eigenspace, whose basis is eigh's columns for them and
-    whose value is the mean of the merged eigenvalues (np.mean's, bit for
-    bit, with no call per eigenspace of dimension one or two)."""
-    M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if not np.allclose(M, M.T, rtol=0, atol=1e-12 * scale):
-        raise NotSymmetricError("matrix is not symmetric")
+def resolve_group_tol(M: np.ndarray, group_tol: float | None) -> float:
+    """group_tol, or default_group_tol(M) when it is None; it must be positive."""
     if group_tol is None:
         group_tol = default_group_tol(M)
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
-    # a new eigenspace starts wherever consecutive eigenvalues differ by more
-    # than group_tol; eigh's columns are orthonormal, so each slice is a basis
+    return group_tol
+
+
+def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts and means of ascending vals grouped under group_tol: a new group
+    starts wherever consecutive values differ by more than group_tol, and
+    group i is vals[cuts[i]:cuts[i + 1]].  Each mean is bit for bit np.mean
+    of its group: a singleton is its value, a pair (a + b) / 2, and only
+    larger groups call np.mean."""
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > group_tol) + 1, [len(vals)]))
     starts, mults = cuts[:-1], np.diff(cuts)
-    # each value bit for bit np.mean of its group: a singleton is its value,
-    # a pair (a + b) / 2, and only larger groups call np.mean
-    eigenvalues = vals[starts]
+    means = vals[starts]
     pair = mults == 2
-    eigenvalues[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
+    means[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
     for k in np.flatnonzero(mults > 2):
-        eigenvalues[k] = np.mean(vals[starts[k] : cuts[k + 1]])
+        means[k] = np.mean(vals[starts[k] : cuts[k + 1]])
+    return cuts, means
+
+
+def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
+    """Full decomposition of a symmetric matrix; near-equal eigenvalues are
+    merged into one eigenspace (`_group`), whose basis is eigh's columns for
+    them and whose value is the mean of the merged eigenvalues."""
+    M = np.asarray(M, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
+    if not np.allclose(M, M.T, rtol=0, atol=1e-12 * scale):
+        raise NotSymmetricError("matrix is not symmetric")
+    group_tol = resolve_group_tol(M, group_tol)
+    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+    # eigh's columns are orthonormal, so each group's slice is a basis
+    cuts, eigenvalues = _group(vals, group_tol)
     bases = [vecs[:, a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
     return EigenspaceDecomposition(
         eigenvalues=eigenvalues,
-        multiplicities=mults,
+        multiplicities=np.diff(cuts),
         bases=bases,
         group_tol=group_tol,
         raw_eigenvalues=vals,
@@ -100,12 +112,14 @@ class CharacterTable:
 
     chars[k, g] = exp(2*pi*i * sum_t k_t g_t / n_t), with both the character
     index k and the group element g enumerated in the same mixed-radix order
-    as the Cayley graph's vertices.
+    as the Cayley graph's vertices; gen_idx[j] is the column of the
+    generator spec.gens[j].
     """
 
     spec: CayleySpec
     chars: np.ndarray
     eigenvalues: np.ndarray
+    gen_idx: np.ndarray
 
     @property
     def size(self) -> int:
@@ -128,7 +142,33 @@ def character_spectrum(spec: CayleySpec) -> CharacterTable:
     chars = np.exp(2j * np.pi * phase)
     gen_idx = np.ravel_multi_index(np.array(spec.gens).T, spec.orders)
     eigenvalues = np.sum(1.0 - chars[:, gen_idx].real, axis=1)
-    return CharacterTable(spec=spec, chars=chars, eigenvalues=eigenvalues)
+    return CharacterTable(spec=spec, chars=chars, eigenvalues=eigenvalues, gen_idx=gen_idx)
+
+
+def character_eigenspaces(
+    table: CharacterTable, group_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct Laplacian eigenvalues of the Cayley graph from its
+    characters, grouped as `eigendecompose` groups a dense spectrum (same
+    rule and group_tol, same means): (means, order, cuts), with order the
+    character indices sorted by eigenvalue and order[cuts[i]:cuts[i + 1]]
+    the characters of means[i].  No dense eigensolve is made."""
+    order = np.argsort(table.eigenvalues)
+    cuts, means = _group(table.eigenvalues[order], group_tol)
+    return means, order, cuts
+
+
+def character_walk1(
+    table: CharacterTable, order: np.ndarray, cuts: np.ndarray, tol: float = 1e-8
+) -> bool:
+    """1-walk regularity of the Cayley graph from its characters, grouped
+    by `character_eigenspaces`.  The eigenprojector onto the characters K of
+    one eigenvalue has (1/N) sum_{k in K} Re chi^k(s) on every edge
+    {g, g + s} and |K| / N, the same at every vertex, on its diagonal; so
+    walk1 holds iff for every K the edge entries agree within tol, the test
+    `canonical_walk1_check` makes on the dense projectors."""
+    sums = np.add.reduceat(table.chars[:, table.gen_idx].real[order], cuts[:-1], axis=0)
+    return bool(np.all(sums.max(axis=1) - sums.min(axis=1) <= tol * table.size))
 
 
 def characters_for_eigenvalue(

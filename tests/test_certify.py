@@ -2,11 +2,12 @@
 and the full cascade."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
 
-from confrigid import certify, sdp
+from confrigid import certify, cli, sdp
 from confrigid.catalog import catalog
 from confrigid.certify import (
     STAGES,
@@ -255,6 +256,32 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def test_family_scan_makes_no_dense_eigensolve(monkeypatch, capsys):
+    # the character LP certifies every end of the family, and the lambda
+    # ends and walk1 come from the character table: no eigh, no projectors
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    walk = _count_calls(monkeypatch, certify, "canonical_walk1_check")
+    assert cli.main(["family", "6", "24", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 19
+    assert {(r["lowerVerdict"], r["upperVerdict"]) for r in rows} == {("certified", "certified")}
+    assert not eigh and not walk
+
+
+def test_lp_refuted_ends_share_one_dense_decomposition(monkeypatch):
+    # the LP leaves both ends of circulant(10, {1, 2}) open (not in the
+    # polytope); the decision and the falsifier at both ends read one
+    # eigendecomposition, built on first use
+    calls = _count_calls(monkeypatch, certify, "eigendecompose")
+    walk = _count_calls(monkeypatch, certify, "canonical_walk1_check")
+    for checks in (1, 2):
+        rep = check_conformal_rigidity(circulant(10, {1, 2}))
+        assert len(calls) == checks
+        for er in (rep.lower, rep.upper):
+            assert (er.verdict, er.method) == ("refuted", "CharacterLP+Falsifier")
+    assert not walk
 
 
 def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):

@@ -213,7 +213,8 @@ def _grid(g, end, d):
     return rows, [lambda_ends(g, w)[col] for w in rows]
 
 
-def _assert_refutes_at_first_improving_step(monkeypatch, g, end):
+@pytest.mark.parametrize("g, end", STEP_CASES)
+def test_line_search_refutes_at_first_improving_step(monkeypatch, g, end):
     # the decision separates at X = I / k, where c is the canonical
     # embedding's centred squared edge lengths over k, and the line search
     # along that c refutes at its first improving step
@@ -232,18 +233,6 @@ def _assert_refutes_at_first_improving_step(monkeypatch, g, end):
     assert res.best_value == vals[first]
     _assert_witness(g, res.best_w)
     assert reverify(g, res, unit)
-
-
-# the rename from test_direction_search_refutes lands in two steps: the
-# last case keeps the old name until the next change
-@pytest.mark.parametrize("g, end", STEP_CASES[:-1])
-def test_line_search_refutes_at_first_improving_step(monkeypatch, g, end):
-    _assert_refutes_at_first_improving_step(monkeypatch, g, end)
-
-
-@pytest.mark.parametrize("g, end", STEP_CASES[-1:])
-def test_direction_search_refutes(monkeypatch, g, end):
-    _assert_refutes_at_first_improving_step(monkeypatch, g, end)
 
 
 @pytest.mark.parametrize("g, end", STEP_CASES)

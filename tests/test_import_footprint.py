@@ -11,8 +11,14 @@ import confrigid
 
 SRC = str(Path(confrigid.__file__).resolve().parent.parent)
 
+# the family scan takes the character-table path: lambda ends and walk1
+# from the table, no dense eigensolve
 PROGRAM = """
+import contextlib
+import io
+import json
 import sys
+from confrigid import cli
 from confrigid.catalog import catalog
 from confrigid.certify import check_conformal_rigidity
 from confrigid.graphs import circulant
@@ -20,6 +26,10 @@ from confrigid.graphs import circulant
 for g in (circulant(18, {1, 5}), catalog("petersen")):
     rep = check_conformal_rigidity(g)
     assert rep.lower.verdict == rep.upper.verdict == "certified", g.name
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["family", "6", "8", "--json"]) == 0
+assert len(json.loads(out.getvalue())) == 3
 print("numpy.ma" in sys.modules)
 """
 

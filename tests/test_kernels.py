@@ -2,7 +2,7 @@
 per-element loops they replaced, kept here as oracles.  Each kernel must
 agree with its loop exactly: the same edges, labels and permutations, the
 same characters and eigenvalues bit for bit, and the same LP solution,
-objective and pivot count."""
+objective and pivot count, and the same character LP system."""
 
 from itertools import product
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from confrigid.catalog import catalog
+from confrigid.certify import abelian_lp_certificate, character_lp_system
 from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian, normalize_edges
 from confrigid.lp import PIVOT_TOL, phase1_feasibility
 from confrigid.spectra import character_spectrum, characters_for_eigenvalue, eigendecompose
@@ -197,3 +198,60 @@ def test_phase1_matches_the_row_loops_on_random_lps():
         res = phase1_feasibility(A, b)
         assert res.x.tobytes() == x.tobytes(), trial
         assert (res.objective, res.iterations) == (objective, iterations), trial
+
+
+def _lp_rows_oracle(V):
+    """The per-generator row loop character_lp_system replaced."""
+    d = V.shape[0]
+    rows, rhs = [], []
+    for col in range(V.shape[1]):
+        rows.append(np.concatenate([V[:, col].real, [-1.0, 1.0]]))
+        rhs.append(0.0)
+        rows.append(np.concatenate([V[:, col].imag, [0.0, 0.0]]))
+        rhs.append(0.0)
+    rows.append(np.concatenate([np.ones(d), [0.0, 0.0]]))
+    rhs.append(1.0)
+    return np.stack(rows), np.array(rhs)
+
+
+def _abelian_lp_oracle(spec, lam, table):
+    """abelian_lp_certificate with the generator columns from index_of and
+    the rows from the loop: (status, coefficients, t, complex_only)."""
+    idxs = characters_for_eigenvalue(table, lam)
+    V = np.conj(table.chars[np.ix_(idxs, [_index_of(spec.orders, s) for s in spec.gens])])
+    d = len(idxs)
+    res = phase1_feasibility(*_lp_rows_oracle(V))
+    if res.objective > 1e-7:
+        return "not_in_polytope", None, None, False
+    if res.objective > 1e-9:
+        return "degenerate", None, None, False
+    c = np.clip(res.x[:d], 0.0, None)
+    c = c / c.sum()
+    t = float(res.x[d] - res.x[d + 1])
+    if np.max(np.abs(c @ V - t)) > 1e-7:
+        return "degenerate", None, None, False
+    support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
+    complex_only = all(np.max(np.abs(table.chars[k].imag)) > 1e-9 for k in support)
+    return "certified", c, t, complex_only
+
+
+def test_character_lp_matches_the_row_loop():
+    specs = SPECS + [circulant(N, {1, 3}).cayley_spec for N in range(4, 40)]
+    statuses = set()
+    for spec in specs:
+        table = character_spectrum(spec)
+        for lam in table.eigenvalues:
+            idxs = characters_for_eigenvalue(table, lam)
+            V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])
+            A, b = character_lp_system(V)
+            A0, b0 = _lp_rows_oracle(V)
+            assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes(), spec
+            assert A.shape == (2 * len(spec.gens) + 1, len(idxs) + 2)
+            lp = abelian_lp_certificate(spec, lam, table)
+            status, c, t, complex_only = _abelian_lp_oracle(spec, lam, table)
+            assert (lp.status, lp.t, lp.complex_only) == (status, t, complex_only), spec
+            assert (c is None) == (lp.coefficients is None)
+            if c is not None:
+                assert lp.coefficients.tobytes() == c.tobytes()
+            statuses.add(lp.status)
+    assert statuses >= {"certified", "not_in_polytope"}

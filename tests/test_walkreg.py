@@ -1,12 +1,22 @@
-"""Walk regularity vs the spherical/edge-isometric canonical-embedding test."""
+"""Walk regularity vs the spherical/edge-isometric canonical-embedding test
+and vs the character-table test of abelian Cayley graphs."""
 
 import numpy as np
 import pytest
 
+from confrigid import certify
 from confrigid.catalog import catalog
+from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.errors import NotRegularError
-from confrigid.graphs import circulant, laplacian
-from confrigid.spectra import eigendecompose
+from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian
+from confrigid.spectra import (
+    character_eigenspaces,
+    character_spectrum,
+    character_walk1,
+    default_group_tol,
+    eigendecompose,
+    resolve_group_tol,
+)
 from confrigid.walkreg import canonical_walk1_check, walk_regularity
 
 
@@ -66,3 +76,80 @@ def test_agrees_on_random_circulants():
             continue
         dec = eigendecompose(laplacian(g))
         assert walk_regularity(g).walk1 == canonical_walk1_check(g, dec), g.name
+
+
+MULTI_FACTOR_SPECS = [
+    CayleySpec((3, 3), ((1, 0), (2, 0), (0, 1), (0, 2))),
+    CayleySpec((3, 3), ((1, 0), (2, 0), (1, 1), (2, 2))),
+    CayleySpec((2, 4), ((1, 0), (0, 1), (0, 3))),
+    CayleySpec((2, 4), ((1, 1), (1, 3), (1, 0))),
+    CayleySpec((2, 2, 3), ((1, 0, 0), (0, 1, 1), (0, 1, 2), (1, 1, 0))),
+    CayleySpec((4, 4), ((1, 0), (3, 0), (0, 1), (0, 3))),
+    CayleySpec((4, 4), ((1, 0), (3, 0), (1, 1), (3, 3))),
+]
+
+
+def _cayley_corpus():
+    """Every connected circulant(N, {a, b}), N <= 24, and multi-factor specs."""
+    for N in range(4, 25):
+        for a in range(1, N // 2 + 1):
+            for b in range(a + 1, N // 2 + 1):
+                g = circulant(N, {a, b})
+                if g.is_connected():
+                    yield g
+    for spec in MULTI_FACTOR_SPECS:
+        g = cayley_abelian(spec)
+        assert g.is_connected()
+        yield g
+
+
+def _character_ends(g, group_tol=None):
+    """lambda_2, lambda_n and walk1 from the character table alone."""
+    table = character_spectrum(g.cayley_spec)
+    values, order, cuts = character_eigenspaces(
+        table, resolve_group_tol(g.unit_laplacian, group_tol)
+    )
+    return float(values[1]), float(values[-1]), character_walk1(table, order, cuts)
+
+
+def test_character_table_agrees_with_walk_counts_and_projectors():
+    seen = set()
+    for g in _cayley_corpus():
+        dec = eigendecompose(g.unit_laplacian)
+        lam2, lamn, walk1 = _character_ends(g)
+        assert walk1 == walk_regularity(g).walk1 == canonical_walk1_check(g, dec), g.name
+        for got, want in ((lam2, dec.eigenvalues[1]), (lamn, dec.eigenvalues[-1])):
+            assert abs(got - want) <= 1e-12 * (1.0 + want), g.name
+        # the check reports the table's values on the Cayley path
+        rep = check_conformal_rigidity(g)
+        assert (rep.walk1, rep.lambda2, rep.lambda_max) == (walk1, lam2, lamn), g.name
+        seen.add(walk1)
+    assert seen == {True, False}
+
+
+def test_group_tol_reaches_the_character_grouping(monkeypatch):
+    # at group_tol 0.3 the eigenvalues 0 and 0.22 of circulant(30, {1, 2})
+    # merge, so lambda_2 moves; the table groups as the dense path does
+    g = circulant(30, {1, 2})
+    lam2s = set()
+    for tol in (1e-10, 1e-3, 0.3):
+        dec = eigendecompose(g.unit_laplacian, group_tol=tol)
+        lam2, lamn, _ = _character_ends(g, tol)
+        assert abs(lam2 - dec.eigenvalues[1]) <= 1e-12 * (1.0 + lam2)
+        assert abs(lamn - dec.eigenvalues[-1]) <= 1e-12 * (1.0 + lamn)
+        lam2s.add(round(lam2, 9))
+    assert len(lam2s) == 2
+    # the check hands its option, or the default, to the grouping
+    tols = []
+    grouping = certify.character_eigenspaces
+
+    def recording(table, group_tol):
+        tols.append(group_tol)
+        return grouping(table, group_tol)
+
+    monkeypatch.setattr(certify, "character_eigenspaces", recording)
+    check_conformal_rigidity(g, CheckOptions(group_tol=1e-6))
+    check_conformal_rigidity(g)
+    assert tols == [1e-6, default_group_tol(g.unit_laplacian)]
+    with pytest.raises(ValueError):
+        check_conformal_rigidity(g, CheckOptions(group_tol=0.0))
