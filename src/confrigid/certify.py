@@ -36,12 +36,10 @@ from .graphs import CayleySpec, Graph
 from .lp import phase1_feasibility
 from .sdp import (
     LengthDecision,
-    SdpResult,
     build_sdp_instance,
     length_decision,
     rank_one_vector,
     rank_reduce,
-    sdp_feasibility,
 )
 from .spectra import (
     CharacterTable,
@@ -339,10 +337,10 @@ def _sdp_embedding(g: Graph, U: np.ndarray, X: np.ndarray, lam: float) -> Embedd
 
 
 def _gram_certificate(
-    g: Graph, U: np.ndarray, gram: SdpResult, lam: float, end: str, iso_tol: float
+    g: Graph, U: np.ndarray, gram: LengthDecision, lam: float, end: str, iso_tol: float
 ) -> Certificate | None:
     emb = _sdp_embedding(g, U, gram.X, lam)
-    extra = {"sdp_residual": gram.residual}
+    extra = {"sdp_residual": gram.spread}
     return _verified_certificate(g, emb, "sdp_gram", end, {"X": gram.X}, iso_tol, extra)
 
 
@@ -355,28 +353,6 @@ def _decide(
     return length_decision(U[e[:, 0]] - U[e[:, 1]], tol=tol, blocks=blocks)
 
 
-def _end_gram(
-    g: Graph,
-    U: np.ndarray,
-    decision: LengthDecision,
-    p: PermutationSet | None,
-    orb: OrbitPartition | None,
-    feas_tol: float,
-) -> SdpResult | None:
-    """The one Gram matrix an end certifies from: the decision's X when it
-    is rigid, else the Dykstra polish on the same blocks (None after a
-    separating c or an unconverged polish).  Either lies in the commutant,
-    where equal edge-orbit means are equal edge lengths (`length_decision`,
-    `sdp_feasibility`), so neither is projected."""
-    if decision.status == "not_rigid":
-        return None
-    if decision.status == "rigid":
-        resid = float(np.max(np.abs(decision.c - decision.c[0])))
-        return SdpResult("feasible", decision.X, resid, decision.iterations)
-    gram = sdp_feasibility(build_sdp_instance(g, U, p, orb), tol=feas_tol)
-    return gram if gram.status == "feasible" else None
-
-
 def eigenvector_certificate(
     g: Graph,
     dec: EigenspaceDecomposition,
@@ -386,26 +362,26 @@ def eigenvector_certificate(
     iso_tol: float = 1e-7,
     end: str = "lower",
     orb: OrbitPartition | None = None,
-    gram: SdpResult | None = None,
+    gram: LengthDecision | None = None,
 ) -> Certificate | None:
-    """Rank reduction of the end's one Gram matrix gram (`_end_gram`; from
-    the equal-length decision on the edge orbits of p when not given): a
-    rank-one a a^T yields an eigenvector phi = U a whose edge orbits have
-    equal mean squared lengths (orbit_sums), embedded through its
-    projection onto the commutant; otherwise the Gram certificate itself
-    is returned.  orb is the orbit partition of p, computed when not given."""
+    """Rank reduction of the X of gram, the end's rigid equal-length
+    decision on the edge orbits of p (made here when not given; None when
+    not rigid): a rank-one a a^T yields an eigenvector phi = U a whose edge
+    orbits have equal mean squared lengths (orbit_sums), embedded through
+    its projection onto the commutant; otherwise the Gram certificate
+    itself is returned.  orb is the orbit partition of p, made when not given."""
     orb = orb or orbits(g, p)
     if orb.num_vertex_orbits != 1:
         raise NotVertexTransitiveError("supplied group is not vertex-transitive")
     if lam <= 0:
         raise EigenvalueError("certificate needs a positive eigenvalue")
     U = dec.basis_for(lam)
-    gram = gram or _end_gram(g, U, _decide(g, U, orb, feas_tol), p, orb, feas_tol)
-    if gram is None:
+    gram = gram or _decide(g, U, orb, feas_tol)
+    if gram.status != "rigid":
         return None
     inst = build_sdp_instance(g, U, p, orb)
     try:
-        Xr = rank_reduce(gram.X, inst, tol=feas_tol)
+        Xr = rank_reduce(gram.X, inst)
     except NumericalRankAmbiguityError:
         Xr = gram.X
     a = rank_one_vector(Xr)
@@ -425,7 +401,7 @@ def eigenvector_certificate(
                 iso_tol,
                 extra_residuals={
                     "orbit_sum_spread": spread,
-                    "sdp_residual": gram.residual,
+                    "sdp_residual": gram.spread,
                 },
             )
             if cert is not None:
@@ -613,20 +589,18 @@ def _certify_end(
     U = decomposition().basis_for(lam)
     decision = _decide(g, U, orb, opts.feas_tol)
 
-    # both SDP stages certify from the end's one Gram matrix (none after a
-    # separating c, which proves no edge-isometric embedding exists)
+    # both SDP stages certify from the end's one Gram matrix, a rigid
+    # decision's X (none after a separating c or at the decision's cap)
     vt = orb is not None and orb.num_vertex_orbits == 1
     symmetrized = vt and opts.stage_enabled("symmetrized_sdp")
-    gram = None
-    if not lp_refuted and (symmetrized or opts.stage_enabled("trivial_sdp")):
-        gram = _end_gram(g, U, decision, perms, orb, opts.feas_tol)
-    if gram is not None:
+    gram_stage = symmetrized or opts.stage_enabled("trivial_sdp")
+    if decision.status == "rigid" and not lp_refuted and gram_stage:
         if symmetrized:
             cert = eigenvector_certificate(
-                g, decomposition(), lam, perms, opts.feas_tol, opts.iso_tol, end, orb, gram
+                g, decomposition(), lam, perms, opts.feas_tol, opts.iso_tol, end, orb, decision
             )
         else:
-            cert = _gram_certificate(g, U, gram, lam, end, opts.iso_tol)
+            cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
         if cert is not None:
             method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
             return EndReport(end, "certified", method, cert, None, cert.residuals)
@@ -664,7 +638,7 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     1-walk regularity and canonical stages share one test of the canonical
     embedding.  The decision runs at every end those stages leave open,
     whatever is skipped; both SDP stages certify from the end's one Gram
-    matrix, the decision's or its polish.  A decision that finds a
+    matrix, the decision's when it is rigid.  A decision that finds a
     separating c skips both SDP stages; at every end it does not settle as
     rigid, the falsifier makes one line search along c.  No random numbers
     are drawn, so no verdict depends on a seed.

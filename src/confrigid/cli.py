@@ -48,7 +48,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-iso", type=float, default=1e-7,
                    help="edge-isometry tolerance (relative)")
     p.add_argument("--tol-feas", type=float, default=1e-8,
-                   help="SDP feasibility tolerance")
+                   help="equal-length decision tolerance")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--stage-skip", default="",
                    help="comma list of stages to skip; stages: " + ", ".join(STAGES))

@@ -1,7 +1,7 @@
 """One equal-length Gram matrix per eigenspace: the primal-dual decision on
-the mean squared lengths of edge blocks (Frank-Wolfe over the spectraplex),
-its Dykstra polish when the decision stops short of "rigid", and
-Barvinok-Pataki rank reduction of a feasible Gram matrix."""
+the mean squared lengths of edge blocks (Wolfe's minimum-norm point over
+the spectraplex) and Barvinok-Pataki rank reduction of its Gram matrix.
+`sdp_feasibility`, a Dykstra solver, is a test oracle no check calls."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .symmetry import OrbitPartition, PermutationSet, orbits
 
 RANK_CUTOFF = 1e-7
 
-# Frank-Wolfe steps `length_decision` takes before it reports "undecided".
+# A guard: atoms `length_decision` adds before it reports "undecided".
 DECISION_ITERATIONS = 500
 # `length_decision` reports "not_rigid" when lambda_min(S(c)) exceeds this
 # multiple of sum_e |c_e| |b_e|^2, a bound on |S(c)|: far above rounding.
@@ -105,7 +105,7 @@ def sdp_feasibility(
     inst: SdpInstance, tol: float = 1e-8, max_iter: int = 5000
 ) -> SdpResult:
     """Dykstra alternating projection between the PSD cone (eigenvalue clip)
-    and the affine constraint set.
+    and the affine constraint set: a test oracle that no check calls.
 
     The constraint matrices span at most k(k+1)/2 dimensions of S^k, so
     the affine projection works in the row space of the constraint matrix
@@ -173,6 +173,11 @@ class LengthDecision:
     gap: float
     iterations: int
 
+    @property
+    def spread(self) -> float:
+        """max |c_r - c_1| over the blocks r: the equal-length residual."""
+        return float(np.max(np.abs(self.c - self.c[0])))
+
     def residuals(self) -> dict[str, float]:
         """What an end reports when this decision certified nothing: the
         dual certificate, or how far the decision got."""
@@ -194,19 +199,22 @@ def length_decision(
 
     Exactly one of two things holds: such an X exists, or some centred c,
     constant on the blocks, has S(c) = B^T diag(c) B positive definite (the
-    separating hyperplane).  Frank-Wolfe on |c(X)|^2, with c(X) the block
-    means of l(X) less their mean, finds the minimum-norm point: its
-    gradient is S(c), its linear minimizer over the spectraplex is the atom
-    V V^T / j on the bottom eigenspace V of S(c) (j columns), and the step
-    to that atom is line-searched exactly.  The run starts at X = I / k,
-    whose c is the canonical embedding's centred lengths divided by k, and
-    stops at "rigid" when |c| <= tol |l|, at "not_rigid" when
-    lambda_min(S(c)) > 0 beyond rounding (DUAL_TOL).  At k = 1, S(c) is the
+    separating hyperplane).  Wolfe's algorithm finds the minimum-norm point
+    of the centred block means c(X).  The gradient of |c(X)|^2 is S(c); its
+    linear minimizer over the spectraplex, the atom V V^T / j on the bottom
+    eigenspace V of S(c) (j columns), joins a corral that starts at I / k.
+    The minor cycle weights the corral at the affine minimum-norm point of
+    its centred length vectors (one (s+1) x (s+1) solve), walking to the
+    boundary and dropping an atom while a weight is not positive; X is the
+    weighted sum of the atoms.  The run stops at "rigid" when |c| <= tol |l|,
+    at "not_rigid" when lambda_min(S(c)) > 0 beyond rounding (DUAL_TOL), and
+    at "undecided" only at the max_iter guard.  At k = 1, S(c) is the
     scalar |c|^2, so the first two tests decide.
     With B = U_i - U_j over the edges (U an eigenspace basis) and edge-orbit
     blocks, S(c), I / k and every atom commute with the group's action on
-    the eigenspace, so X lies in the commutant, where an orbit's edges have
-    equal lengths: "rigid" means U V is edge-isometric for X = V V^T.  And
+    the eigenspace, so X lies in the commutant (never projected), where an
+    orbit's edges have equal lengths: "rigid" means U V is edge-isometric
+    for X = V V^T.  And
     U^T L(1 + t c) U = lambda I + t S(c): a small step along c (-c at
     lambda_n) moves the whole eigenvalue cluster the improving way.
     """
@@ -222,6 +230,7 @@ def length_decision(
     sq = np.sum(B * B, axis=1)
     X = np.eye(k) / k
     lengths = mean(sq) / k
+    atoms, A, w = X.reshape(1, -1), lengths[None], np.ones(1)  # the corral
     it = 0
     while True:
         c = lengths - lengths.mean()
@@ -237,18 +246,33 @@ def length_decision(
         j = int(np.count_nonzero(vals - vals[0] <= bound))
         V = vecs[:, :j]
         atom = mean(np.sum((B @ V) ** 2, axis=1)) / j
-        d = atom - atom.mean() - c
-        # <c, d> = lambda_min - |c|^2, negative unless rounding hides the step
-        descent = -float(c @ d)
+        # <c, atom - mean> = lambda_min < |c|^2 unless rounding hides the step
+        descent = float(c @ c) - float(c @ (atom - atom.mean()))
         if it == max_iter or descent <= 0.0:
             return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
-        gamma = min(1.0, descent / float(d @ d))
-        X = (1.0 - gamma) * X + gamma * (V @ V.T) / j
-        lengths = (1.0 - gamma) * lengths + gamma * atom
+        atoms = np.vstack([atoms, (V @ V.T).reshape(1, -1) / j])
+        A = np.vstack([A, atom])
+        w = np.append(w, 0.0)
+        while True:  # minor cycle: the corral's affine minimum-norm point
+            Ac = A - A.mean(axis=1, keepdims=True)
+            K = np.pad(Ac @ Ac.T, ((0, 1), (0, 1)), constant_values=1.0)
+            K[-1, -1] = 0.0
+            y = np.linalg.solve(K, np.eye(len(K))[-1])[:-1]
+            if np.all(y > 0.0):
+                w = y
+                break
+            out = np.flatnonzero(y <= 0.0)  # walk to the boundary toward y
+            ratio = w[out] / (w[out] - y[out])
+            w = w + ratio.min() * (y - w)
+            keep = w > 0.0
+            keep[out[ratio.argmin()]] = False  # the atom the walk reached
+            atoms, A, w = atoms[keep], A[keep], w[keep]
+        X = (w @ atoms).reshape(k, k)
+        lengths = w @ A
         it += 1
 
 
-def rank_reduce(X: np.ndarray, inst: SdpInstance, tol: float = 1e-8) -> np.ndarray:
+def rank_reduce(X: np.ndarray, inst: SdpInstance) -> np.ndarray:
     """Reduce a feasible X until rank(X') * (rank(X') + 1) / 2 <= number of
     equality constraints, staying feasible.  With exactly two constraints the
     output has rank one.

@@ -2,11 +2,15 @@
 and the full cascade."""
 
 import functools
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
+from test_lp_sdp import _plain_circulants
 
+import confrigid
 from confrigid import certify, cli, sdp
 from confrigid.catalog import catalog
 from confrigid.certify import (
@@ -144,27 +148,40 @@ def test_complete_10_with_supplied_generators_is_edge_transitive():
     assert rep.lower.certificate.embedding.dim == 9
 
 
+def _sdp_feasibility_bindings():
+    """The confrigid modules other than sdp that bind sdp_feasibility: the
+    Dykstra solver is an oracle for tests, and no check may reach it."""
+    names = ["confrigid"] + [
+        f"confrigid.{m.name}" for m in pkgutil.iter_modules(confrigid.__path__)
+    ]
+    return [
+        name
+        for name in names
+        if name != "confrigid.sdp"
+        and hasattr(importlib.import_module(name), "sdp_feasibility")
+    ]
+
+
 @pytest.mark.parametrize("capped", [False, True])
 def test_complete_5_minus_edge_upper_end_is_sdp_gram(monkeypatch, capped):
     # lambda_n = 5 has multiplicity 3 and the canonical embedding is not
     # edge-isometric, but an equal-length Gram matrix exists: the decision
     # finds it (inner-product constraints missed it); a decision stopped at
-    # its cap is polished by the trivial-group SDP instead
-    polished = []
-    feasibility = certify.sdp_feasibility
-
-    def counting_feasibility(*args, **kwargs):
-        polished.append(args)
-        return feasibility(*args, **kwargs)
-
-    monkeypatch.setattr(certify, "sdp_feasibility", counting_feasibility)
+    # its cap has no Gram matrix, and no line search refutes a rigid end
+    assert not _sdp_feasibility_bindings()
     if capped:
         monkeypatch.setattr(certify, "length_decision", functools.partial(length_decision, max_iter=0))
     g = Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)))
     rep = check_conformal_rigidity(g)
     assert rep.lambda_max == pytest.approx(5.0)
+    if capped:
+        er = rep.upper
+        assert (er.verdict, er.method, er.certificate, er.witness) == ("undecided", None, None, None)
+        assert er.residuals["decision_iterations"] == 0
+        assert er.residuals["decision_gap"] > 1e-8
+        assert er.residuals["falsifier_best"] >= 5.0 * (1.0 - 1e-6)
+        return
     assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
-    assert len(polished) == int(capped)
     emb = rep.upper.certificate.embedding
     assert emb.dim <= 3
     assert edge_length_profile(emb, g).is_edge_isometric
@@ -295,10 +312,10 @@ def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["circulant_12_upper", "petersen_prism_lower"])
-def test_eigenvector_end_needs_no_sdp_feasibility(monkeypatch, case):
+def test_eigenvector_end_needs_no_sdp_feasibility(case):
     # the decision on the edge orbits is rigid, so its own Gram matrix is
-    # rank-reduced: no Dykstra polish runs
-    calls = _count_calls(monkeypatch, certify, "sdp_feasibility")
+    # rank-reduced: no Dykstra solver is in reach
+    assert not _sdp_feasibility_bindings()
     if case == "circulant_12_upper":
         c = circulant(12, {1, 2})
         rep = check_conformal_rigidity(Graph(c.n, c.edges))
@@ -307,7 +324,6 @@ def test_eigenvector_end_needs_no_sdp_feasibility(monkeypatch, case):
         rep = check_conformal_rigidity(_petersen_prism())
         er = rep.lower
     assert (er.verdict, er.method) == ("certified", "Eigenvector")
-    assert not calls
 
 
 @pytest.mark.parametrize("n", [7, 40])
@@ -315,7 +331,7 @@ def test_rigid_decision_gram_needs_no_projection(monkeypatch, n):
     # K_n minus a 3-edge matching is not vertex-transitive: at lambda_n = n
     # the decision on its edge orbits is rigid, and its atoms commute with
     # the group, so X has equal lengths inside each orbit and is certified
-    # as it is, with no polish and no projection onto the commutant
+    # as it is, with no Dykstra solver and no projection onto the commutant
     cut = {(0, 1), (2, 3), (4, 5)}
     g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in cut))
     U = eigendecompose(laplacian(g)).basis_for(float(n))
@@ -331,30 +347,28 @@ def test_rigid_decision_gram_needs_no_projection(monkeypatch, n):
     lengths = np.einsum("ek,kl,el->e", B, d.X, B)
     for block in orb.edge_orbits:
         assert np.ptp(lengths[list(block)]) <= 1e-12
-    polish = _count_calls(monkeypatch, certify, "sdp_feasibility")
+    assert not _sdp_feasibility_bindings()
     projections = _count_calls(monkeypatch, certify, "_commutant_projection")
     rep = check_conformal_rigidity(g)
     assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
-    assert not polish and not projections
+    assert not projections
 
 
-def test_polish_stays_in_the_commutant(monkeypatch):
-    # the same K7 minus a matching with the decision stopped at its cap:
-    # the Dykstra polish on the edge orbits starts at I / k and every
-    # projection commutes with the group, so its X needs no projection
-    monkeypatch.setattr(certify, "length_decision", functools.partial(length_decision, max_iter=0))
-    polish = _count_calls(monkeypatch, certify, "sdp_feasibility")
-    projections = _count_calls(monkeypatch, certify, "_commutant_projection")
-    cut = {(0, 1), (2, 3), (4, 5)}
-    g = Graph(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7) if (i, j) not in cut))
-    rep = check_conformal_rigidity(g)
-    assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
-    assert len(polish) == 1 and not projections
-    U = eigendecompose(laplacian(g)).basis_for(7.0)
-    X = rep.upper.certificate.payload["X"]
-    for sigma in find_automorphisms(g).gens:
-        R = U.T @ U[list(sigma)]
-        assert np.allclose(R @ X @ R.T, X, rtol=0.0, atol=1e-12)
+def test_no_decision_in_a_check_reaches_its_cap(monkeypatch):
+    # every plain-edge-list circulant(N, S) with N <= 14 and |S| <= 3: the
+    # decision settles every end it is asked about before its cap (plain
+    # Frank-Wolfe stopped there at four ends with N = 12)
+    decisions = []
+
+    def recording(*args, **kwargs):
+        decisions.append(length_decision(*args, **kwargs))
+        return decisions[-1]
+
+    monkeypatch.setattr(certify, "length_decision", recording)
+    for g in _plain_circulants(14, [1, 2, 3]):
+        check_conformal_rigidity(g)
+    assert decisions
+    assert [d.status for d in decisions if d.status == "undecided"] == []
 
 
 def test_character_table_built_once_per_check(monkeypatch):

@@ -1,13 +1,19 @@
-"""Phase-1 simplex oracle checks, SDP feasibility, and rank reduction."""
+"""Phase-1 simplex oracle checks, SDP feasibility, the equal-length
+decision, and rank reduction."""
+
+import itertools
 
 import numpy as np
 import pytest
+from test_census import _connected_graphs
 
 from confrigid.catalog import catalog
 from confrigid.graphs import circulant, laplacian
 from confrigid.lp import phase1_feasibility
 from confrigid.graphs import Graph
 from confrigid.sdp import (
+    DECISION_ITERATIONS,
+    DUAL_TOL,
     build_sdp_instance,
     length_decision,
     rank_one_vector,
@@ -152,6 +158,123 @@ def test_singleton_blocks_match_no_blocks_bit_for_bit():
         single = length_decision(B, blocks=[(e,) for e in range(g.m)])
         assert (single.status, single.iterations) == (plain.status, plain.iterations)
         assert np.array_equal(single.X, plain.X) and np.array_equal(single.c, plain.c)
+
+
+def _frank_wolfe_status(B, blocks=None):
+    """The status of plain Frank-Wolfe on the same problem, kept as an
+    oracle for `length_decision`: each step blends in one bottom-eigenspace
+    atom with an exact line search and never re-weights the old ones, with
+    the same start, stop tests and cap."""
+    k = B.shape[1]
+    label = np.arange(len(B))
+    for r, block in enumerate(blocks or ()):
+        label[list(block)] = r
+    size = np.bincount(label)
+
+    def mean(x):
+        return (np.bincount(label, weights=x) / size)[label]
+
+    sq = np.sum(B * B, axis=1)
+    lengths = mean(sq) / k
+    for _ in range(DECISION_ITERATIONS + 1):
+        c = lengths - lengths.mean()
+        if np.linalg.norm(c) <= 1e-8 * np.linalg.norm(lengths):
+            return "rigid"
+        vals, vecs = np.linalg.eigh((B.T * c) @ B)
+        bound = DUAL_TOL * float(np.abs(c) @ sq)
+        if vals[0] > bound:
+            return "not_rigid"
+        j = int(np.count_nonzero(vals - vals[0] <= bound))
+        atom = mean(np.sum((B @ vecs[:, :j]) ** 2, axis=1)) / j
+        d = atom - atom.mean() - c
+        descent = -float(c @ d)
+        if descent <= 0.0:
+            break
+        lengths = lengths + min(1.0, descent / float(d @ d)) * (atom - lengths)
+    return "undecided"
+
+
+def _plain_circulants(max_n, sizes):
+    """Connected circulant(N, S) with N <= max_n and |S| in sizes, as plain
+    edge lists: the check finds their groups by search."""
+    for n in range(3, max_n + 1):
+        for size in sizes:
+            for S in itertools.combinations(range(1, n // 2 + 1), size):
+                c = circulant(n, set(S))
+                g = Graph(c.n, c.edges)
+                if g.is_connected():
+                    yield g
+
+
+def _edge_orbit_ends(g):
+    """Both ends' edge rows with the check's blocks: the edge orbits of the
+    searched group, or single edges when every orbit is one edge."""
+    dec = eigendecompose(laplacian(g))
+    p = find_automorphisms(g)
+    orb = orbits(g, p)
+    blocks = orb.edge_orbits if orb.num_edge_orbits < g.m else None
+    for lam in (dec.eigenvalues[1], dec.eigenvalues[-1]):
+        yield dec.basis_for(lam), _edge_rows(g, lam, dec), blocks, p
+
+
+def test_length_decision_agrees_with_frank_wolfe_where_it_decides():
+    # every connected graph on n <= 6 vertices and the plain-edge-list
+    # circulant(N, {a, b}) with N <= 16
+    graphs = [g for n in range(2, 7) for g in _connected_graphs(n)]
+    graphs += _plain_circulants(16, [2])
+    ends = decided = 0
+    for g in graphs:
+        for _, B, blocks, _ in _edge_orbit_ends(g):
+            status = _frank_wolfe_status(B, blocks)
+            d = length_decision(B, blocks=blocks)
+            assert d.status != "undecided", g.edges
+            ends += 1
+            if status != "undecided":
+                assert d.status == status, g.edges
+                decided += 1
+    assert decided == ends
+
+
+def test_length_decision_agrees_with_frank_wolfe_on_random_rows():
+    # no graph above makes the minor cycle drop an atom from its corral;
+    # random rows often do
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((int(rng.integers(3, 9)), int(rng.integers(2, 5))))
+        d = length_decision(B)
+        assert d.status != "undecided", seed
+        status = _frank_wolfe_status(B)
+        assert status in ("undecided", d.status), seed
+        assert np.trace(d.X) == pytest.approx(1.0)
+        assert np.min(np.linalg.eigvalsh(d.X)) >= -1e-12
+        lengths = np.einsum("ek,kl,el->e", B, d.X, B)
+        assert np.allclose(d.c, lengths - lengths.mean(), rtol=0.0, atol=1e-12), seed
+        if d.status == "rigid":
+            assert np.ptp(lengths) <= 1e-8 * np.linalg.norm(lengths)
+
+
+@pytest.mark.parametrize(
+    "S, end",
+    [((1, 2, 3), "upper"), ((2, 3, 5), "upper"), ((1, 4, 6), "lower"), ((4, 5, 6), "lower")],
+)
+def test_length_decision_finishes_where_frank_wolfe_caps(S, end):
+    # plain Frank-Wolfe zigzags to its cap on these three edge orbits; the
+    # corral's affine minimum-norm point lands on the face at once
+    c = circulant(12, set(S))
+    g = Graph(c.n, c.edges)
+    lower, upper = _edge_orbit_ends(g)
+    U, B, blocks, p = upper if end == "upper" else lower
+    assert len(blocks) == 3
+    assert _frank_wolfe_status(B, blocks) == "undecided"
+    d = length_decision(B, blocks=blocks)
+    assert d.status == "rigid" and d.iterations <= 3
+    assert np.trace(d.X) == pytest.approx(1.0)
+    assert np.min(np.linalg.eigvalsh(d.X)) >= -1e-12
+    for sigma in p.gens:
+        R = U.T @ U[list(sigma)]
+        assert np.allclose(R @ d.X @ R.T, d.X, rtol=0.0, atol=1e-12)
+    lengths = np.einsum("ek,kl,el->e", B, d.X, B)
+    assert np.ptp(lengths) <= 1e-8 * np.linalg.norm(lengths)
 
 
 def test_rank_reduction_to_rank_one_circulant18():
