@@ -160,16 +160,19 @@ def _refine_colors(g: Graph) -> np.ndarray:
     """Equitable partition by iterated (color, multiset of neighbor colors),
     colours numbered by the rank of their signature.
 
-    Each round sorts the half-edges by (source, colour of the far end), which
-    lays out each vertex's neighbour colours as one ascending row padded with
-    -1, and ranks the signatures with one lexsort.  Vertices of one colour
-    have the same degree, so the padding never decides between two
-    signatures."""
+    On a regular graph the unit partition is already equitable, so the
+    all-zero colouring returns without a round.  Otherwise each round sorts
+    the half-edges by (source, colour of the far end), which lays out each
+    vertex's neighbour colours as one ascending row padded with -1, and
+    ranks the signatures with one lexsort.  Vertices of one colour have the
+    same degree, so the padding never decides between two signatures."""
     n = g.n
+    deg = g.degrees()
+    if deg.min() == deg.max():
+        return np.zeros(n, dtype=np.intp)
     e = g.edge_array
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])
-    deg = g.degrees()
     start = np.cumsum(deg) - deg
     _, colors = np.unique(deg, return_inverse=True)
     while True:
@@ -186,14 +189,6 @@ def _refine_colors(g: Graph) -> np.ndarray:
         colors = new
 
 
-def _bits(mask: int):
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def find_automorphisms(
     g: Graph, limit: int = 500_000, max_n: int = SEARCH_MAX_N
 ) -> PermutationSet:
@@ -206,10 +201,14 @@ def find_automorphisms(
     one depth-first search for an automorphism with v -> c, which stops at
     the first.  Generators found deeper fix order[:l], so the orbit test is
     exact and the result generates Aut(G) (Schreier-Sims, with the first-path
-    orbit pruning of McKay-Piperno).  Each candidate assignment counts one
-    node against `limit`; if the budget is exhausted, the generators found so
-    far are returned with the exhausted flag, and downstream results then
-    hold for the subgroup they generate.
+    orbit pruning of McKay-Piperno).  The same holds for a failed search:
+    if no automorphism fixing order[:l] maps v to c, none maps v into c's
+    orbit, so that orbit is skipped for the rest of the level.  Only failed
+    searches are skipped, so the generators are those found without the
+    pruning.  Each candidate assignment counts one node against `limit`; if
+    the budget is exhausted, the generators found so far are returned with
+    the exhausted flag, and downstream results then hold for the subgroup
+    they generate.
 
     Neighbourhoods, colour classes and the used vertices are bitsets held
     in Python ints, so each node costs a few word operations."""
@@ -221,9 +220,12 @@ def find_automorphisms(
     if len(class_size) == n:  # discrete: only the identity
         return PermutationSet(n=n, gens=())
     adj = [0] * n
+    nbr: list[list[int]] = [[] for _ in range(n)]
     for i, j in g.edge_array.tolist():
         adj[i] |= 1 << j
         adj[j] |= 1 << i
+        nbr[i].append(j)
+        nbr[j].append(i)
     color = colors.tolist()
     class_mask = [0] * len(class_size)
     for v, c in enumerate(color):
@@ -243,7 +245,7 @@ def find_automorphisms(
             continue
         placed[v] = True
         order.append(v)
-        for u in _bits(adj[v]):
+        for u in nbr[v]:
             if not placed[u]:
                 touched[u] += 1
                 heapq.heappush(heap, (-touched[u], size_of[u], u))
@@ -253,7 +255,7 @@ def find_automorphisms(
     # per level: the class of order[l], and the prefix levels adjacent to it
     level_class = [class_mask[color[v]] for v in order]
     prefix_nbrs = [
-        [level_of[u] for u in _bits(adj[v]) if level_of[u] < level]
+        [level_of[u] for u in nbr[v] if level_of[u] < level]
         for level, v in enumerate(order)
     ]
     image = list(order)  # image[i] is the image of order[i]
@@ -273,7 +275,15 @@ def find_automorphisms(
         nbrs = prefix_nbrs[level]
         for j in nbrs:
             mask &= adj[image[j]]
-        return [c for c in _bits(mask) if (adj[c] & used).bit_count() == len(nbrs)]
+        k = len(nbrs)
+        out = []
+        while mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            if (adj[c] & used).bit_count() == k:
+                out.append(c)
+            mask ^= low
+        return out
 
     def extend(level: int, c: int) -> bool:
         """Map order[level] to c and complete the map depth-first to an
@@ -297,11 +307,21 @@ def find_automorphisms(
     for level in range(n - 1, -1, -1):
         v = order[level]
         used &= ~(1 << v)  # order[:level] stays fixed pointwise
+        home = orbit_of.find(v)
+        failed = set()  # roots of the orbits where extend failed
         for c in candidates(level):
-            if orbit_of.find(c) != orbit_of.find(v) and extend(level, c):
-                gens.append(tuple(image[level_of[u]] for u in range(n)))
-                for i, j in enumerate(gens[-1]):
+            root = orbit_of.find(c)
+            if root == home or root in failed:
+                continue
+            if not extend(level, c):
+                failed.add(root)
+                continue
+            gens.append(tuple(image[level_of[u]] for u in range(n)))
+            for i, j in enumerate(gens[-1]):
+                if i != j:
                     orbit_of.union(i, j)
+            home = orbit_of.find(v)
+            failed = {orbit_of.find(r) for r in failed}
         if exhausted:
             break
     return PermutationSet(n=n, gens=tuple(gens), exhausted=exhausted)

@@ -1,5 +1,7 @@
 """Automorphism search, group closure, and orbit partitions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,27 @@ def test_non_automorphism_rejected():
             orbits(g, p)
 
 
+def _brute_force_group_order(g):
+    """Oracle: the vertex permutations that map the edge set onto itself."""
+    edges = set(g.edges)
+    return sum(
+        all(tuple(sorted((p[i], p[j]))) in edges for i, j in g.edges)
+        for p in itertools.permutations(range(g.n))
+    )
+
+
+def test_group_orders_match_brute_force():
+    # every connected graph with n <= 6, natural and relabelled: a pruned
+    # search that skipped an orbit holding an automorphism loses group order
+    for n in CONNECTED:
+        for g in _connected_graphs(n):
+            want = _brute_force_group_order(g)
+            for h in (g, _relabelled(g, n)):
+                p = find_automorphisms(h)
+                assert not p.exhausted
+                assert group_order(p) == want, h.edges
+
+
 @pytest.mark.parametrize(
     "g",
     [catalog(name) for name in ("hoffman", "petersen", "path_5", "complete_bipartite_2_3")]
@@ -192,6 +215,22 @@ def test_refinement_matches_adjacency_oracle():
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), g.edges
 
 
+@pytest.mark.parametrize("name", ["hypercube_4", "petersen", "cycle_12"])
+def test_refinement_of_regular_graph_runs_no_round(monkeypatch, name):
+    # the unit partition of a regular graph is equitable: all zeros, with
+    # no sort of the half-edges or the signatures
+    g = _relabelled(catalog(name))
+    want = _refine_colors_by_adjacency(g.adjacency())
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("refinement sorted on a regular graph")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    monkeypatch.setattr(np, "argsort", no_sort)
+    got = _refine_colors(g)
+    assert got.dtype == want.dtype and got.tolist() == [0] * g.n
+
+
 # the vertex order, the candidate order and the orbit pruning decide each
 # generator, so these pin the search tree
 PINNED_GENERATORS = {
@@ -235,17 +274,19 @@ def test_generators_pinned_under_relabelling(name):
     "name,nodes",
     [
         ("petersen", 34),
-        ("hoffman", 906),
+        ("hoffman", 261),
+        ("shrikhande_complement", 142),
         ("cycle_12", 23),
         ("hypercube_4", 73),
         ("complete_bipartite_4_5", 41),
-        ("triangular_prism", 25),
+        ("triangular_prism", 22),
     ],
 )
 def test_search_node_count_pinned(name, nodes):
     # the whole search takes exactly `nodes` candidate assignments: a budget
-    # one short is exhausted.  Pruning by non-adjacency to the prefix never
-    # changes the generators found, only this count.
+    # one short is exhausted.  Pruning by non-adjacency to the prefix and
+    # failed-orbit pruning (no search into the orbit of a candidate whose
+    # search failed) never change the generators found, only this count.
     g = _relabelled(catalog(name))
     assert not find_automorphisms(g, limit=nodes).exhausted
     assert find_automorphisms(g, limit=nodes - 1).exhausted
