@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -205,11 +205,15 @@ def abelian_lp_certificate(
     spec: CayleySpec,
     lam: float,
     table: CharacterTable | None = None,
-    char_tol: float = 1e-8,
+    characters: Sequence[int] | None = None,
 ) -> LpCertificateResult:
     """Decide whether the constant line meets the character polytope for the
     eigenspace of lam: find convex weights c over the characters of lam and a
     real t with sum_j c_j * chi^j_Gamma = t * 1.
+
+    characters are the indices of the characters of lam's eigenspace, as
+    `character_eigenspaces` groups them (any order; the LP takes them
+    ascending); when None, those whose eigenvalue is within 1e-8 of lam.
 
     Certified implies an edge-isometric embedding on that eigenspace exists;
     NotInPolytope implies none exists, hence at lambda_2 or lambda_n the
@@ -217,7 +221,10 @@ def abelian_lp_certificate(
     """
     if table is None:
         table = character_spectrum(spec)
-    idxs = characters_for_eigenvalue(table, lam, tol=char_tol)
+    if characters is None:
+        idxs = characters_for_eigenvalue(table, lam)
+    else:
+        idxs = sorted(int(k) for k in characters)
     # chi_Gamma / |Gamma| has entry s equal to conj(chi(s))
     V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])  # d x |S|
     d = len(idxs)
@@ -515,11 +522,14 @@ def _certify_end(
     orb: OrbitPartition | None,
     walk1: bool | None,
     table: CharacterTable | None,
+    characters: np.ndarray | None,
     opts: CheckOptions,
 ) -> EndReport:
     """One end of the cascade.  decomposition returns the dense
     eigendecomposition, built on its first call, so an end the character LP
-    certifies before any stage asks for it makes no dense eigensolve."""
+    certifies before any stage asks for it makes no dense eigensolve.
+    characters are the table's characters of lam, grouped under the check's
+    group_tol (None without a table)."""
     lp_refuted = False
 
     @functools.cache
@@ -553,23 +563,30 @@ def _certify_end(
             return found
 
     if table is not None:
-        lp = abelian_lp_certificate(table.spec, lam, table)
+        lp = abelian_lp_certificate(table.spec, lam, table, characters)
         if lp.status == "certified":
-            emb = lp_certificate_embedding(table.spec, lam, lp, g, table)
-            cert = _verified_certificate(
-                g,
-                emb,
-                "character_lp",
-                end,
-                {
-                    "coefficients": lp.coefficients,
-                    "character_indices": list(lp.character_indices),
-                    "t": lp.t,
-                    "complex_only": lp.complex_only,
-                },
-                opts.iso_tol,
-                extra_residuals={"lp_objective": lp.lp_objective},
-            )
+            try:
+                emb = lp_certificate_embedding(table.spec, lam, lp, g, table)
+            except EigenvalueError:
+                # under a coarse group_tol a class can merge characters of
+                # distinct eigenvalues, and their combination is then no
+                # eigenvector of lam: no certificate
+                cert = None
+            else:
+                cert = _verified_certificate(
+                    g,
+                    emb,
+                    "character_lp",
+                    end,
+                    {
+                        "coefficients": lp.coefficients,
+                        "character_indices": list(lp.character_indices),
+                        "t": lp.t,
+                        "complex_only": lp.complex_only,
+                    },
+                    opts.iso_tol,
+                    extra_residuals={"lp_objective": lp.lp_objective},
+                )
             if cert is not None:
                 return EndReport(
                     end, "certified", "CharacterLP", cert, None, cert.residuals
@@ -595,12 +612,15 @@ def _certify_end(
     symmetrized = vt and opts.stage_enabled("symmetrized_sdp")
     gram_stage = symmetrized or opts.stage_enabled("trivial_sdp")
     if decision.status == "rigid" and not lp_refuted and gram_stage:
-        if symmetrized:
-            cert = eigenvector_certificate(
-                g, decomposition(), lam, perms, opts.feas_tol, opts.iso_tol, end, orb, decision
-            )
-        else:
-            cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
+        try:
+            if symmetrized:
+                cert = eigenvector_certificate(
+                    g, decomposition(), lam, perms, opts.feas_tol, opts.iso_tol, end, orb, decision
+                )
+            else:
+                cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
+        except EigenvalueError:
+            cert = None  # as at the LP: a merged eigenspace is no eigenspace of lam
         if cert is not None:
             method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
             return EndReport(end, "certified", method, cert, None, cert.residuals)
@@ -662,12 +682,14 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     decomposition = functools.cache(
         lambda: eigendecompose(g.unit_laplacian, group_tol=opts.group_tol)
     )
-    table = None
+    table = lower_chars = upper_chars = None
     if opts.stage_enabled("character_lp") and g.cayley_spec is not None:
         table = character_spectrum(g.cayley_spec)  # shared by both ends
         values, order, cuts = character_eigenspaces(
             table, resolve_group_tol(g.unit_laplacian, opts.group_tol)
         )
+        # each end's LP runs over the characters grouped into its eigenvalue
+        lower_chars, upper_chars = order[cuts[1] : cuts[2]], order[cuts[-2] : cuts[-1]]
     else:
         values = decomposition().eigenvalues
     lam2 = float(values[1])
@@ -694,10 +716,14 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings["walkreg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lower = _certify_end(g, "lower", lam2, decomposition, perms, orb, walk1, table, opts)
+    lower = _certify_end(
+        g, "lower", lam2, decomposition, perms, orb, walk1, table, lower_chars, opts
+    )
     timings["lower"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    upper = _certify_end(g, "upper", lamn, decomposition, perms, orb, walk1, table, opts)
+    upper = _certify_end(
+        g, "upper", lamn, decomposition, perms, orb, walk1, table, upper_chars, opts
+    )
     timings["upper"] = time.perf_counter() - t0
 
     return RigidityReport(

@@ -55,6 +55,19 @@ class Graph:
         return e
 
     @functools.cached_property
+    def laplacian_index(self) -> np.ndarray:
+        """Read-only flat index of length 4m into an n x n Laplacian: for
+        each edge (i, j) in order, the entries (i, j), (j, i), (i, i) and
+        (j, j).  `laplacian` scatters the signed weights onto it with one
+        bincount; the diagonal entries come in edge_array.ravel() order, so
+        each degree is summed in edge order."""
+        n = self.n
+        i, j = self.edge_array.T
+        idx = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)], axis=1).ravel()
+        idx.setflags(write=False)
+        return idx
+
+    @functools.cached_property
     def unit_laplacian(self) -> np.ndarray:
         """The unit-weight Laplacian laplacian(self) as a read-only n x n
         array, built once."""
@@ -238,43 +251,56 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(n=n, edges=normalize_edges(n, pairs))
 
 
+_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])  # per edge: (i, j), (j, i), (i, i), (j, j)
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Reject a negative, NaN or infinite weight.  One min and one max
+    reduction: NaN propagates through both, and initial=0 makes them
+    defined on zero edges without changing either test."""
+    lo = np.minimum.reduce(w, axis=None, initial=0.0)
+    if not (lo >= 0 and np.maximum.reduce(w, axis=None, initial=0.0) < np.inf):
+        raise WeightError("negative edge weight" if lo < 0 else "non-finite edge weight")
+
+
 def laplacian(g: Graph, w=None) -> np.ndarray:
     """Weighted Laplacian L(w) = D(w) - A(w); unit weights when w is None.
 
     A (k, m) stack of weight rows gives the (k, n, n) stack of their
     Laplacians, each bit for bit the Laplacian of its row alone.  Rows sum
     to zero exactly by construction.  Weight-zero edges stay in the edge
-    list; they vanish only at the Laplacian level.
+    list; they vanish only at the Laplacian level.  Weights must be finite
+    and nonnegative.
+
+    One bincount scatters -w_e, -w_e, w_e, w_e onto g.laplacian_index,
+    with the bins of row r offset by r * n * n.  That is bit for bit what a
+    per-edge loop gives: each off-diagonal bin gets one term, 0.0 + -w_e
+    (a zero weight stays +0.0), and each diagonal bin sums its vertex's
+    weights in edge order.
     """
     if w is None:
         w = np.ones(g.m)
     w = np.asarray(w, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != g.m:
         raise WeightError(f"expected {g.m} weights per row, got shape {w.shape}")
-    if np.any(w < 0):
-        raise WeightError("negative edge weight")
-    e = g.edge_array
-    rows = np.atleast_2d(w)
-    L = np.zeros(w.shape[:-1] + (g.n, g.n))
-    # bit for bit what a per-edge loop gives: `-=` keeps a zero weight +0.0,
-    # and bincount sums each vertex's weights in edge order, row by row
-    L[..., e[:, 0], e[:, 1]] -= w
-    L[..., e[:, 1], e[:, 0]] -= w
-    bins = (np.arange(len(rows))[:, None] * g.n + e.ravel()).ravel()
-    deg = np.bincount(bins, np.repeat(rows, 2, axis=1).ravel(), len(rows) * g.n)
-    diag = np.arange(g.n)
-    L[..., diag, diag] = deg.reshape(w.shape[:-1] + (g.n,))
-    return L
+    _check_weights(w)
+    n2 = g.n * g.n
+    bins, k = g.laplacian_index, 1
+    if w.ndim == 2:
+        k = len(w)
+        bins = (np.arange(k)[:, None] * n2 + bins).ravel()
+    # bincount of no indices is an integer array, whatever the weights
+    L = np.bincount(bins, (w[..., None] * _SIGNS).ravel(), k * n2)
+    return L.astype(float, copy=False).reshape(w.shape[:-1] + (g.n, g.n))
 
 
 def normalized_weights(g: Graph, w) -> np.ndarray:
-    """Scale nonnegative weights so that sum_e w_e = |E| (equivalently, the
-    sum over ordered vertex pairs equals 2|E|)."""
+    """Scale finite nonnegative weights so that sum_e w_e = |E|
+    (equivalently, the sum over ordered vertex pairs equals 2|E|)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (g.m,):
         raise WeightError(f"expected {g.m} weights, got shape {w.shape}")
-    if np.any(w < 0):
-        raise WeightError("negative edge weight")
+    _check_weights(w)
     total = float(w.sum())
     if total <= 0:
         raise WeightError("weights sum to zero")

@@ -11,9 +11,12 @@ from .errors import DisconnectedError, EigenvalueError, NotSymmetricError
 from .graphs import CayleySpec, Graph, laplacian
 
 
-def default_group_tol(M: np.ndarray) -> float:
-    scale = float(np.max(np.abs(M))) if M.size else 1.0
-    return 1e-8 * max(scale, 1.0) * M.shape[0]
+def default_group_tol(M: np.ndarray, scale: float | None = None) -> float:
+    """1e-8 * max(1, max|M|) * n; scale is max(1, max|M|) when the caller
+    has it, which saves a pass over M."""
+    if scale is None:
+        scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
+    return 1e-8 * scale * M.shape[0]
 
 
 @dataclass
@@ -47,10 +50,13 @@ class EigenspaceDecomposition:
         return self.bases[self.index_of(lam, tol)]
 
 
-def resolve_group_tol(M: np.ndarray, group_tol: float | None) -> float:
-    """group_tol, or default_group_tol(M) when it is None; it must be positive."""
+def resolve_group_tol(
+    M: np.ndarray, group_tol: float | None, scale: float | None = None
+) -> float:
+    """group_tol, or default_group_tol(M, scale) when it is None; it must be
+    positive."""
     if group_tol is None:
-        group_tol = default_group_tol(M)
+        group_tol = default_group_tol(M, scale)
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
     return group_tol
@@ -75,12 +81,22 @@ def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
 def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
     """Full decomposition of a symmetric matrix; near-equal eigenvalues are
     merged into one eigenspace (`_group`), whose basis is eigh's columns for
-    them and whose value is the mean of the merged eigenvalues."""
+    them and whose value is the mean of the merged eigenvalues.
+
+    M must be finite and symmetric to within 1e-12 * max(1, max|M|), tested
+    in one pass over M - M.T; that scale is computed once and also sets the
+    default group_tol.  A NaN or infinite entry makes max|M| non-finite and
+    raises NotSymmetricError."""
     M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if not np.allclose(M, M.T, rtol=0, atol=1e-12 * scale):
+    top = float(np.max(np.abs(M))) if M.size else 0.0
+    if not top < np.inf:
+        bad = np.argwhere(~np.isfinite(M)).tolist()
+        more = " ..." if len(bad) > 8 else ""
+        raise NotSymmetricError(f"matrix has non-finite entries at {bad[:8]}{more}")
+    scale = max(1.0, top)
+    if M.size and not np.max(np.abs(M - M.T)) <= 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric")
-    group_tol = resolve_group_tol(M, group_tol)
+    group_tol = resolve_group_tol(M, group_tol, scale)
     vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
     # eigh's columns are orthonormal, so each group's slice is a basis
     cuts, eigenvalues = _group(vals, group_tol)

@@ -161,11 +161,15 @@ def _refine_colors(g: Graph) -> np.ndarray:
     colours numbered by the rank of their signature.
 
     On a regular graph the unit partition is already equitable, so the
-    all-zero colouring returns without a round.  Otherwise each round sorts
-    the half-edges by (source, colour of the far end), which lays out each
-    vertex's neighbour colours as one ascending row padded with -1, and
-    ranks the signatures with one lexsort.  Vertices of one colour have the
-    same degree, so the padding never decides between two signatures."""
+    all-zero colouring returns without a round.  Otherwise each vertex's
+    signature is one row of a preallocated array: its colour in column 0,
+    then its neighbour colours ascending, padded with -1.  A round sorts
+    the half-edges by (source, colour of the far end); that keeps the
+    sources ascending, so each half-edge's row and slot are fixed before
+    the loop and a round only writes the sorted far colours into them.
+    One lexsort then ranks the signatures.  Vertices of one colour have
+    the same degree, so the padding never decides between two
+    signatures."""
     n = g.n
     deg = g.degrees()
     if deg.min() == deg.max():
@@ -173,18 +177,20 @@ def _refine_colors(g: Graph) -> np.ndarray:
     e = g.edge_array
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])
-    start = np.cumsum(deg) - deg
+    key = src * n
+    row = np.sort(src)
+    slot = 1 + np.arange(len(src)) - (np.cumsum(deg) - deg)[row]
+    sigs = np.full((n, 1 + int(deg.max())), -1)
     _, colors = np.unique(deg, return_inverse=True)
     while True:
-        half = np.argsort(src * n + colors[dst])
-        rows = np.full((n, int(deg.max())), -1)
-        rows[src[half], np.arange(len(half)) - start[src[half]]] = colors[dst[half]]
-        sigs = np.column_stack([colors, rows])
+        far = colors[dst]
+        sigs[:, 0] = colors
+        sigs[row, slot] = far[np.argsort(key + far)]
         rank = np.lexsort(sigs.T[::-1])
         ordered = sigs[rank]
         new = np.zeros(n, dtype=colors.dtype)
-        new[rank[1:]] = np.cumsum(np.any(ordered[1:] != ordered[:-1], axis=1))
-        if new[rank[-1]] == n - 1 or np.array_equal(new, colors):
+        new[rank[1:]] = (ordered[1:] != ordered[:-1]).any(axis=1).cumsum()
+        if new[rank[-1]] == n - 1 or (new == colors).all():
             return new  # a discrete partition is stable
         colors = new
 

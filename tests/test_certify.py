@@ -37,7 +37,7 @@ from confrigid.graphs import (
     normalize_edges,
 )
 from confrigid.sdp import length_decision
-from confrigid.spectra import eigendecompose
+from confrigid.spectra import character_eigenspaces, character_spectrum, eigendecompose
 from confrigid.symmetry import (
     PermutationSet,
     cayley_translations,
@@ -299,6 +299,29 @@ def test_lp_refuted_ends_share_one_dense_decomposition(monkeypatch):
         for er in (rep.lower, rep.upper):
             assert (er.verdict, er.method) == ("refuted", "CharacterLP+Falsifier")
     assert not walk
+
+
+def test_coarse_group_tol_runs_each_lp_on_its_grouped_characters(monkeypatch):
+    # group_tol = 0.3 merges the top ten characters, of five distinct
+    # eigenvalues, and their mean is the eigenvalue of none of them: each
+    # end's LP takes its grouped class, and a combination that is no
+    # eigenvector of the mean certifies nothing
+    g = circulant(30, {1, 2})
+    _, order, cuts = character_eigenspaces(character_spectrum(g.cayley_spec), 0.3)
+    classes = [order[cuts[1] : cuts[2]], order[cuts[-2] : cuts[-1]]]
+    assert len(classes[1]) == 10
+    seen = []
+    lp = certify.abelian_lp_certificate
+
+    def recording(*args):
+        out = lp(*args)
+        seen.append(out.character_indices)
+        return out
+
+    monkeypatch.setattr(certify, "abelian_lp_certificate", recording)
+    rep = check_conformal_rigidity(g, CheckOptions(group_tol=0.3))
+    assert seen == [tuple(sorted(c.tolist())) for c in classes]
+    assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
 
 
 def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):

@@ -235,7 +235,8 @@ def test_line_search_refutes_at_first_improving_step(monkeypatch, g, end):
     assert reverify(g, res, unit)
 
 
-def _assert_check_refutes_along_the_decision_dual(monkeypatch, g, end):
+@pytest.mark.parametrize("g, end", STEP_CASES)
+def test_check_refutes_along_the_decision_dual(monkeypatch, g, end):
     # the falsify stage makes no eigh call (no subgradient step)
     calls = _count_solves(monkeypatch)
     falsify_eigh = []
@@ -261,18 +262,6 @@ def _assert_check_refutes_along_the_decision_dual(monkeypatch, g, end):
         assert lam2_w > unit * (1.0 + 1e-6)
     else:
         assert lamn_w < unit * (1.0 - 1e-6)
-
-
-# the rename from test_check_refutes_by_direction_step lands in two steps:
-# the last three cases keep the old name until the next change
-@pytest.mark.parametrize("g, end", STEP_CASES[:8])
-def test_check_refutes_along_the_decision_dual(monkeypatch, g, end):
-    _assert_check_refutes_along_the_decision_dual(monkeypatch, g, end)
-
-
-@pytest.mark.parametrize("g, end", STEP_CASES[8:])
-def test_check_refutes_by_direction_step(monkeypatch, g, end):
-    _assert_check_refutes_along_the_decision_dual(monkeypatch, g, end)
 
 
 def _k7_minus_path_and_edge():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from confrigid.catalog import catalog
 from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.errors import GeneratorError, WeightError
 from confrigid.graphs import (
@@ -16,7 +17,7 @@ from confrigid.graphs import (
     normalized_weights,
     parse_edge_list,
 )
-from confrigid.spectra import character_spectrum
+from confrigid.spectra import character_spectrum, lambda_ends
 
 
 def test_normalize_edges_sorts_and_dedups():
@@ -140,6 +141,21 @@ def test_normalized_weights_scale_and_reject():
         normalized_weights(g, [-1, 1, 1, 1, 1])
     with pytest.raises(WeightError):
         normalized_weights(g, [0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(bad):
+    # NaN passes a w < 0 test, and +inf passes any sign test
+    g = catalog("cycle_4")
+    w = [bad, 1.0, 1.0, 1.0]
+    for call in (
+        lambda: laplacian(g, w),
+        lambda: laplacian(g, [np.ones(g.m), w]),
+        lambda: lambda_ends(g, w),
+        lambda: normalized_weights(g, w),
+    ):
+        with pytest.raises(WeightError, match="negative" if bad < 0 else "non-finite"):
+            call()
 
 
 def test_parse_edge_list():

@@ -40,6 +40,16 @@ def test_nonsymmetric_rejected():
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    # a symmetric pair of infinities passes np.allclose (its atol becomes
+    # inf), and eigh then returns NaN eigenvalues
+    with pytest.raises(NotSymmetricError, match=r"non-finite entries at \[\[0, 1\], \[1, 0\]\]$"):
+        eigendecompose(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(NotSymmetricError, match=r"non-finite entries at \[\[1, 1\]\]$"):
+        eigendecompose(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_lambda_ends_unit_and_weighted():
     g = catalog("cycle_4")
     lam2, lamn = lambda_ends(g)
