@@ -32,7 +32,7 @@ from .errors import (
     NumericalRankAmbiguityError,
 )
 from .falsify import FalsifierResult, line_search, reverify
-from .graphs import CayleySpec, Graph
+from .graphs import Graph
 from .lp import phase1_feasibility
 from .sdp import (
     LengthDecision,
@@ -47,7 +47,6 @@ from .spectra import (
     character_eigenspaces,
     character_spectrum,
     character_walk1,
-    characters_for_eigenvalue,
     eigendecompose,
     resolve_group_tol,
 )
@@ -202,72 +201,50 @@ class LpCertificateResult:
 
 
 def abelian_lp_certificate(
-    spec: CayleySpec,
-    lam: float,
-    table: CharacterTable | None = None,
-    characters: Sequence[int] | None = None,
+    table: CharacterTable, characters: Sequence[int]
 ) -> LpCertificateResult:
-    """Decide whether the constant line meets the character polytope for the
-    eigenspace of lam: find convex weights c over the characters of lam and a
-    real t with sum_j c_j * chi^j_Gamma = t * 1.
+    """Decide whether the constant line meets the character polytope of one
+    eigenspace: find convex weights c over its characters and a real t with
+    sum_j c_j * chi^j_Gamma = t * 1.
 
-    characters are the indices of the characters of lam's eigenspace, as
+    characters are the indices of the eigenspace's characters in table, as
     `character_eigenspaces` groups them (any order; the LP takes them
-    ascending); when None, those whose eigenvalue is within 1e-8 of lam.
+    ascending).
 
     Certified implies an edge-isometric embedding on that eigenspace exists;
-    NotInPolytope implies none exists, hence at lambda_2 or lambda_n the
-    graph is not rigid at that end.
+    not_in_polytope (LP objective above 1e-7) implies none exists, hence at
+    lambda_2 or lambda_n the graph is not rigid at that end; degenerate is
+    an objective in (1e-9, 1e-7] or a solution that fails the substitution
+    check.
     """
-    if table is None:
-        table = character_spectrum(spec)
-    if characters is None:
-        idxs = characters_for_eigenvalue(table, lam)
-    else:
-        idxs = sorted(int(k) for k in characters)
+    idxs = sorted(int(k) for k in characters)
     # chi_Gamma / |Gamma| has entry s equal to conj(chi(s))
     V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])  # d x |S|
     d = len(idxs)
     res = phase1_feasibility(*character_lp_system(V))
-    if res.objective > 1e-7:
-        return LpCertificateResult(
-            status="not_in_polytope",
-            coefficients=None,
-            character_indices=tuple(idxs),
-            t=None,
-            lp_objective=res.objective,
-        )
-    if res.objective > 1e-9:
-        return LpCertificateResult(
-            status="degenerate",
-            coefficients=None,
-            character_indices=tuple(idxs),
-            t=None,
-            lp_objective=res.objective,
-        )
-    c = np.clip(res.x[:d], 0.0, None)
-    c = c / c.sum()
-    t = float(res.x[d] - res.x[d + 1])
-    # substitution check
-    combo = c @ V
-    if np.max(np.abs(combo - t)) > 1e-7:
-        return LpCertificateResult(
-            status="degenerate",
-            coefficients=None,
-            character_indices=tuple(idxs),
-            t=None,
-            lp_objective=res.objective,
-        )
-    # does a single real eigenvector achieve it, or only a complex combination?
-    support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
-    complex_only = all(np.max(np.abs(table.chars[k].imag)) > 1e-9 for k in support)
+    status = "not_in_polytope" if res.objective > 1e-7 else "degenerate"
+    if res.objective <= 1e-9:
+        c = np.clip(res.x[:d], 0.0, None)
+        c = c / c.sum()
+        t = float(res.x[d] - res.x[d + 1])
+        if np.max(np.abs(c @ V - t)) <= 1e-7:  # substitution check
+            # does a single real eigenvector achieve it, or only a complex combination?
+            support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
+            complex_only = all(np.max(np.abs(table.chars[k].imag)) > 1e-9 for k in support)
+            return LpCertificateResult(
+                status="certified",
+                coefficients=c,
+                character_indices=tuple(idxs),
+                t=t,
+                lp_objective=res.objective,
+                complex_only=complex_only,
+            )
     return LpCertificateResult(
-        status="certified",
-        coefficients=c,
+        status=status,
+        coefficients=None,
         character_indices=tuple(idxs),
-        t=t,
+        t=None,
         lp_objective=res.objective,
-        complex_only=complex_only,
     )
 
 
@@ -289,18 +266,12 @@ def character_lp_system(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lp_certificate_embedding(
-    spec: CayleySpec,
-    lam: float,
-    lp: LpCertificateResult,
-    g: Graph,
-    table: CharacterTable | None = None,
+    g: Graph, table: CharacterTable, lp: LpCertificateResult, lam: float
 ) -> Embedding:
-    """Concrete embedding implied by a certified LP solution: the n x 2d
-    columns sqrt(c_j) * [Re chi^j, Im chi^j].  Its Gram matrix is that of the
-    group-symmetrized phi = sum_j sqrt(c_j) chi^j divided by the group order.
-    table is the character table of spec, built here when not given."""
-    if table is None:
-        table = character_spectrum(spec)
+    """Concrete embedding implied by a certified LP solution over the
+    characters of table: the n x 2d columns sqrt(c_j) * [Re chi^j, Im chi^j].
+    Its Gram matrix is that of the group-symmetrized
+    phi = sum_j sqrt(c_j) chi^j divided by the group order."""
     cols = []
     for ck, k in zip(lp.coefficients, lp.character_indices):
         if ck > 0:
@@ -362,58 +333,49 @@ def _decide(
 
 def eigenvector_certificate(
     g: Graph,
-    dec: EigenspaceDecomposition,
+    U: np.ndarray,
     lam: float,
     p: PermutationSet,
+    orb: OrbitPartition,
+    gram: LengthDecision,
     feas_tol: float = 1e-8,
     iso_tol: float = 1e-7,
     end: str = "lower",
-    orb: OrbitPartition | None = None,
-    gram: LengthDecision | None = None,
 ) -> Certificate | None:
-    """Rank reduction of the X of gram, the end's rigid equal-length
-    decision on the edge orbits of p (made here when not given; None when
-    not rigid): a rank-one a a^T yields an eigenvector phi = U a whose edge
-    orbits have equal mean squared lengths (orbit_sums), embedded through
-    its projection onto the commutant; otherwise the Gram certificate
-    itself is returned.  orb is the orbit partition of p, made when not given."""
-    orb = orb or orbits(g, p)
+    """Rank reduction of the X of gram, the rigid equal-length decision on
+    basis U of lam's eigenspace over the edge orbits orb of the group p: a
+    rank-one a a^T yields an eigenvector phi = U a whose edge orbits have
+    equal mean squared lengths (orbit_sums), embedded through its
+    projection onto the commutant.  None when no such phi passes."""
     if orb.num_vertex_orbits != 1:
         raise NotVertexTransitiveError("supplied group is not vertex-transitive")
     if lam <= 0:
         raise EigenvalueError("certificate needs a positive eigenvalue")
-    U = dec.basis_for(lam)
-    gram = gram or _decide(g, U, orb, feas_tol)
-    if gram.status != "rigid":
-        return None
     inst = build_sdp_instance(g, U, p, orb)
     try:
         Xr = rank_reduce(gram.X, inst)
     except NumericalRankAmbiguityError:
         Xr = gram.X
     a = rank_one_vector(Xr)
-    if a is not None:
-        aa = np.outer(a, a)
-        sums = [float(np.tensordot(C, aa)) for C in inst.orbit_mats]
-        spread = max(sums) - min(sums)
-        if inst.residual(aa) <= 10 * feas_tol and spread <= 1e-8 * max(
-            1.0, max(abs(v) for v in sums)
-        ):
-            cert = _verified_certificate(
-                g,
-                _sdp_embedding(g, U, _commutant_projection(U, p, aa), lam),
-                "eigenvector",
-                end,
-                {"phi": U @ a, "orbit_sums": sums},
-                iso_tol,
-                extra_residuals={
-                    "orbit_sum_spread": spread,
-                    "sdp_residual": gram.spread,
-                },
-            )
-            if cert is not None:
-                return cert
-    return _gram_certificate(g, U, gram, lam, end, iso_tol)
+    if a is None:
+        return None
+    aa = np.outer(a, a)
+    sums = [float(np.tensordot(C, aa)) for C in inst.orbit_mats]
+    spread = max(sums) - min(sums)
+    if not (
+        inst.residual(aa) <= 10 * feas_tol
+        and spread <= 1e-8 * max(1.0, max(abs(v) for v in sums))
+    ):
+        return None
+    return _verified_certificate(
+        g,
+        _sdp_embedding(g, U, _commutant_projection(U, p, aa), lam),
+        "eigenvector",
+        end,
+        {"phi": U @ a, "orbit_sums": sums},
+        iso_tol,
+        extra_residuals={"orbit_sum_spread": spread, "sdp_residual": gram.spread},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +525,10 @@ def _certify_end(
             return found
 
     if table is not None:
-        lp = abelian_lp_certificate(table.spec, lam, table, characters)
+        lp = abelian_lp_certificate(table, characters)
         if lp.status == "certified":
             try:
-                emb = lp_certificate_embedding(table.spec, lam, lp, g, table)
+                emb = lp_certificate_embedding(g, table, lp, lam)
             except EigenvalueError:
                 # under a coarse group_tol a class can merge characters of
                 # distinct eigenvalues, and their combination is then no
@@ -613,11 +575,12 @@ def _certify_end(
     gram_stage = symmetrized or opts.stage_enabled("trivial_sdp")
     if decision.status == "rigid" and not lp_refuted and gram_stage:
         try:
+            cert = None
             if symmetrized:
                 cert = eigenvector_certificate(
-                    g, decomposition(), lam, perms, opts.feas_tol, opts.iso_tol, end, orb, decision
+                    g, U, lam, perms, orb, decision, opts.feas_tol, opts.iso_tol, end
                 )
-            else:
+            if cert is None:  # no rank-one phi: the Gram matrix itself
                 cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
         except EigenvalueError:
             cert = None  # as at the LP: a merged eigenspace is no eigenspace of lam

@@ -58,15 +58,22 @@ def make_embedding(
 
 
 def canonical_embedding(g: Graph, dec: EigenspaceDecomposition, lam: float) -> Embedding:
-    """Rows of an orthonormal eigenspace basis."""
+    """Rows of an orthonormal eigenspace basis, under make_embedding's
+    eigenspace residual test.  Each basis column u is an eigenvector of one
+    raw eigenvalue v of its group, so |L u - value u| = |v - value|: the test
+    reads the group's raw eigenvalues and makes no product with L."""
     idx = dec.index_of(lam)
-    if abs(dec.eigenvalues[idx]) <= dec.group_tol:
+    if idx == 0:  # the kernel, a group of its own however small lambda_2 is
         raise EigenvalueError("canonical embedding needs a positive eigenvalue")
-    return Embedding(
-        points=dec.bases[idx],
-        eigenvalue=float(dec.eigenvalues[idx]),
-        source="canonical",
-    )
+    value = float(dec.eigenvalues[idx])
+    start = int(dec.multiplicities[:idx].sum())
+    raw = dec.raw_eigenvalues[start : start + dec.multiplicities[idx]]
+    resid = float(np.max(np.abs(raw - value)))
+    if resid > RESIDUAL_TOL * (1.0 + abs(value)):
+        raise EigenvalueError(
+            f"columns are not in the eigenspace of {value}: residual {resid:.3e}"
+        )
+    return Embedding(points=dec.bases[idx], eigenvalue=value, source="canonical")
 
 
 def explicit_embedding(g: Graph, columns: np.ndarray, eigenvalue: float) -> Embedding:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalRankAmbiguityError
 from .graphs import Graph
-from .symmetry import OrbitPartition, PermutationSet, orbits
+from .symmetry import OrbitPartition, PermutationSet
 
 RANK_CUTOFF = 1e-7
 
@@ -69,16 +69,17 @@ def build_sdp_instance(
     orb: OrbitPartition | None = None,
 ) -> SdpInstance:
     """Precompute the block functionals for eigenspace basis U: the mean of
-    b_e b_e^T over each edge orbit of the group generated by p (orb is its
-    orbit partition, computed here when not given), or over each single
-    edge when p is None (the trivial group)."""
+    b_e b_e^T over each edge orbit of orb, the orbit partition of the group
+    generated by p, or over each single edge when both are None (the
+    trivial group)."""
+    if (p is None) != (orb is None):
+        raise ValueError("the generators and their orbit partition come together")
     U = np.asarray(U, dtype=float)
     e = g.edge_array
     B = U[e[:, 0]] - U[e[:, 1]]
     mats = B[:, :, None] * B[:, None, :]
-    if p is not None:
-        blocks = (orb or orbits(g, p)).edge_orbits
-        mats = np.stack([mats[list(block)].mean(axis=0) for block in blocks])
+    if orb is not None:
+        mats = np.stack([mats[list(block)].mean(axis=0) for block in orb.edge_orbits])
     return SdpInstance(
         U=U,
         orbit_mats=mats,

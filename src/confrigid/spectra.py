@@ -23,8 +23,9 @@ def default_group_tol(M: np.ndarray, scale: float | None = None) -> float:
 class EigenspaceDecomposition:
     """Eigenvalues grouped into eigenspaces under an explicit tolerance.
 
-    eigenvalues are the distinct values, ascending; consecutive values differ
-    by more than group_tol.  bases[i] is an n x multiplicities[i] matrix with
+    eigenvalues are the distinct values, ascending: eigenvalues[0] is the
+    smallest eigenvalue alone, and after it consecutive values differ by
+    more than group_tol.  bases[i] is an n x multiplicities[i] matrix with
     orthonormal columns.  raw_eigenvalues is the full ungrouped spectrum.
     """
 
@@ -63,12 +64,16 @@ def resolve_group_tol(
 
 
 def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cuts and means of ascending vals grouped under group_tol: a new group
-    starts wherever consecutive values differ by more than group_tol, and
-    group i is vals[cuts[i]:cuts[i + 1]].  Each mean is bit for bit np.mean
-    of its group: a singleton is its value, a pair (a + b) / 2, and only
-    larger groups call np.mean."""
-    cuts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > group_tol) + 1, [len(vals)]))
+    """Cuts and means of ascending vals grouped under group_tol: group 0 is
+    vals[0] alone (a connected graph's Laplacian kernel, never merged with
+    lambda_2 however small lambda_2 is), and after it a new group starts
+    wherever consecutive values differ by more than group_tol; group i is
+    vals[cuts[i]:cuts[i + 1]].  Each mean is bit for bit np.mean of its
+    group: a singleton is its value, a pair (a + b) / 2, and only larger
+    groups call np.mean."""
+    breaks = np.diff(vals) > group_tol
+    breaks[:1] = True
+    cuts = np.concatenate(([0], np.flatnonzero(breaks) + 1, [len(vals)]))
     starts, mults = cuts[:-1], np.diff(cuts)
     means = vals[starts]
     pair = mults == 2
@@ -79,9 +84,10 @@ def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
-    """Full decomposition of a symmetric matrix; near-equal eigenvalues are
-    merged into one eigenspace (`_group`), whose basis is eigh's columns for
-    them and whose value is the mean of the merged eigenvalues.
+    """Full decomposition of a symmetric matrix; near-equal eigenvalues
+    above the smallest are merged into one eigenspace (`_group`), whose
+    basis is eigh's columns for them and whose value is the mean of the
+    merged eigenvalues.
 
     M must be finite and symmetric to within 1e-12 * max(1, max|M|), tested
     in one pass over M - M.T; that scale is computed once and also sets the
@@ -185,16 +191,6 @@ def character_walk1(
     `canonical_walk1_check` makes on the dense projectors."""
     sums = np.add.reduceat(table.chars[:, table.gen_idx].real[order], cuts[:-1], axis=0)
     return bool(np.all(sums.max(axis=1) - sums.min(axis=1) <= tol * table.size))
-
-
-def characters_for_eigenvalue(
-    table: CharacterTable, lam: float, tol: float = 1e-8
-) -> list[int]:
-    """Indices of characters whose eigenvalue matches lam within tol."""
-    hits = np.flatnonzero(np.abs(table.eigenvalues - lam) <= tol).tolist()
-    if not hits:
-        raise EigenvalueError(f"no character eigenvalue near {lam}")
-    return hits
 
 
 def circulant_curve_extremes(n: int) -> tuple[int, int]:

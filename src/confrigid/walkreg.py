@@ -31,7 +31,8 @@ def walk_regularity(g: Graph) -> WalkRegularityReport:
 
     Walk counts are exact (arbitrary-precision integers).  The bound m-1
     (m = distinct adjacency eigenvalues) suffices since A^s lies in the
-    algebra spanned by I, A, ..., A^{m-1}; for n <= 24 we also sweep up to
+    algebra spanned by I, A, ..., A^{m-1} (m counts eigendecompose's groups,
+    which keep the smallest eigenvalue apart: at most one too many); for n <= 24 we also sweep up to
     n-1 as a margin against eigenvalue-grouping errors.
     """
     if not g.is_connected():

@@ -19,7 +19,13 @@ from confrigid.embeddings import (
 )
 from confrigid.falsify import random_weight_search
 from confrigid.graphs import CayleySpec, Graph, circulant, laplacian, normalize_edges
-from confrigid.sdp import build_sdp_instance, rank_one_vector, rank_reduce, sdp_feasibility
+from confrigid.sdp import (
+    build_sdp_instance,
+    length_decision,
+    rank_one_vector,
+    rank_reduce,
+    sdp_feasibility,
+)
 from confrigid.spectra import (
     character_spectrum,
     circulant_curve_extremes,
@@ -61,7 +67,10 @@ def test_acceptance_02_shrikhande_complement():
     assert rep.rigid
     assert rep.lower.method == "OneWalkRegular"
     assert rep.upper.method == "OneWalkRegular"
-    cert = eigenvector_certificate(g, dec, 8.0, p)
+    orb = orbits(g, p)
+    U = dec.basis_for(8.0)
+    B = U[g.edge_array[:, 0]] - U[g.edge_array[:, 1]]
+    cert = eigenvector_certificate(g, U, 8.0, p, orb, length_decision(B, blocks=orb.edge_orbits))
     assert cert is not None and cert.kind == "eigenvector"
     sums = cert.payload["orbit_sums"]
     assert max(sums) - min(sums) <= 1e-8 * max(1.0, max(abs(s) for s in sums))

@@ -1,14 +1,17 @@
 """Every connected graph on 2 to 6 vertices is decided at both spectrum
-ends, with the same verdict and method under a random relabelling.  The
-graphs are generated here: all edge sets, deduplicated by a brute-force
-canonical form (the least edge bitmask over all vertex permutations)."""
+ends, with the same verdict and method under a random relabelling, and
+every verdict passes a recheck made with numpy alone.  The graphs are
+generated here: all edge sets, deduplicated by a brute-force canonical form
+(the least edge bitmask over all vertex permutations)."""
 
 import itertools
 
 import numpy as np
+import pytest
 
-from confrigid.certify import check_conformal_rigidity
-from confrigid.graphs import Graph, normalize_edges
+from confrigid.catalog import catalog
+from confrigid.certify import CheckOptions, check_conformal_rigidity
+from confrigid.graphs import Graph, circulant, normalize_edges
 
 # connected graphs on n = 2..6 vertices (OEIS A001349)
 CONNECTED = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -35,6 +38,49 @@ def _connected_graphs(n):
     return graphs
 
 
+def _laplacian(n, edges, w=None):
+    w = np.ones(len(edges)) if w is None else np.asarray(w, dtype=float)
+    L = np.zeros((n, n))
+    for (i, j), x in zip(edges, w):
+        L[i, j] -= x
+        L[j, i] -= x
+        L[i, i] += x
+        L[j, j] += x
+    return L
+
+
+def _recheck(g, rep):
+    """Recheck both ends of rep from the graph alone.  A certificate's
+    embedding P must lie in the eigenspace of a fresh eigvalsh end
+    (L P = lambda P), be centred, and give every edge the same positive
+    length, all within 1e-7; a witness w must be a weighting (w >= 0,
+    sum w = m) whose fresh end beats the unit end by the relative margin
+    1e-6."""
+    L = _laplacian(g.n, g.edges)
+    vals = np.linalg.eigvalsh(L)
+    for er, k in ((rep.lower, 1), (rep.upper, -1)):
+        lam = vals[k]
+        if er.verdict == "certified":
+            cert = er.certificate
+            assert abs(cert.eigenvalue - lam) <= 1e-7 * (1.0 + lam), (g.edges, er.end)
+            P = cert.embedding.points
+            scale = max(1.0, float(np.max(np.abs(P))))
+            assert np.max(np.abs(L @ P - lam * P)) <= 1e-7 * (1.0 + lam) * scale
+            assert np.max(np.abs(P.sum(axis=0))) <= 1e-7 * g.n * scale
+            ends = np.array(g.edges)
+            lengths = np.linalg.norm(P[ends[:, 0]] - P[ends[:, 1]], axis=1)
+            assert lengths.min() > 1e-7, (g.edges, er.end)
+            assert np.ptp(lengths) <= 1e-7 * (1.0 + lengths.max()), (g.edges, er.end)
+        elif er.verdict == "refuted":
+            w = er.witness
+            assert np.all(w >= 0.0) and abs(w.sum() - g.m) <= 1e-9 * g.m
+            val = np.linalg.eigvalsh(_laplacian(g.n, g.edges, w))[k]
+            if k == 1:
+                assert val > lam * (1.0 + 1e-6), (g.edges, er.end)
+            else:
+                assert val < lam * (1.0 - 1e-6), (g.edges, er.end)
+
+
 def test_every_small_connected_graph_is_decided():
     decided = 0
     rng = np.random.default_rng(0)
@@ -46,6 +92,8 @@ def test_every_small_connected_graph_is_decided():
             p = rng.permutation(n)
             h = Graph(n, normalize_edges(n, [(p[i], p[j]) for i, j in g.edges]))
             rep_h = check_conformal_rigidity(h)
+            _recheck(g, rep)
+            _recheck(h, rep_h)
             for er, er_h in ((rep.lower, rep_h.lower), (rep.upper, rep_h.upper)):
                 assert er.verdict in ("certified", "refuted"), (g.edges, er.end)
                 assert (er_h.verdict, er_h.method) == (er.verdict, er.method), (
@@ -55,3 +103,20 @@ def test_every_small_connected_graph_is_decided():
                 )
                 decided += 1
     assert decided == 2 * sum(CONNECTED.values())
+
+
+@pytest.mark.parametrize(
+    "g, group_tol",
+    [(catalog("path_40"), 0.01), (catalog("path_40"), 0.3), (circulant(30, {1, 2}), 0.3)],
+    ids=["path_40-0.01", "path_40-0.3", "circulant_30_1_2-0.3"],
+)
+def test_coarse_group_tol_keeps_the_kernel_apart(g, group_tol):
+    # the reported lambda_2 is that of a grouping that keeps the kernel
+    # apart: the mean of the first group of the spectrum above 0, however
+    # coarse; whatever the check decides there passes the recheck
+    rep = check_conformal_rigidity(g, CheckOptions(group_tol=group_tol))
+    vals = np.linalg.eigvalsh(_laplacian(g.n, g.edges))[1:]
+    first = np.flatnonzero(np.diff(vals) > group_tol)
+    lam2 = np.mean(vals[: first[0] + 1 if len(first) else len(vals)])
+    assert rep.lambda2 == pytest.approx(lam2, rel=1e-9)
+    _recheck(g, rep)

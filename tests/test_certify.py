@@ -36,8 +36,14 @@ from confrigid.graphs import (
     laplacian,
     normalize_edges,
 )
+from confrigid.lp import Phase1Result
 from confrigid.sdp import length_decision
-from confrigid.spectra import character_eigenspaces, character_spectrum, eigendecompose
+from confrigid.spectra import (
+    character_eigenspaces,
+    character_spectrum,
+    default_group_tol,
+    eigendecompose,
+)
 from confrigid.symmetry import (
     PermutationSet,
     cayley_translations,
@@ -46,15 +52,23 @@ from confrigid.symmetry import (
 )
 
 
+def _end_classes(g):
+    """The character table of g and its grouped classes at lambda_2 and
+    lambda_n, as the check groups them."""
+    table = character_spectrum(g.cayley_spec)
+    means, order, cuts = character_eigenspaces(table, default_group_tol(g.unit_laplacian))
+    return table, [(means[1], order[cuts[1] : cuts[2]]), (means[-1], order[cuts[-2] :])]
+
+
 def test_lp_certifies_circulant_18_1_5_both_ends():
     g = circulant(18, {1, 5})
-    dec = eigendecompose(laplacian(g))
-    for lam in (dec.eigenvalues[1], dec.eigenvalues[-1]):
-        lp = abelian_lp_certificate(g.cayley_spec, lam)
+    table, ends = _end_classes(g)
+    for lam, chars in ends:
+        lp = abelian_lp_certificate(table, chars)
         assert lp.status == "certified"
         assert np.all(lp.coefficients >= -1e-12)
         assert lp.coefficients.sum() == pytest.approx(1.0)
-        emb = lp_certificate_embedding(g.cayley_spec, lam, lp, g)
+        emb = lp_certificate_embedding(g, table, lp, lam)
         assert edge_length_profile(emb, g).is_edge_isometric
         assert emb.points.shape[0] == 18
         assert emb.dim <= 2 * len(lp.character_indices)
@@ -64,16 +78,44 @@ def test_lp_rejects_triangular_prism_as_cayley_graph():
     # the triangular prism is Cay(Z_6, {2, 3, 4}); rigidity fails at lambda_2
     g = circulant(6, {2, 3})
     assert g.m == 9 and g.degrees().tolist() == [3] * 6
-    dec = eigendecompose(laplacian(g))
-    lp = abelian_lp_certificate(g.cayley_spec, dec.eigenvalues[1])
+    table, [(_, chars), _] = _end_classes(g)
+    lp = abelian_lp_certificate(table, chars)
     assert lp.status == "not_in_polytope"
+
+
+@pytest.mark.parametrize(
+    "objective, x, status",
+    [
+        (1e-8, [0.5, 0.5, 0.0, 0.0], "degenerate"),  # objective in (1e-9, 1e-7]
+        (1e-7, [0.5, 0.5, 0.0, 0.0], "degenerate"),
+        (0.0, [1.0, 0.0, 5.0, 0.0], "degenerate"),  # fails the substitution check
+        (2e-7, [0.5, 0.5, 0.0, 0.0], "not_in_polytope"),
+    ],
+)
+def test_lp_failure_keeps_its_status(monkeypatch, objective, x, status):
+    # the lambda_2 class of C_6 = Cay(Z_6, {1, 5}) is two characters; the
+    # solver's answer is replaced, so each exit of the LP is reached
+    g = circulant(6, {1})
+    table, [(_, chars), _] = _end_classes(g)
+    assert len(chars) == 2
+    result = Phase1Result(objective <= 1e-9, np.array(x), objective, 0)
+    monkeypatch.setattr(certify, "phase1_feasibility", lambda A, b: result)
+    lp = abelian_lp_certificate(table, chars)
+    assert (lp.status, lp.coefficients, lp.t) == (status, None, None)
+    assert (lp.lp_objective, lp.character_indices) == (objective, tuple(sorted(chars.tolist())))
+
+
+def _rigid_decision(g, U, orb):
+    return length_decision(U[g.edge_array[:, 0]] - U[g.edge_array[:, 1]], blocks=orb.edge_orbits)
 
 
 def test_eigenvector_certificate_circulant():
     g = circulant(18, {1, 5})
     dec = eigendecompose(laplacian(g))
     p = cayley_translations(g.cayley_spec)
-    cert = eigenvector_certificate(g, dec, dec.eigenvalues[1], p)
+    orb = orbits(g, p)
+    U = dec.bases[1]
+    cert = eigenvector_certificate(g, U, dec.eigenvalues[1], p, orb, _rigid_decision(g, U, orb))
     assert cert is not None
     assert cert.kind == "eigenvector"
     phi = np.asarray(cert.payload["phi"])
@@ -196,8 +238,10 @@ def test_eigenvector_certificate_requires_transitive_group():
     from confrigid.symmetry import PermutationSet
 
     p = PermutationSet(n=4, gens=((3, 2, 1, 0),))
+    orb = orbits(g, p)
+    U = dec.bases[1]
     with pytest.raises(NotVertexTransitiveError):
-        eigenvector_certificate(g, dec, dec.eigenvalues[1], p)
+        eigenvector_certificate(g, U, dec.eigenvalues[1], p, orb, _rigid_decision(g, U, orb))
 
 
 def test_full_pipeline_verdicts():
@@ -303,13 +347,15 @@ def test_lp_refuted_ends_share_one_dense_decomposition(monkeypatch):
 
 def test_coarse_group_tol_runs_each_lp_on_its_grouped_characters(monkeypatch):
     # group_tol = 0.3 merges the top ten characters, of five distinct
-    # eigenvalues, and their mean is the eigenvalue of none of them: each
-    # end's LP takes its grouped class, and a combination that is no
-    # eigenvector of the mean certifies nothing
+    # eigenvalues, and their mean is the eigenvalue of none of them; the
+    # kernel stays apart, so lambda_2 = 0.2166 keeps its own two
+    # characters.  Each end's LP takes its grouped class: the lower end is
+    # refuted as at the default group_tol, and a combination that is no
+    # eigenvector of the upper mean certifies nothing
     g = circulant(30, {1, 2})
     _, order, cuts = character_eigenspaces(character_spectrum(g.cayley_spec), 0.3)
     classes = [order[cuts[1] : cuts[2]], order[cuts[-2] : cuts[-1]]]
-    assert len(classes[1]) == 10
+    assert (cuts[1], len(classes[0]), len(classes[1])) == (1, 2, 10)
     seen = []
     lp = certify.abelian_lp_certificate
 
@@ -321,7 +367,9 @@ def test_coarse_group_tol_runs_each_lp_on_its_grouped_characters(monkeypatch):
     monkeypatch.setattr(certify, "abelian_lp_certificate", recording)
     rep = check_conformal_rigidity(g, CheckOptions(group_tol=0.3))
     assert seen == [tuple(sorted(c.tolist())) for c in classes]
-    assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
+    assert rep.lambda2 == check_conformal_rigidity(g).lambda2
+    assert (rep.lower.verdict, rep.lower.method) == ("refuted", "CharacterLP+Falsifier")
+    assert rep.upper.verdict == "undecided"
 
 
 def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):
@@ -416,9 +464,10 @@ def test_check_searches_automorphisms_up_to_the_search_cap(n):
 
 
 def test_orbits_computed_once_per_check(monkeypatch):
-    # the symmetrized SDP stage reuses the cascade's orbit partition
+    # the symmetrized SDP stage reuses the cascade's orbit partition, and
+    # the SDP layer cannot compute another
+    assert not hasattr(sdp, "orbits")
     calls = _count_calls(monkeypatch, certify, "orbits")
-    calls += _count_calls(monkeypatch, sdp, "orbits")
     rep = check_conformal_rigidity(_petersen_prism())
     assert rep.lower.method == "Eigenvector"
     assert len(calls) == 1

@@ -70,6 +70,18 @@ def test_canonical_embedding_rejects_kernel():
         canonical_embedding(g, dec, 0.0)
 
 
+def test_canonical_embedding_below_group_tol():
+    # lambda_2 = 0.2166 of circulant(30, {1, 2}) lies below group_tol = 0.3,
+    # yet it is an eigenspace of its own; at lambda_n the same group_tol
+    # merges five eigenvalues, and the residual test rejects their basis
+    g = circulant(30, {1, 2})
+    dec = eigendecompose(laplacian(g), group_tol=0.3)
+    emb = canonical_embedding(g, dec, dec.eigenvalues[1])
+    assert emb.dim == 2 and emb.eigenvalue == pytest.approx(0.2166138832)
+    with pytest.raises(EigenvalueError, match="not in the eigenspace"):
+        canonical_embedding(g, dec, dec.eigenvalues[-1])
+
+
 def test_symmetrized_embedding_edge_transitive_is_isometric():
     g = catalog("petersen")
     p = find_automorphisms(g)

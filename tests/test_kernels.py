@@ -13,7 +13,7 @@ from confrigid.catalog import catalog
 from confrigid.certify import abelian_lp_certificate, character_lp_system
 from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian, normalize_edges
 from confrigid.lp import PIVOT_TOL, phase1_feasibility
-from confrigid.spectra import character_spectrum, characters_for_eigenvalue, eigendecompose
+from confrigid.spectra import character_spectrum, eigendecompose
 from confrigid.symmetry import cayley_translations
 
 # involutions (s = -s) in (2, 4), (6,), (12,) and (4, 6); a trivial factor in (1, 5)
@@ -97,14 +97,18 @@ def test_character_spectrum_matches_the_element_loop(spec):
     table = character_spectrum(spec)
     assert table.chars.tobytes() == chars.tobytes()
     assert table.eigenvalues.tobytes() == eigenvalues.tobytes()
-    for lam in eigenvalues:
-        hits = [k for k in range(len(eigenvalues)) if abs(eigenvalues[k] - lam) <= 1e-8]
-        assert characters_for_eigenvalue(table, lam) == hits
+
+
+def _characters_near(table, lam, tol=1e-8):
+    """The oracle's own lookup: the characters whose eigenvalue is within
+    tol of lam."""
+    return np.flatnonzero(np.abs(table.eigenvalues - lam) <= tol).tolist()
 
 
 def _grouped_means_oracle(M, group_tol):
     vals = np.linalg.eigh((M + M.T) / 2.0)[0]
-    cuts = [0, *(np.flatnonzero(np.diff(vals) > group_tol) + 1).tolist(), len(vals)]
+    # the smallest eigenvalue is a group of its own
+    cuts = sorted({0, 1, *(np.flatnonzero(np.diff(vals) > group_tol) + 1).tolist(), len(vals)})
     return np.array([float(np.mean(vals[a:b])) for a, b in zip(cuts, cuts[1:])]), np.diff(cuts)
 
 
@@ -217,7 +221,7 @@ def _lp_rows_oracle(V):
 def _abelian_lp_oracle(spec, lam, table):
     """abelian_lp_certificate with the generator columns from index_of and
     the rows from the loop: (status, coefficients, t, complex_only)."""
-    idxs = characters_for_eigenvalue(table, lam)
+    idxs = _characters_near(table, lam)
     V = np.conj(table.chars[np.ix_(idxs, [_index_of(spec.orders, s) for s in spec.gens])])
     d = len(idxs)
     res = phase1_feasibility(*_lp_rows_oracle(V))
@@ -241,13 +245,13 @@ def test_character_lp_matches_the_row_loop():
     for spec in specs:
         table = character_spectrum(spec)
         for lam in table.eigenvalues:
-            idxs = characters_for_eigenvalue(table, lam)
+            idxs = _characters_near(table, lam)
             V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])
             A, b = character_lp_system(V)
             A0, b0 = _lp_rows_oracle(V)
             assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes(), spec
             assert A.shape == (2 * len(spec.gens) + 1, len(idxs) + 2)
-            lp = abelian_lp_certificate(spec, lam, table)
+            lp = abelian_lp_certificate(table, idxs)
             status, c, t, complex_only = _abelian_lp_oracle(spec, lam, table)
             assert (lp.status, lp.t, lp.complex_only) == (status, t, complex_only), spec
             assert (c is None) == (lp.coefficients is None)

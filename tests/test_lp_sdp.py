@@ -68,7 +68,7 @@ def test_sdp_feasible_on_edge_transitive_graph():
     dec = eigendecompose(laplacian(g))
     U = dec.basis_for(dec.eigenvalues[1])
     p = find_automorphisms(g)
-    inst = build_sdp_instance(g, U, p)
+    inst = build_sdp_instance(g, U, p, orbits(g, p))
     res = sdp_feasibility(inst)
     assert res.status == "feasible"
     assert inst.residual(res.X) <= 1e-6

@@ -8,8 +8,8 @@ from confrigid.catalog import catalog
 from confrigid.errors import NotSymmetricError
 from confrigid.graphs import CayleySpec, circulant, laplacian
 from confrigid.spectra import (
+    character_eigenspaces,
     character_spectrum,
-    characters_for_eigenvalue,
     circulant_curve_extremes,
     eigendecompose,
     lambda_ends,
@@ -84,16 +84,38 @@ def test_characters_are_laplacian_eigenvectors():
         assert np.max(np.abs(L @ chi - table.eigenvalues[k] * chi)) < 1e-9 * g.n
 
 
-def test_characters_for_eigenvalue_partition():
+def test_character_eigenspaces_partition():
+    # the classes of the characters are the dense eigenspaces: one class per
+    # eigenvalue, of its multiplicity, and together every character once
     g = circulant(10, {1, 3})
     table = character_spectrum(g.cayley_spec)
     dec = eigendecompose(laplacian(g))
-    total = 0
-    for lam, mult in zip(dec.eigenvalues, dec.multiplicities):
-        idxs = characters_for_eigenvalue(table, lam)
-        assert len(idxs) == mult
-        total += len(idxs)
-    assert total == g.n
+    means, order, cuts = character_eigenspaces(table, dec.group_tol)
+    assert np.allclose(means, dec.eigenvalues, rtol=0.0, atol=1e-12)
+    assert np.diff(cuts).tolist() == dec.multiplicities.tolist()
+    assert sorted(order.tolist()) == list(range(g.n))
+    for lam, a, b in zip(means, cuts[:-1], cuts[1:]):
+        assert np.all(np.abs(table.eigenvalues[order[a:b]] - lam) <= 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.01, 0.3, 10.0])
+def test_kernel_is_its_own_group(tol):
+    # however coarse group_tol is, the smallest eigenvalue is a group of
+    # its own, in the dense grouping and in the characters' grouping; above
+    # it the groups follow group_tol
+    g = circulant(30, {1, 2})
+    vals = np.linalg.eigvalsh(laplacian(g))
+    dec = eigendecompose(laplacian(g), group_tol=tol)
+    means, _, cuts = character_eigenspaces(character_spectrum(g.cayley_spec), tol)
+    for got, mults in ((dec.eigenvalues, dec.multiplicities), (means, np.diff(cuts))):
+        assert mults[0] == 1 and abs(got[0]) <= 1e-12
+        assert mults.sum() == g.n
+        assert len(got) == 2 + int(np.sum(np.diff(vals[1:]) > tol))
+    p40 = eigendecompose(laplacian(catalog("path_40")), group_tol=tol)
+    assert p40.multiplicities[0] == 1
+    assert p40.eigenvalues[0] == p40.raw_eigenvalues[0]
+    if tol <= 0.01:  # the gap lambda_3 - lambda_2 of path_40 is 0.018
+        assert p40.eigenvalues[1] == pytest.approx(2.0 - 2.0 * np.cos(np.pi / 40), rel=1e-9)
 
 
 @settings(max_examples=20, deadline=None)

@@ -128,17 +128,20 @@ def test_character_table_agrees_with_walk_counts_and_projectors():
 
 
 def test_group_tol_reaches_the_character_grouping(monkeypatch):
-    # at group_tol 0.3 the eigenvalues 0 and 0.22 of circulant(30, {1, 2})
-    # merge, so lambda_2 moves; the table groups as the dense path does
+    # at group_tol 0.3 the top five eigenvalues of circulant(30, {1, 2})
+    # merge, so lambda_n moves; the kernel is a group of its own at every
+    # group_tol, so lambda_2 = 0.22 stays even where 0.3 exceeds it; the
+    # table groups as the dense path does
     g = circulant(30, {1, 2})
-    lam2s = set()
+    ends = set()
     for tol in (1e-10, 1e-3, 0.3):
         dec = eigendecompose(g.unit_laplacian, group_tol=tol)
         lam2, lamn, _ = _character_ends(g, tol)
         assert abs(lam2 - dec.eigenvalues[1]) <= 1e-12 * (1.0 + lam2)
         assert abs(lamn - dec.eigenvalues[-1]) <= 1e-12 * (1.0 + lamn)
-        lam2s.add(round(lam2, 9))
-    assert len(lam2s) == 2
+        ends.add((round(lam2, 9), round(lamn, 9)))
+    assert {lam2 for lam2, _ in ends} == {0.216613883}
+    assert len(ends) == 2
     # the check hands its option, or the default, to the grouping
     tols = []
     grouping = certify.character_eigenspaces
