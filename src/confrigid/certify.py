@@ -116,6 +116,9 @@ class RigidityReport:
     vertex_transitive: bool | None
     edge_orbits: int | None
     timings: dict
+    # whether the automorphism search ran out of its node budget (its
+    # results then hold for the subgroup found); None when no search ran
+    search_exhausted: bool | None = None
 
     @property
     def rigid(self) -> bool:
@@ -151,6 +154,7 @@ class RigidityReport:
             "walk1": self.walk1,
             "vertexTransitive": self.vertex_transitive,
             "edgeOrbits": self.edge_orbits,
+            "searchExhausted": self.search_exhausted,
             "rigid": self.rigid,
             "toolVersion": __version__,
             "timings": {k: float(v) for k, v in self.timings.items()},
@@ -661,11 +665,13 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
 
     t0 = time.perf_counter()
     perms = opts.generators
+    search_exhausted = None
     if perms is None:
         if g.cayley_spec is not None:
             perms = cayley_translations(g.cayley_spec)
         elif g.n <= SEARCH_MAX_N:
             perms = find_automorphisms(g)
+            search_exhausted = perms.exhausted
     orb = orbits(g, perms) if perms is not None else None
     timings["symmetry"] = time.perf_counter() - t0
 
@@ -701,4 +707,5 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
         vertex_transitive=None if orb is None else orb.num_vertex_orbits == 1,
         edge_orbits=None if orb is None else orb.num_edge_orbits,
         timings=timings,
+        search_exhausted=search_exhausted,
     )

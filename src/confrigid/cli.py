@@ -106,7 +106,7 @@ def _print_text_report(rep: RigidityReport, opts: CheckOptions) -> None:
     print(f"graph: {name}  n={rep.n} m={rep.m}")
     print(f"lambda2 = {rep.lambda2:.12g}   lambdaMax = {rep.lambda_max:.12g}")
     print(f"walk1 = {rep.walk1}   vertex-transitive = {rep.vertex_transitive}   "
-          f"edge orbits = {rep.edge_orbits}")
+          f"edge orbits = {rep.edge_orbits}   search exhausted = {rep.search_exhausted}")
     for er in (rep.lower, rep.upper):
         line = f"{er.end:>5}: {er.verdict}"
         if er.method:

@@ -69,8 +69,8 @@ def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
     lambda_2 however small lambda_2 is), and after it a new group starts
     wherever consecutive values differ by more than group_tol; group i is
     vals[cuts[i]:cuts[i + 1]].  Each mean is bit for bit np.mean of its
-    group: a singleton is its value, a pair (a + b) / 2, and only larger
-    groups call np.mean."""
+    group: a singleton is its value, a pair (a + b) / 2, and a larger group
+    the sum and division np.mean makes, without its wrapper."""
     breaks = np.diff(vals) > group_tol
     breaks[:1] = True
     cuts = np.concatenate(([0], np.flatnonzero(breaks) + 1, [len(vals)]))
@@ -78,8 +78,10 @@ def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
     means = vals[starts]
     pair = mults == 2
     means[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
-    for k in np.flatnonzero(mults > 2):
-        means[k] = np.mean(vals[starts[k] : cuts[k + 1]])
+    bounds = cuts.tolist()
+    for k in np.flatnonzero(mults > 2).tolist():
+        a, b = bounds[k], bounds[k + 1]
+        means[k] = np.add.reduce(vals[a:b]) / (b - a)
     return cuts, means
 
 

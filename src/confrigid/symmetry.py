@@ -121,9 +121,15 @@ def _orbit_blocks(
 
 
 def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
-    """Vertex and edge orbits as connected components of the generator action."""
+    """Vertex and edge orbits as connected components of the generator action.
+    With no generators (the trivial group) every block is a singleton."""
     if p.n != g.n:
         raise ValueError("permutation degree does not match graph order")
+    if not p.gens:
+        return OrbitPartition(
+            vertex_orbits=tuple((v,) for v in range(g.n)),
+            edge_orbits=tuple((k,) for k in range(g.m)),
+        )
     P = np.array(p.gens, dtype=int).reshape(-1, g.n)
     e = g.edge_array
     # edges are sorted, so their keys i * n + j are too

@@ -4,6 +4,7 @@ equivalent canonical-embedding characterization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,22 +68,66 @@ def walk_regularity(g: Graph) -> WalkRegularityReport:
     )
 
 
+# a batch's (n + m) x K product of basis columns holds at most this many
+# n x n matrices' worth of entries; eigh's eigenvector matrix is one
+BATCH_SQUARES = 4
+
+
 def canonical_walk1_check(
     g: Graph, dec: EigenspaceDecomposition, tol: float = 1e-8
 ) -> bool:
     """True iff every eigenspace's canonical embedding is spherical and
     edge-isometric: diag(U U^T) constant and (U U^T)_{ij} constant over
-    edges.  Must agree with walk_regularity().walk1 on every regular input."""
+    edges.  Must agree with walk_regularity().walk1 on every regular input.
+
+    The test reads the projector entries at the pairs (i, i), one per
+    vertex, then (i, j), one per edge.  Consecutive eigenspaces are tested
+    in batches of K basis columns in all: one elementwise product of the
+    basis rows of each pair's two ends gives every such entry of every
+    column's rank-one projector ((n + m) x K), and one np.add.reduceat sums
+    each eigenspace's columns.  A batch grows while (n + m) * K stays within
+    BATCH_SQUARES * n^2 entries; an eigenspace too wide for that alone gets
+    its projector U U^T (n x n).  The first failing batch returns False."""
     if not g.is_regular():
         raise NotRegularError("canonical walk-regularity check needs a regular graph")
-    e = g.edge_array
+    n = g.n
+    pairs = np.concatenate((np.arange(n).repeat(2).reshape(n, 2), g.edge_array))
+    # the diagonal entries, then the edge entries (if any): one spread each
+    cuts = [0, n] if g.m else [0]
+    budget = BATCH_SQUARES * n * n
+    batch: list[np.ndarray] = []
+    width = 0
     for U in dec.bases:
-        P = U @ U.T
-        d = np.diag(P)
-        if d.max() - d.min() > tol:
-            return False
-        if g.m:
-            ev = P[e[:, 0], e[:, 1]]
-            if ev.max() - ev.min() > tol:
+        k = U.shape[1]
+        if len(pairs) * (width + k) > budget and batch:
+            if not _batch_walk1(pairs, cuts, batch, tol):
                 return False
-    return True
+            batch, width = [], 0
+        if len(pairs) * k > budget:
+            P = U @ U.T
+            if not _constant_blocks(P[pairs[:, 0], pairs[:, 1]], cuts, tol):
+                return False
+            continue
+        batch.append(U)
+        width += k
+    return not batch or _batch_walk1(pairs, cuts, batch, tol)
+
+
+def _constant_blocks(entries: np.ndarray, cuts: list[int], tol: float) -> bool:
+    """Whether every block of rows entries[cuts[i]:cuts[i + 1]] spans at
+    most tol in every column."""
+    spread = np.maximum.reduceat(entries, cuts) - np.minimum.reduceat(entries, cuts)
+    return not np.any(spread > tol)
+
+
+def _batch_walk1(
+    pairs: np.ndarray, cuts: list[int], bases: list[np.ndarray], tol: float
+) -> bool:
+    """The projector test on consecutive eigenspaces at once: the entries
+    at `pairs` of each eigenspace's projector, one column per eigenspace,
+    as sums of products of its basis columns."""
+    U = np.concatenate(bases, axis=1)
+    starts = [0, *accumulate(B.shape[1] for B in bases[:-1])]
+    prod = U[pairs[:, 0]]
+    prod *= U[pairs[:, 1]]
+    return _constant_blocks(np.add.reduceat(prod, starts, axis=1), cuts, tol)

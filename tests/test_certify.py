@@ -460,7 +460,25 @@ def test_check_searches_automorphisms_up_to_the_search_cap(n):
         with pytest.raises(GraphTooLargeError):
             find_automorphisms(g)
         assert rep.edge_orbits is None
+        assert rep.search_exhausted is None
         assert (rep.lower.method, rep.upper.method) == ("OneWalkRegular",) * 2
+
+
+def test_report_says_whether_the_search_ran_out(monkeypatch):
+    # a completed search, no search (a Cayley spec or supplied generators)
+    # and a search cut at its budget
+    petersen = catalog("petersen")
+    rep = check_conformal_rigidity(petersen)
+    assert rep.search_exhausted is False
+    assert rep.to_json_dict()["searchExhausted"] is False
+    assert check_conformal_rigidity(circulant(18, {1, 5})).search_exhausted is None
+    gens = find_automorphisms(petersen)
+    opts = CheckOptions(generators=gens)
+    assert check_conformal_rigidity(petersen, opts).search_exhausted is None
+    monkeypatch.setattr(certify, "find_automorphisms", lambda g: find_automorphisms(g, limit=1))
+    rep = check_conformal_rigidity(petersen)
+    assert rep.search_exhausted is True
+    assert rep.to_json_dict()["searchExhausted"] is True
 
 
 def test_orbits_computed_once_per_check(monkeypatch):

@@ -28,6 +28,14 @@ def test_check_rigid_exit_zero(capsys):
     jsonschema.validate(report, _schema())
     assert report["rigid"] is True
     assert report["lower"]["method"] == "OneWalkRegular"
+    assert report["searchExhausted"] is False
+
+
+def test_text_report_says_whether_the_search_ran_out(capsys):
+    _, out, _ = _run(capsys, ["check", "--catalog", "petersen"])
+    assert "search exhausted = False" in out
+    _, out, _ = _run(capsys, ["check", "--circulant", "18", "1,5"])
+    assert "search exhausted = None" in out
 
 
 def test_check_refuted_exit_two(capsys):

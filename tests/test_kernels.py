@@ -113,7 +113,7 @@ def _grouped_means_oracle(M, group_tol):
 
 
 # hoffman, hypercube_4 and shrikhande_complement have eigenspaces of
-# dimension >= 3, where a sum-and-divide would differ from np.mean by an ulp
+# dimension >= 3, the groups whose mean is a reduction and a division
 EIGEN_GRAPHS = ["hoffman", "hypercube_4", "shrikhande_complement", "petersen", "complete_7",
                 "complete_bipartite_4_5", "cycle_48", "path_40", "triangular_prism"]
 

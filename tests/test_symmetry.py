@@ -10,6 +10,7 @@ from confrigid.errors import NotAutomorphismError
 from confrigid.graphs import Graph, circulant, normalize_edges
 from confrigid.symmetry import (
     PermutationSet,
+    _orbit_blocks,
     _refine_colors,
     cayley_translations,
     compose,
@@ -22,6 +23,7 @@ from confrigid.symmetry import (
     parse_generators,
 )
 from test_census import CONNECTED, _connected_graphs
+from test_falsify import _gnm
 
 
 def _relabelled(g, seed=0):
@@ -309,3 +311,17 @@ def test_asymmetric_graph_needs_no_search_nodes():
     p = find_automorphisms(g, limit=0)
     assert p.gens == ()
     assert p.exhausted is False
+
+
+@pytest.mark.parametrize("n, m, seed", [(10, 22, 0), (14, 31, 1), (18, 40, 2), (30, 60, 4)])
+def test_trivial_group_orbits_match_the_dfs(n, m, seed):
+    # with no generators the blocks are built directly; they must be the
+    # singletons the DFS builds, and those of the identity as a generator
+    g = _gnm(n, m, seed)
+    trivial = orbits(g, PermutationSet(n=g.n, gens=()))
+    assert trivial.vertex_orbits == _orbit_blocks(g.n, [])
+    assert trivial.edge_orbits == _orbit_blocks(g.m, [])
+    assert trivial == orbits(g, PermutationSet(n=g.n, gens=(tuple(range(g.n)),)))
+    assert (trivial.num_vertex_orbits, trivial.num_edge_orbits) == (g.n, g.m)
+    with pytest.raises(ValueError):
+        orbits(g, PermutationSet(n=g.n + 1, gens=()))

@@ -1,14 +1,25 @@
 """Walk regularity vs the spherical/edge-isometric canonical-embedding test
 and vs the character-table test of abelian Cayley graphs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_symmetry import _relabelled
 
-from confrigid import certify
+from confrigid import certify, walkreg
 from confrigid.catalog import catalog
 from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.errors import NotRegularError
-from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian
+from confrigid.graphs import (
+    CayleySpec,
+    Graph,
+    cartesian_product,
+    cayley_abelian,
+    circulant,
+    laplacian,
+    normalize_edges,
+)
 from confrigid.spectra import (
     character_eigenspaces,
     character_spectrum,
@@ -64,6 +75,74 @@ def test_agrees_with_canonical_check_on_catalog():
         g = catalog(name)
         dec = eigendecompose(laplacian(g))
         assert walk_regularity(g).walk1 == canonical_walk1_check(g, dec), name
+
+
+def _complement_of_cycle(n):
+    far = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    return Graph(n, normalize_edges(n, far), name=f"complement_cycle_{n}")
+
+
+def _batching_corpus():
+    """Sparse and dense graphs, 1-walk-regular or not, each as built and
+    under one seeded relabelling."""
+    graphs = [
+        catalog("cycle_48"),
+        catalog("hypercube_6"),
+        catalog("complete_bipartite_6_6"),
+        _complement_of_cycle(12),
+        cartesian_product(catalog("petersen"), catalog("complete_2")),
+    ]
+    return [h for g in graphs for h in (g, _relabelled(g, seed=3))]
+
+
+@pytest.mark.parametrize("squares", [0, 1, None, 10**6])
+def test_batched_check_agrees_with_walk_counts(monkeypatch, squares):
+    # None keeps the module's budget; 0 sends every eigenspace through its
+    # projector and 10**6 puts all of them in one batch
+    if squares is not None:
+        monkeypatch.setattr(walkreg, "BATCH_SQUARES", squares)
+    seen = set()
+    for g in _batching_corpus():
+        dec = eigendecompose(g.unit_laplacian)
+        walk1 = walk_regularity(g).walk1
+        assert canonical_walk1_check(g, dec) == walk1, g.name
+        seen.add(walk1)
+    assert seen == {True, False}
+
+
+def test_batches_stay_within_the_budget(monkeypatch):
+    # shrikhande_complement's eigenspaces (1, 9 and 6 columns, 88 pairs)
+    # fill two batches; K_{60,60}'s middle one is too wide for any
+    sizes = []
+    batch = walkreg._batch_walk1
+
+    def recording(pairs, cuts, bases, tol):
+        sizes.append(len(pairs) * sum(B.shape[1] for B in bases))
+        return batch(pairs, cuts, bases, tol)
+
+    monkeypatch.setattr(walkreg, "_batch_walk1", recording)
+    for name, batches in (("shrikhande_complement", 2), ("complete_bipartite_60_60", 2)):
+        g = catalog(name)
+        sizes.clear()
+        assert canonical_walk1_check(g, eigendecompose(g.unit_laplacian))
+        assert len(sizes) == batches
+        assert max(sizes) <= walkreg.BATCH_SQUARES * g.n**2
+
+
+def test_batched_check_memory_stays_within_a_projector():
+    # K_{60,60}'s eigenspace of multiplicity 118 is too wide for a batch and
+    # gets its 120 x 120 projector (about 0.25 MB traced at the peak); one
+    # product over all 120 columns would reach about 7 MB
+    g = catalog("complete_bipartite_60_60")
+    dec = eigendecompose(g.unit_laplacian)
+    assert canonical_walk1_check(g, dec)  # builds the cached edge array
+    tracemalloc.start()
+    try:
+        assert canonical_walk1_check(g, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_agrees_on_random_circulants():
