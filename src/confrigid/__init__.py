@@ -8,6 +8,12 @@ edge-isometric spectral embeddings (symmetry orbits, a character-basis LP for
 abelian Cayley graphs, and one equal-length Gram matrix per end with rank
 reduction).  It refutes rigidity at an end by a line search along the dual
 certificate of the equal-length decision; no verdict depends on a seed.
+
+Reference code, which no check runs: `walk_regularity` (exact walk counts),
+`symmetry.group_closure`/`group_order`, `phi_psi`, `symmetrized_embedding`,
+`embeddings.chi_gamma`, `sdp.sdp_feasibility`, `random_weight_search` and
+`subgradient_ascent`.  These are the paper's constructions and the older
+searches written out; the tests use them as independent oracles.
 """
 
 from ._version import __version__

@@ -47,6 +47,7 @@ from .spectra import (
     character_eigenspaces,
     character_spectrum,
     character_walk1,
+    check_tolerance,
     eigendecompose,
     resolve_group_tol,
 )
@@ -78,6 +79,13 @@ class CheckOptions:
     feas_tol: float = 1e-8
     generators: PermutationSet | None = None
     skip_stages: frozenset = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        # a NaN tolerance fails every comparison, which leaves ends undecided
+        check_tolerance("iso_tol", self.iso_tol)
+        check_tolerance("feas_tol", self.feas_tol)
+        if self.group_tol is not None:
+            check_tolerance("group_tol", self.group_tol)
 
     def stage_enabled(self, name: str) -> bool:
         return name not in self.skip_stages

@@ -20,7 +20,7 @@ from .embeddings import canonical_embedding, edge_length_profile, embedding_to_c
 from .errors import ConfrigidError
 from .graphs import CayleySpec, Graph, cayley_abelian, circulant, laplacian
 from .graphs import parse_edge_list, parse_graph6
-from .spectra import circulant_curve_extremes, eigendecompose
+from .spectra import check_tolerance, circulant_curve_extremes, eigendecompose
 from .symmetry import parse_generators
 
 
@@ -138,6 +138,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    check_tolerance("iso_tol", args.tol_iso)
     g = build_graph(args)
     dec = eigendecompose(laplacian(g), group_tol=args.tol_group)
     if args.value is not None:

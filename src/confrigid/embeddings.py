@@ -96,18 +96,13 @@ def rayleigh_eigenvalue(g: Graph, phi: np.ndarray, tol: float = RESIDUAL_TOL) ->
     return lam
 
 
-def symmetrized_embedding(
-    g: Graph,
-    phi: np.ndarray,
-    p: PermutationSet,
-    group_cap: int = 10**6,
-) -> Embedding:
+def symmetrized_embedding(g: Graph, phi: np.ndarray, p: PermutationSet) -> Embedding:
     """One column per group element sigma, with entry i equal to
     phi[sigma(i)].  The group generated by p.gens is enumerated explicitly."""
     lam = rayleigh_eigenvalue(g, phi)
     if lam <= 0:
         raise EigenvalueError("symmetrized embedding needs a positive eigenvalue")
-    elements = group_closure(p, cap=group_cap)
+    elements = group_closure(p)
     phi = np.asarray(phi, dtype=float)
     cols = np.stack([phi[np.array(sigma)] for sigma in elements], axis=1)
     return make_embedding(g, cols, lam, source=f"symmetrized[{len(elements)}]")
@@ -187,21 +182,20 @@ def phi_psi(
     phi: np.ndarray,
     p: PermutationSet,
     orb: OrbitPartition | None = None,
-    group_cap: int = 10**6,
-    well_defined_tol: float = 1e-9,
 ) -> OrbitVector:
     """Per edge orbit, sum over the group of phi[sigma(i)]*phi[sigma(j)] at the
-    orbit representative; the value is asserted equal across orbit members."""
+    orbit representative; the value is asserted equal across orbit members,
+    to within 1e-9 of the largest pair sum."""
     rayleigh_eigenvalue(g, phi)  # membership check; raises if not an eigenvector
     if orb is None:
         orb = orbits(g, p)
-    elements = group_closure(p, cap=group_cap)
+    elements = group_closure(p)
     M = pair_sums(phi, elements)
     scale = max(1.0, float(np.max(np.abs(M))))
     values, reps = [], []
     for block in orb.edge_orbits:
         vals = [M[g.edges[k][0], g.edges[k][1]] for k in block]
-        if max(vals) - min(vals) > well_defined_tol * scale:
+        if max(vals) - min(vals) > 1e-9 * scale:
             raise AssertionError("orbit sum varies across an edge orbit")
         rep = g.edges[block[0]]
         values.append(float(M[rep[0], rep[1]]))

@@ -1,14 +1,15 @@
 """Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
-|E|}.  The rigidity check uses only the seed-free line search along a
-given centred edge direction (the equal-length decision's dual c), which
-solves one Laplacian per step and stops at the first improving step.
-Randomized weight sampling and projected subgradient ascent on lambda_2
-(descent on lambda_n) remain as stand-alone searches for library callers;
-no verdict depends on them."""
+|E|}, one Laplacian eigensolve per weight vector tried.
+
+The rigidity check uses only `line_search`, seed-free, along a given
+centred edge direction (the equal-length decision's dual c), and
+`reverify`.  `random_weight_search` (uniform draws from the simplex) and
+`subgradient_ascent` (projected subgradient ascent on lambda_2, descent on
+lambda_n) are reference code that no check runs: stand-alone searches for
+library callers and an independent oracle for the tests."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,13 @@ from .spectra import lambda_ends
 IMPROVE_MARGIN = 1e-6
 ENDS = ("lower", "upper")
 
-# Cap on one chunk of stacked Laplacians in random_weight_search (5 matrices
-# at n = 40); chunking changes no result, only how many solves share a call.
-STACK_BYTES = 64 * 1024
-
 # Step sizes of the line search, as fractions of the largest step
 # that keeps every weight nonnegative: 1, 1/2, ..., 2^-29.
 DIRECTION_STEPS = 2.0 ** -np.arange(30)
+
+# subgradient_ascent's step at iteration t is ETA0 / sqrt(t) times a
+# direction of norm sqrt(m).
+ETA0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,6 @@ class FalsifierResult:
     best_value: float
     improved: bool
     trials: int
-    steps: int
-    seed: int | None  # None for the seed-free line search
 
 
 def simplex_projection(v: np.ndarray, total: float) -> np.ndarray:
@@ -56,14 +55,6 @@ def _check_end(end: str) -> None:
         raise ValueError("end must be 'lower' or 'upper'")
 
 
-def _unit_values(g: Graph) -> dict[str, float]:
-    """Target eigenvalues at unit weights; lambda_ends rejects disconnected
-    graphs and n < 2, so the stand-alone searches check their input here
-    (line_search and reverify take the unit value from their caller)."""
-    lam2, lamn = lambda_ends(g)
-    return {"lower": lam2, "upper": lamn}
-
-
 def _value(g: Graph, w: np.ndarray, end: str) -> float:
     vals = np.linalg.eigvalsh(laplacian(g, w))
     return float(vals[1] if end == "lower" else vals[-1])
@@ -79,27 +70,6 @@ def _is_improvement(end: str, value: float, unit_value: float) -> bool:
     return value < unit_value * (1.0 - IMPROVE_MARGIN)
 
 
-def _chunk_rows(g: Graph) -> int:
-    """Weight rows per chunk of stacked Laplacians (at most STACK_BYTES)."""
-    return max(1, STACK_BYTES // (8 * g.n * g.n))
-
-
-def _best_row(
-    g: Graph, chunks: Iterable[np.ndarray], end: str, unit: float
-) -> tuple[float, np.ndarray]:
-    """(value, weights) of the first strictly best row at `end`, over
-    chunks of weight rows solved by one batched eigvalsh each; the unit
-    value and unit weights when no row beats them."""
-    best, best_w = unit, np.ones(g.m)
-    col, pick = (1, np.argmax) if end == "lower" else (-1, np.argmin)
-    for W in chunks:
-        vals = np.linalg.eigvalsh(laplacian(g, W))[:, col]
-        r = int(pick(vals))
-        if _better(end, float(vals[r]), best):
-            best, best_w = float(vals[r]), W[r].copy()
-    return best, best_w
-
-
 def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResult:
     """Line search from unit weights along a centred edge direction d, which
     raises the target at the lower end (its negative is followed at the
@@ -110,15 +80,17 @@ def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResu
     time from the largest down, and the first step that improves on `unit`
     by IMPROVE_MARGIN is returned.  When none does, the result is the first
     strictly best step of the grid (unit weights if no step beats them),
-    with `improved` false.  `trials` counts the steps solved.  No random
-    numbers are drawn.
+    with `improved` false.  `trials` counts the steps solved.  A d that
+    lowers no weight (zero up to rounding) gives unit weights and solves no
+    step.  No random numbers are drawn.
     """
     _check_end(end)
     if end == "upper":
         d = -d
     best, best_w = unit, np.ones(g.m)
-    steps = DIRECTION_STEPS / np.max(-d)
-    for j, t in enumerate(steps, start=1):
+    top = float(np.max(-d))
+    j = 0
+    for j, t in enumerate(DIRECTION_STEPS / top if top > 0 else (), start=1):
         # clipping only removes rounding below zero at the boundary step
         w = np.maximum(1.0 + t * d, 0.0)
         val = _value(g, w, end)
@@ -132,53 +104,39 @@ def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResu
         best_value=best,
         improved=_is_improvement(end, best, unit),
         trials=j,
-        steps=0,
-        seed=None,
     )
 
 
 def random_weight_search(
     g: Graph, end: str, trials: int = 1000, seed: int = 0
 ) -> FalsifierResult:
-    """Sample weights uniformly from the simplex (exponential spacings),
-    keep the best objective value.
-
-    Rows are drawn and solved in chunks of at most STACK_BYTES of
-    Laplacians, one batched eigvalsh per chunk.  The result is bit for bit
-    that of drawing, normalizing and solving one row at a time and keeping
-    the first strictly best row.
-    """
+    """Sample weights uniformly from the simplex (exponential spacings), one
+    row drawn, normalized and solved at a time, and keep the first strictly
+    best row (unit weights when no row beats them)."""
     _check_end(end)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    unit = _unit_values(g)[end]
+    # lambda_ends rejects disconnected graphs and n < 2
+    unit = lambda_ends(g)[ENDS.index(end)]
     rng = np.random.default_rng(seed)
-    chunk = _chunk_rows(g)
-
-    def chunks() -> Iterator[np.ndarray]:
-        for done in range(0, trials, chunk):
-            e = rng.exponential(size=(min(chunk, trials - done), g.m))
-            yield e * (g.m / e.sum(axis=1, keepdims=True))
-
-    best, best_w = _best_row(g, chunks(), end, unit)
+    best, best_w = unit, np.ones(g.m)
+    for _ in range(trials):
+        e = rng.exponential(size=g.m)
+        w = e * (g.m / e.sum())
+        val = _value(g, w, end)
+        if _better(end, val, best):
+            best, best_w = val, w
     return FalsifierResult(
         end=end,
         best_w=best_w,
         best_value=best,
         improved=_is_improvement(end, best, unit),
         trials=trials,
-        steps=0,
-        seed=seed,
     )
 
 
 def subgradient_ascent(
-    g: Graph,
-    end: str,
-    start_w: np.ndarray | None = None,
-    steps: int = 500,
-    seed: int = 0,
-    eta0: float = 0.1,
+    g: Graph, end: str, steps: int = 500, seed: int = 0
 ) -> FalsifierResult:
     """Projected subgradient steps on the target eigenvalue.
 
@@ -187,20 +145,16 @@ def subgradient_ascent(
     above one the eigenvector choice makes this a subgradient step, not a
     gradient step.  The direction is mean-centred (the simplex keeps the
     weight sum) and scaled to norm sqrt(m), since the raw values shrink with
-    the graph; the step is eta0 / sqrt(t) times it, and the run stops early
-    where the direction vanishes.  Each step's eigh also gives the value of
+    the graph; the step is ETA0 / sqrt(t) times it, and the run stops early
+    where the direction vanishes.  The start is unit weights perturbed by
+    seeded noise of size 0.01, projected onto the simplex.  Each step's eigh also gives the value of
     the current iterate, so a run makes at most `steps` eigh calls and one
     eigvalsh for the last iterate; it always returns the best seen.
     """
     _check_end(end)
     rng = np.random.default_rng(seed)
-    unit = _unit_values(g)[end]
-    if start_w is None:
-        w = simplex_projection(
-            np.ones(g.m) + 0.01 * rng.standard_normal(g.m), float(g.m)
-        )
-    else:
-        w = simplex_projection(np.asarray(start_w, dtype=float), float(g.m))
+    unit = lambda_ends(g)[ENDS.index(end)]
+    w = simplex_projection(np.ones(g.m) + 0.01 * rng.standard_normal(g.m), float(g.m))
     best_w, best = np.ones(g.m), unit
     sign = 1.0 if end == "lower" else -1.0
     col = 1 if end == "lower" else g.n - 1
@@ -215,7 +169,7 @@ def subgradient_ascent(
         norm = np.linalg.norm(d)
         if norm <= 1e-12 * np.linalg.norm(grad):
             break  # stationary to rounding: scaling d up would step on noise
-        step = sign * (eta0 / np.sqrt(t)) * np.sqrt(g.m) / norm
+        step = sign * (ETA0 / np.sqrt(t)) * np.sqrt(g.m) / norm
         w = simplex_projection(w + step * d, float(g.m))
     val = _value(g, w, end)
     if _better(end, val, best):
@@ -226,8 +180,6 @@ def subgradient_ascent(
         best_value=best,
         improved=_is_improvement(end, best, unit),
         trials=0,
-        steps=steps,
-        seed=seed,
     )
 
 

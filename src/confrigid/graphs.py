@@ -254,57 +254,31 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 _SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])  # per edge: (i, j), (j, i), (i, i), (j, j)
 
 
-def _check_weights(w: np.ndarray) -> None:
-    """Reject a negative, NaN or infinite weight.  One min and one max
-    reduction: NaN propagates through both, and initial=0 makes them
-    defined on zero edges without changing either test."""
-    lo = np.minimum.reduce(w, axis=None, initial=0.0)
-    if not (lo >= 0 and np.maximum.reduce(w, axis=None, initial=0.0) < np.inf):
-        raise WeightError("negative edge weight" if lo < 0 else "non-finite edge weight")
-
-
 def laplacian(g: Graph, w=None) -> np.ndarray:
     """Weighted Laplacian L(w) = D(w) - A(w); unit weights when w is None.
 
-    A (k, m) stack of weight rows gives the (k, n, n) stack of their
-    Laplacians, each bit for bit the Laplacian of its row alone.  Rows sum
-    to zero exactly by construction.  Weight-zero edges stay in the edge
-    list; they vanish only at the Laplacian level.  Weights must be finite
-    and nonnegative.
+    w is one weight per edge, shape (m,).  Rows sum to zero exactly by
+    construction.  Weight-zero edges stay in the edge list; they vanish only
+    at the Laplacian level.  Weights must be finite and nonnegative.
 
-    One bincount scatters -w_e, -w_e, w_e, w_e onto g.laplacian_index,
-    with the bins of row r offset by r * n * n.  That is bit for bit what a
-    per-edge loop gives: each off-diagonal bin gets one term, 0.0 + -w_e
-    (a zero weight stays +0.0), and each diagonal bin sums its vertex's
-    weights in edge order.
+    One bincount scatters -w_e, -w_e, w_e, w_e onto g.laplacian_index.
+    That is bit for bit what a per-edge loop gives: each off-diagonal bin
+    gets one term, 0.0 + -w_e (a zero weight stays +0.0), and each diagonal
+    bin sums its vertex's weights in edge order.
     """
     if w is None:
         w = np.ones(g.m)
     w = np.asarray(w, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != g.m:
-        raise WeightError(f"expected {g.m} weights per row, got shape {w.shape}")
-    _check_weights(w)
-    n2 = g.n * g.n
-    bins, k = g.laplacian_index, 1
-    if w.ndim == 2:
-        k = len(w)
-        bins = (np.arange(k)[:, None] * n2 + bins).ravel()
-    # bincount of no indices is an integer array, whatever the weights
-    L = np.bincount(bins, (w[..., None] * _SIGNS).ravel(), k * n2)
-    return L.astype(float, copy=False).reshape(w.shape[:-1] + (g.n, g.n))
-
-
-def normalized_weights(g: Graph, w) -> np.ndarray:
-    """Scale finite nonnegative weights so that sum_e w_e = |E|
-    (equivalently, the sum over ordered vertex pairs equals 2|E|)."""
-    w = np.asarray(w, dtype=float)
     if w.shape != (g.m,):
         raise WeightError(f"expected {g.m} weights, got shape {w.shape}")
-    _check_weights(w)
-    total = float(w.sum())
-    if total <= 0:
-        raise WeightError("weights sum to zero")
-    return w * (g.m / total)
+    # one min and one max reduction: NaN propagates through both, and
+    # initial=0 makes them defined on zero edges without changing either test
+    lo = np.minimum.reduce(w, initial=0.0)
+    if not (lo >= 0 and np.maximum.reduce(w, initial=0.0) < np.inf):
+        raise WeightError("negative edge weight" if lo < 0 else "non-finite edge weight")
+    # bincount of no indices is an integer array, whatever the weights
+    L = np.bincount(g.laplacian_index, (w[:, None] * _SIGNS).ravel(), g.n * g.n)
+    return L.astype(float, copy=False).reshape(g.n, g.n)
 
 
 def parse_graph6(text: str) -> Graph:

@@ -162,9 +162,9 @@ class LengthDecision:
 
     status is "rigid" when X gives every edge block the same mean squared
     length to within the tolerance, "not_rigid" when S(c) is positive
-    definite, "undecided" at the iteration cap.  c is the centred block
-    means of the squared edge lengths of X, one entry per edge, dual_min_eig
-    is lambda_min(S(c)) and gap is |c| / |l|.
+    definite, "undecided" at the iteration cap or where rounding stalls.
+    c is the centred block means of the squared edge lengths of X, one
+    entry per edge, dual_min_eig is lambda_min(S(c)) and gap is |c| / |l|.
     """
 
     status: str  # "rigid" | "not_rigid" | "undecided"
@@ -209,8 +209,9 @@ def length_decision(
     boundary and dropping an atom while a weight is not positive; X is the
     weighted sum of the atoms.  The run stops at "rigid" when |c| <= tol |l|,
     at "not_rigid" when lambda_min(S(c)) > 0 beyond rounding (DUAL_TOL), and
-    at "undecided" only at the max_iter guard.  At k = 1, S(c) is the
-    scalar |c|^2, so the first two tests decide.
+    at "undecided" at the max_iter guard or where rounding stalls the run (no
+    descent left, or a singular corral), with the X and c it reached.  At
+    k = 1, S(c) is the scalar |c|^2, so the first two tests decide.
     With B = U_i - U_j over the edges (U an eigenspace basis) and edge-orbit
     blocks, S(c), I / k and every atom commute with the group's action on
     the eigenspace, so X lies in the commutant (never projected), where an
@@ -258,7 +259,10 @@ def length_decision(
             Ac = A - A.mean(axis=1, keepdims=True)
             K = np.pad(Ac @ Ac.T, ((0, 1), (0, 1)), constant_values=1.0)
             K[-1, -1] = 0.0
-            y = np.linalg.solve(K, np.eye(len(K))[-1])[:-1]
+            try:
+                y = np.linalg.solve(K, np.eye(len(K))[-1])[:-1]
+            except np.linalg.LinAlgError:  # a singular corral: rounding, as above
+                return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
             if np.all(y > 0.0):
                 w = y
                 break
@@ -325,11 +329,11 @@ def rank_reduce(X: np.ndarray, inst: SdpInstance) -> np.ndarray:
     return _psd_project(X)
 
 
-def rank_one_vector(X: np.ndarray, tol: float = RANK_CUTOFF) -> np.ndarray | None:
-    """If X = a a^T up to tol, return a; else None."""
+def rank_one_vector(X: np.ndarray) -> np.ndarray | None:
+    """If X = a a^T up to RANK_CUTOFF (relative), return a; else None."""
     vals, vecs = np.linalg.eigh((X + X.T) / 2.0)
     if vals[-1] <= 0:
         return None
-    if len(vals) > 1 and vals[-2] > tol * vals[-1]:
+    if len(vals) > 1 and vals[-2] > RANK_CUTOFF * vals[-1]:
         return None
     return vecs[:, -1] * np.sqrt(vals[-1])

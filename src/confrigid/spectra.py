@@ -10,6 +10,11 @@ import numpy as np
 from .errors import DisconnectedError, EigenvalueError, NotSymmetricError
 from .graphs import CayleySpec, Graph, laplacian
 
+# 1-walk regularity's tolerance on the spread of an eigenprojector's edge
+# entries (and diagonal entries), in `character_walk1` and
+# `walkreg.canonical_walk1_check` alike.
+WALK1_TOL = 1e-8
+
 
 def default_group_tol(M: np.ndarray, scale: float | None = None) -> float:
     """1e-8 * max(1, max|M|) * n; scale is max(1, max|M|) when the caller
@@ -39,28 +44,33 @@ class EigenspaceDecomposition:
     def n(self) -> int:
         return int(self.multiplicities.sum())
 
-    def index_of(self, lam: float, tol: float | None = None) -> int:
-        tol = self.group_tol if tol is None else tol
+    def index_of(self, lam: float) -> int:
+        """The eigenspace whose value is within group_tol of lam."""
         d = np.abs(self.eigenvalues - lam)
         k = int(np.argmin(d))
-        if d[k] > tol + 1e-12 * max(1.0, abs(lam)):
+        if d[k] > self.group_tol + 1e-12 * max(1.0, abs(lam)):
             raise EigenvalueError(f"no eigenvalue near {lam}")
         return k
 
-    def basis_for(self, lam: float, tol: float | None = None) -> np.ndarray:
-        return self.bases[self.index_of(lam, tol)]
+    def basis_for(self, lam: float) -> np.ndarray:
+        return self.bases[self.index_of(lam)]
 
 
 def resolve_group_tol(
     M: np.ndarray, group_tol: float | None, scale: float | None = None
 ) -> float:
     """group_tol, or default_group_tol(M, scale) when it is None; it must be
-    positive."""
+    finite and positive."""
     if group_tol is None:
         group_tol = default_group_tol(M, scale)
-    if group_tol <= 0:
-        raise ValueError("group_tol must be positive")
+    check_tolerance("group_tol", group_tol)
     return group_tol
+
+
+def check_tolerance(name: str, tol: float) -> None:
+    """Reject a tolerance that is NaN, infinite or not positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
 def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +159,6 @@ class CharacterTable:
     def size(self) -> int:
         return self.chars.shape[0]
 
-    def character(self, k: int) -> np.ndarray:
-        return self.chars[k]
-
 
 def character_spectrum(spec: CayleySpec) -> CharacterTable:
     """All characters of the group with eigenvalues
@@ -182,17 +189,15 @@ def character_eigenspaces(
     return means, order, cuts
 
 
-def character_walk1(
-    table: CharacterTable, order: np.ndarray, cuts: np.ndarray, tol: float = 1e-8
-) -> bool:
+def character_walk1(table: CharacterTable, order: np.ndarray, cuts: np.ndarray) -> bool:
     """1-walk regularity of the Cayley graph from its characters, grouped
     by `character_eigenspaces`.  The eigenprojector onto the characters K of
     one eigenvalue has (1/N) sum_{k in K} Re chi^k(s) on every edge
     {g, g + s} and |K| / N, the same at every vertex, on its diagonal; so
-    walk1 holds iff for every K the edge entries agree within tol, the test
-    `canonical_walk1_check` makes on the dense projectors."""
+    walk1 holds iff for every K the edge entries agree within WALK1_TOL, the
+    test `canonical_walk1_check` makes on the dense projectors."""
     sums = np.add.reduceat(table.chars[:, table.gen_idx].real[order], cuts[:-1], axis=0)
-    return bool(np.all(sums.max(axis=1) - sums.min(axis=1) <= tol * table.size))
+    return bool(np.all(sums.max(axis=1) - sums.min(axis=1) <= WALK1_TOL * table.size))
 
 
 def circulant_curve_extremes(n: int) -> tuple[int, int]:

@@ -1,5 +1,5 @@
-"""Permutation groups given by generators: orbit computation, transitivity
-tests, group closure, and a budgeted backtracking automorphism search."""
+"""Permutation groups given by generators: orbit computation, group
+closure, and a budgeted backtracking automorphism search."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import numpy as np
 from .errors import GraphTooLargeError, GroupTooLargeError, NotAutomorphismError
 from .graphs import CayleySpec, Graph
 
-SEARCH_MAX_N = 512  # default order cap of the search; the check skips it above
+SEARCH_MAX_N = 512  # order cap of the search; the check skips it above
+GROUP_CAP = 10**6  # most elements group_closure lists
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,9 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def group_closure(p: PermutationSet, cap: int = 10**6) -> list[tuple[int, ...]]:
-    """All elements of the group generated by p.gens, by BFS over generators."""
+def group_closure(p: PermutationSet) -> list[tuple[int, ...]]:
+    """All elements of the group generated by p.gens, by BFS over generators;
+    GroupTooLargeError past GROUP_CAP elements."""
     seen = {identity_perm(p.n)}
     frontier = [identity_perm(p.n)]
     while frontier:
@@ -50,16 +52,16 @@ def group_closure(p: PermutationSet, cap: int = 10**6) -> list[tuple[int, ...]]:
             for g in p.gens:
                 b = compose(g, a)
                 if b not in seen:
-                    if len(seen) >= cap:
-                        raise GroupTooLargeError(f"group order exceeds cap {cap}")
+                    if len(seen) >= GROUP_CAP:
+                        raise GroupTooLargeError(f"group order exceeds cap {GROUP_CAP}")
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
     return sorted(seen)
 
 
-def group_order(p: PermutationSet, cap: int = 10**6) -> int:
-    return len(group_closure(p, cap))
+def group_order(p: PermutationSet) -> int:
+    return len(group_closure(p))
 
 
 @dataclass(frozen=True)
@@ -152,16 +154,6 @@ def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
     )
 
 
-def is_vertex_transitive(g: Graph, p: PermutationSet) -> bool:
-    """Transitivity with respect to the supplied subgroup; sufficient for the
-    graph property, not necessary."""
-    return orbits(g, p).num_vertex_orbits == 1
-
-
-def is_edge_transitive(g: Graph, p: PermutationSet) -> bool:
-    return orbits(g, p).num_edge_orbits == 1
-
-
 def _refine_colors(g: Graph) -> np.ndarray:
     """Equitable partition by iterated (color, multiset of neighbor colors),
     colours numbered by the rank of their signature.
@@ -201,9 +193,7 @@ def _refine_colors(g: Graph) -> np.ndarray:
         colors = new
 
 
-def find_automorphisms(
-    g: Graph, limit: int = 500_000, max_n: int = SEARCH_MAX_N
-) -> PermutationSet:
+def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
     """Generating set of Aut(G), one automorphism per point of each basic
     orbit: at most n - 1 generators, and the group is never held.
 
@@ -223,9 +213,10 @@ def find_automorphisms(
     they generate.
 
     Neighbourhoods, colour classes and the used vertices are bitsets held
-    in Python ints, so each node costs a few word operations."""
-    if g.n > max_n:
-        raise GraphTooLargeError(f"automorphism search capped at n = {max_n}")
+    in Python ints, so each node costs a few word operations.  Graphs above
+    SEARCH_MAX_N vertices raise GraphTooLargeError."""
+    if g.n > SEARCH_MAX_N:
+        raise GraphTooLargeError(f"automorphism search capped at n = {SEARCH_MAX_N}")
     n = g.n
     colors = _refine_colors(g)
     class_size = np.bincount(colors)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DisconnectedError, NotRegularError
 from .graphs import Graph
-from .spectra import EigenspaceDecomposition, eigendecompose
+from .spectra import WALK1_TOL, EigenspaceDecomposition, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,11 @@ def walk_regularity(g: Graph) -> WalkRegularityReport:
 BATCH_SQUARES = 4
 
 
-def canonical_walk1_check(
-    g: Graph, dec: EigenspaceDecomposition, tol: float = 1e-8
-) -> bool:
+def canonical_walk1_check(g: Graph, dec: EigenspaceDecomposition) -> bool:
     """True iff every eigenspace's canonical embedding is spherical and
     edge-isometric: diag(U U^T) constant and (U U^T)_{ij} constant over
-    edges.  Must agree with walk_regularity().walk1 on every regular input.
+    edges, each to within WALK1_TOL.  Must agree with
+    walk_regularity().walk1 on every regular input.
 
     The test reads the projector entries at the pairs (i, i), one per
     vertex, then (i, j), one per edge.  Consecutive eigenspaces are tested
@@ -100,29 +99,27 @@ def canonical_walk1_check(
     for U in dec.bases:
         k = U.shape[1]
         if len(pairs) * (width + k) > budget and batch:
-            if not _batch_walk1(pairs, cuts, batch, tol):
+            if not _batch_walk1(pairs, cuts, batch):
                 return False
             batch, width = [], 0
         if len(pairs) * k > budget:
             P = U @ U.T
-            if not _constant_blocks(P[pairs[:, 0], pairs[:, 1]], cuts, tol):
+            if not _constant_blocks(P[pairs[:, 0], pairs[:, 1]], cuts):
                 return False
             continue
         batch.append(U)
         width += k
-    return not batch or _batch_walk1(pairs, cuts, batch, tol)
+    return not batch or _batch_walk1(pairs, cuts, batch)
 
 
-def _constant_blocks(entries: np.ndarray, cuts: list[int], tol: float) -> bool:
+def _constant_blocks(entries: np.ndarray, cuts: list[int]) -> bool:
     """Whether every block of rows entries[cuts[i]:cuts[i + 1]] spans at
-    most tol in every column."""
+    most WALK1_TOL in every column."""
     spread = np.maximum.reduceat(entries, cuts) - np.minimum.reduceat(entries, cuts)
-    return not np.any(spread > tol)
+    return not np.any(spread > WALK1_TOL)
 
 
-def _batch_walk1(
-    pairs: np.ndarray, cuts: list[int], bases: list[np.ndarray], tol: float
-) -> bool:
+def _batch_walk1(pairs: np.ndarray, cuts: list[int], bases: list[np.ndarray]) -> bool:
     """The projector test on consecutive eigenspaces at once: the entries
     at `pairs` of each eigenspace's projector, one column per eigenspace,
     as sums of products of its basis columns."""
@@ -130,4 +127,4 @@ def _batch_walk1(
     starts = [0, *accumulate(B.shape[1] for B in bases[:-1])]
     prod = U[pairs[:, 0]]
     prod *= U[pairs[:, 1]]
-    return _constant_blocks(np.add.reduceat(prod, starts, axis=1), cuts, tol)
+    return _constant_blocks(np.add.reduceat(prod, starts, axis=1), cuts)

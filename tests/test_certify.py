@@ -52,6 +52,38 @@ from confrigid.symmetry import (
 )
 
 
+BAD_TOLS = [np.nan, np.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_TOLS)
+@pytest.mark.parametrize("name", ["group_tol", "iso_tol", "feas_tol"])
+def test_check_options_reject_a_tolerance_not_finite_and_positive(name, bad):
+    # a NaN tolerance fails every comparison and would leave both ends undecided
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        CheckOptions(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", BAD_TOLS)
+def test_group_tol_resolves_only_when_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="group_tol must be finite and positive"):
+        eigendecompose(catalog("petersen").unit_laplacian, group_tol=bad)
+
+
+@pytest.mark.parametrize("feas_tol", [1e-18, 1e-20])
+def test_decision_tolerance_below_rounding_gives_a_report(feas_tol):
+    # so far below rounding the lower end's decision reaches a singular
+    # corral, where a centred c that lowers no weight leaves no step to take:
+    # the end stays undecided and the upper end is refuted as by default
+    g = cartesian_product(catalog("petersen"), catalog("path_2"))
+    rep = check_conformal_rigidity(g, CheckOptions(feas_tol=feas_tol))
+    assert rep.lower.verdict == "undecided"
+    assert rep.lower.residuals["falsifier_best"] == rep.lambda2
+    default = check_conformal_rigidity(g)
+    assert default.lower.method == "Eigenvector"
+    assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
+    assert (default.upper.verdict, default.upper.method) == ("refuted", "Falsifier")
+
+
 def _end_classes(g):
     """The character table of g and its grouped classes at lambda_2 and
     lambda_n, as the check groups them."""

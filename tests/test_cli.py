@@ -122,6 +122,25 @@ def test_bad_stage_skip_is_input_error(capsys):
     assert "warp_drive" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--tol-group", "--tol-iso", "--tol-feas"])
+def test_tolerance_not_finite_and_positive_is_input_error(capsys, flag, bad):
+    code, out, err = _run(capsys, ["check", "--catalog", "petersen", flag, bad])
+    assert code == 1
+    assert out == ""
+    assert "must be finite and positive" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1"])
+def test_embed_tolerance_not_finite_and_positive_is_input_error(capsys, bad):
+    # a NaN isometry tolerance would report cycle_6 as not edge-isometric
+    argv = ["embed", "--catalog", "cycle_6", "--at", "lambda2", "--tol-iso", bad]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "iso_tol must be finite and positive" in err
+
+
 def test_disconnected_edges_file_is_input_error(tmp_path, capsys):
     f = tmp_path / "g.txt"
     for text in ("4 2\n0 1\n2 3\n", "1 0\n"):

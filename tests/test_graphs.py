@@ -14,7 +14,6 @@ from confrigid.graphs import (
     circulant,
     laplacian,
     normalize_edges,
-    normalized_weights,
     parse_edge_list,
 )
 from confrigid.spectra import character_spectrum, lambda_ends
@@ -124,23 +123,10 @@ def test_laplacian_rows_sum_to_zero():
         ref[i, i] += we
         ref[j, j] += we
     assert laplacian(g, w).tobytes() == ref.tobytes()
-    # a stack of rows gives each row's Laplacian, bit for bit
-    W = np.stack([w, np.ones(g.m), np.random.default_rng(1).exponential(size=g.m)])
-    stack = laplacian(g, W)
-    assert stack.shape == (3, g.n, g.n)
-    for Lk, wk in zip(stack, W):
-        assert Lk.tobytes() == laplacian(g, wk).tobytes()
+    # one weight per edge: a stack of rows is no weight vector
+    with pytest.raises(WeightError, match="expected"):
+        laplacian(g, np.stack([w, np.ones(g.m)]))
     assert laplacian(Graph(1, ())).tobytes() == np.zeros((1, 1)).tobytes()
-
-
-def test_normalized_weights_scale_and_reject():
-    g = circulant(5, {1})
-    w = normalized_weights(g, [1, 2, 3, 4, 5])
-    assert w.sum() == pytest.approx(g.m)
-    with pytest.raises(WeightError):
-        normalized_weights(g, [-1, 1, 1, 1, 1])
-    with pytest.raises(WeightError):
-        normalized_weights(g, [0, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -150,9 +136,7 @@ def test_non_finite_weights_rejected(bad):
     w = [bad, 1.0, 1.0, 1.0]
     for call in (
         lambda: laplacian(g, w),
-        lambda: laplacian(g, [np.ones(g.m), w]),
         lambda: lambda_ends(g, w),
-        lambda: normalized_weights(g, w),
     ):
         with pytest.raises(WeightError, match="negative" if bad < 0 else "non-finite"):
             call()

@@ -116,9 +116,9 @@ def test_batches_stay_within_the_budget(monkeypatch):
     sizes = []
     batch = walkreg._batch_walk1
 
-    def recording(pairs, cuts, bases, tol):
+    def recording(pairs, cuts, bases):
         sizes.append(len(pairs) * sum(B.shape[1] for B in bases))
-        return batch(pairs, cuts, bases, tol)
+        return batch(pairs, cuts, bases)
 
     monkeypatch.setattr(walkreg, "_batch_walk1", recording)
     for name, batches in (("shrikhande_complement", 2), ("complete_bipartite_60_60", 2)):
