@@ -55,6 +55,7 @@ from .symmetry import (
     SEARCH_MAX_N,
     OrbitPartition,
     PermutationSet,
+    cayley_orbits,
     cayley_translations,
     find_automorphisms,
     orbits,
@@ -231,7 +232,7 @@ def abelian_lp_certificate(
     """
     idxs = sorted(int(k) for k in characters)
     # chi_Gamma / |Gamma| has entry s equal to conj(chi(s))
-    V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])  # d x |S|
+    V = np.conj(table.gen_chars[idxs])  # d x |S|
     d = len(idxs)
     res = phase1_feasibility(*character_lp_system(V))
     status = "not_in_polytope" if res.objective > 1e-7 else "degenerate"
@@ -242,7 +243,7 @@ def abelian_lp_certificate(
         if np.max(np.abs(c @ V - t)) <= 1e-7:  # substitution check
             # does a single real eigenvector achieve it, or only a complex combination?
             support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
-            complex_only = all(np.max(np.abs(table.chars[k].imag)) > 1e-9 for k in support)
+            complex_only = bool(np.all(np.max(np.abs(table.rows(support).imag), axis=1) > 1e-9))
             return LpCertificateResult(
                 status="certified",
                 coefficients=c,
@@ -284,11 +285,11 @@ def lp_certificate_embedding(
     characters of table: the n x 2d columns sqrt(c_j) * [Re chi^j, Im chi^j].
     Its Gram matrix is that of the group-symmetrized
     phi = sum_j sqrt(c_j) chi^j divided by the group order."""
+    ks = [k for ck, k in zip(lp.coefficients, lp.character_indices) if ck > 0]
     cols = []
-    for ck, k in zip(lp.coefficients, lp.character_indices):
-        if ck > 0:
-            chi = np.sqrt(ck) * table.chars[k]
-            cols += [chi.real, chi.imag]
+    for ck, row in zip(lp.coefficients[lp.coefficients > 0], table.rows(ks)):
+        chi = np.sqrt(ck) * row
+        cols += [chi.real, chi.imag]
     P = np.stack(cols, axis=1)
     keep = np.linalg.norm(P, axis=0) > 1e-12
     return make_embedding(g, P[:, keep], lam, source="character-lp")
@@ -638,13 +639,14 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     rigid, the falsifier makes one line search along c.  No random numbers
     are drawn, so no verdict depends on a seed.
     walk1 comes from the eigenprojectors (no walk counts), and no group is
-    listed.  On an abelian Cayley graph with the character LP enabled,
-    lambda_2, lambda_n and walk1 come from the character table (closed-form
-    eigenvalues, projector entries summed over each eigenvalue's
-    characters), and the dense eigendecomposition is built only for an
-    end that needs it: the edge-transitive stage's canonical test, or an
-    end the LP does not certify.  Both ends must certify for the headline
-    verdict.
+    listed.  An abelian Cayley graph with no supplied generators takes its
+    orbits from its spec (`cayley_orbits`).  With the character LP enabled,
+    lambda_2, lambda_n and walk1 come from the characters at the generators
+    (closed-form eigenvalues, projector entries summed over each
+    eigenvalue's characters), and the dense eigendecomposition is built
+    only for an end that needs it: the edge-transitive stage's canonical
+    test, or an end the LP does not certify.  Both ends must certify for
+    the headline verdict.
     """
     opts = options or CheckOptions()
     if not g.is_connected():
@@ -672,15 +674,15 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    perms = opts.generators
-    search_exhausted = None
-    if perms is None:
-        if g.cayley_spec is not None:
-            perms = cayley_translations(g.cayley_spec)
-        elif g.n <= SEARCH_MAX_N:
+    perms, search_exhausted = opts.generators, None
+    if perms is None and g.cayley_spec is not None:
+        # the translations, whose orbits follow from the spec
+        perms, orb = cayley_translations(g.cayley_spec), cayley_orbits(g)
+    else:
+        if perms is None and g.n <= SEARCH_MAX_N:
             perms = find_automorphisms(g)
             search_exhausted = perms.exhausted
-    orb = orbits(g, perms) if perms is not None else None
+        orb = orbits(g, perms) if perms is not None else None
     timings["symmetry"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

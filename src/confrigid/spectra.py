@@ -3,6 +3,7 @@ spectrum endpoints, and closed-form abelian Cayley spectra via characters."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,41 +140,71 @@ def lambda_ends(g: Graph, w=None) -> tuple[float, float]:
     return float(vals[1]), float(vals[-1])
 
 
+def _phase_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ cols.T, each entry formed as the full table's matrix product
+    forms it.  numpy hands a single row or column to BLAS's matrix-vector
+    kernel, whose sums can round differently from the matrix-matrix
+    kernel's in the last bit, so a lone row or column is doubled for the
+    product and the copy dropped."""
+    if len(rows) == 1:
+        return _phase_block(np.concatenate((rows, rows)), cols)[:1]
+    if len(cols) == 1:
+        return _phase_block(rows, np.concatenate((cols, cols)))[:, :1]
+    return rows @ cols.T
+
+
 @dataclass
 class CharacterTable:
     """Characters of an abelian group together with the per-character
     Laplacian eigenvalue of the attached Cayley graph.
 
-    chars[k, g] = exp(2*pi*i * sum_t k_t g_t / n_t), with both the character
-    index k and the group element g enumerated in the same mixed-radix order
-    as the Cayley graph's vertices; gen_idx[j] is the column of the
-    generator spec.gens[j].
+    The character chi^k at the element g is exp(2*pi*i * sum_t k_t g_t / n_t),
+    with both the character index k and the group element g enumerated in
+    the same mixed-radix order as the Cayley graph's vertices.  The table
+    holds the element coordinates `coords` (N x r), the phase matrix
+    `phases` = coords / orders, and the characters at the generators only:
+    gen_chars[k, j] = chi^k(spec.gens[j]), with gen_idx[j] the column of
+    spec.gens[j].  `rows(ks)` gives whole characters, and `chars`, the full
+    N x N table, is built on first access; both agree with gen_chars bit
+    for bit.
     """
 
     spec: CayleySpec
-    chars: np.ndarray
+    coords: np.ndarray
+    phases: np.ndarray
+    gen_chars: np.ndarray
     eigenvalues: np.ndarray
     gen_idx: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.chars.shape[0]
+        return len(self.eigenvalues)
+
+    def rows(self, ks) -> np.ndarray:
+        """The characters chi^k for k in ks, one row each (len(ks) x N)."""
+        return np.exp(2j * np.pi * _phase_block(self.phases[ks], self.coords))
+
+    @functools.cached_property
+    def chars(self) -> np.ndarray:
+        """The full N x N character table, chars[k, g] = chi^k(g)."""
+        return np.exp(2j * np.pi * _phase_block(self.phases, self.coords))
 
 
 def character_spectrum(spec: CayleySpec) -> CharacterTable:
-    """All characters of the group with eigenvalues
+    """The characters of the group at its generators, with eigenvalues
     lambda_k = sum over the full symmetric S of (1 - Re chi^k(s)).
     Element coordinates come from one np.indices grid, generator columns
-    from one ravel of the generators."""
+    from one ravel of the generators; no N x N table is built."""
     grid = np.indices(spec.orders).reshape(len(spec.orders), -1)
     arr = grid.T.astype(float)  # N x r, mixed-radix order
-    orders = np.array(spec.orders, dtype=float)
-    # phase[k, g] = sum_t k_t * g_t / n_t
-    phase = (arr / orders) @ arr.T
-    chars = np.exp(2j * np.pi * phase)
+    # phases[k] @ arr[g] = sum_t k_t * g_t / n_t
+    phases = arr / np.array(spec.orders, dtype=float)
     gen_idx = np.ravel_multi_index(np.array(spec.gens).T, spec.orders)
-    eigenvalues = np.sum(1.0 - chars[:, gen_idx].real, axis=1)
-    return CharacterTable(spec=spec, chars=chars, eigenvalues=eigenvalues, gen_idx=gen_idx)
+    # column-major, as the table's columns chars[:, gen_idx] are: numpy's
+    # row sums over the two layouts can round differently
+    gen_chars = np.asfortranarray(np.exp(2j * np.pi * _phase_block(phases, arr[gen_idx])))
+    eigenvalues = np.sum(1.0 - gen_chars.real, axis=1)
+    return CharacterTable(spec, arr, phases, gen_chars, eigenvalues, gen_idx)
 
 
 def character_eigenspaces(
@@ -196,7 +227,7 @@ def character_walk1(table: CharacterTable, order: np.ndarray, cuts: np.ndarray) 
     {g, g + s} and |K| / N, the same at every vertex, on its diagonal; so
     walk1 holds iff for every K the edge entries agree within WALK1_TOL, the
     test `canonical_walk1_check` makes on the dense projectors."""
-    sums = np.add.reduceat(table.chars[:, table.gen_idx].real[order], cuts[:-1], axis=0)
+    sums = np.add.reduceat(table.gen_chars.real[order], cuts[:-1], axis=0)
     return bool(np.all(sums.max(axis=1) - sums.min(axis=1) <= WALK1_TOL * table.size))
 
 

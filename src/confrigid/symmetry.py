@@ -154,6 +154,39 @@ def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
     )
 
 
+def cayley_orbits(g: Graph) -> OrbitPartition:
+    """The orbits of `orbits(g, cayley_translations(g.cayley_spec))`, read
+    from the spec of the abelian Cayley graph g without the permutations.
+
+    The translations reach every element, so the vertex orbit is the whole
+    group; they map the edge {a, a + s} onto every edge {b, b + s}, so
+    there is one edge orbit per class {s, -s}.  An edge's class is the
+    smaller mixed-radix index of the difference of its ends and of its
+    negative.  Vertex 0 meets the edge (0, s) of every class, and the edge
+    list starts with them in order of s, so ordering the blocks by class
+    orders them by their smallest member.  One argsort of the unique keys
+    class * m + edge lists each block ascending."""
+    spec = g.cayley_spec
+    coords = np.indices(spec.orders).reshape(len(spec.orders), -1)
+    orders = np.array(spec.orders)[:, None]
+    e = g.edge_array
+    diff = (coords[:, e[:, 1]] - coords[:, e[:, 0]]) % orders
+    cls = np.minimum(
+        np.ravel_multi_index(diff, spec.orders),
+        np.ravel_multi_index(-diff % orders, spec.orders),
+    )
+    order = np.argsort(cls * g.m + np.arange(g.m))
+    ranked = cls[order]
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    edges = order.tolist()
+    return OrbitPartition(
+        vertex_orbits=(tuple(range(g.n)),),
+        edge_orbits=tuple(
+            tuple(edges[a:b]) for a, b in zip([0, *cuts], [*cuts, g.m])
+        ),
+    )
+
+
 def _refine_colors(g: Graph) -> np.ndarray:
     """Equitable partition by iterated (color, multiset of neighbor colors),
     colours numbered by the rank of their signature.

@@ -5,13 +5,14 @@ import functools
 import importlib
 import json
 import pkgutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_lp_sdp import _plain_circulants
 
 import confrigid
-from confrigid import certify, cli, sdp
+from confrigid import certify, cli, sdp, symmetry
 from confrigid.catalog import catalog
 from confrigid.certify import (
     STAGES,
@@ -30,8 +31,10 @@ from confrigid.errors import (
     NotVertexTransitiveError,
 )
 from confrigid.graphs import (
+    CayleySpec,
     Graph,
     cartesian_product,
+    cayley_abelian,
     circulant,
     laplacian,
     normalize_edges,
@@ -39,6 +42,7 @@ from confrigid.graphs import (
 from confrigid.lp import Phase1Result
 from confrigid.sdp import length_decision
 from confrigid.spectra import (
+    CharacterTable,
     character_eigenspaces,
     character_spectrum,
     default_group_tol,
@@ -361,6 +365,61 @@ def test_family_scan_makes_no_dense_eigensolve(monkeypatch, capsys):
     assert len(rows) == 19
     assert {(r["lowerVerdict"], r["upperVerdict"]) for r in rows} == {("certified", "certified")}
     assert not eigh and not walk
+
+
+def _raising(what):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+
+    return raising
+
+
+def test_cayley_check_reads_no_full_table_and_no_orbit_search(monkeypatch, capsys):
+    # on an abelian Cayley graph the orbits come from the spec and the LP
+    # reads the characters at the generators and a few rows: no N x N
+    # table, no orbit DFS over the translations
+    monkeypatch.setattr(CharacterTable, "chars", property(_raising("CharacterTable.chars")))
+    monkeypatch.setattr(certify, "orbits", _raising("orbits"))
+    monkeypatch.setattr(symmetry, "orbits", _raising("orbits"))
+    assert cli.main(["family", "6", "24", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {(r["lowerVerdict"], r["upperVerdict"]) for r in rows} == {("certified", "certified")}
+    g = circulant(12, {1, 2})
+    for skip in ((), ("character_lp",)):
+        rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset(skip)))
+        assert (rep.vertex_transitive, rep.edge_orbits) == (True, 2)
+        assert rep.upper.verdict == "certified"
+
+
+@pytest.mark.parametrize("skip", [(), ("character_lp",)])
+@pytest.mark.parametrize(
+    "g",
+    [circulant(12, {1, 2}), circulant(18, {1, 5}), circulant(10, {1, 2})]
+    + [cayley_abelian(spec) for spec in (
+        CayleySpec((2, 4), ((1, 0), (0, 1), (0, 3))),
+        CayleySpec((3, 3), ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 2))),
+    )],
+    ids=["c12_1_2", "c18_1_5", "c10_1_2", "z2xz4", "z3xz3"],
+)
+def test_spec_orbits_give_the_report_of_the_supplied_translations(g, skip):
+    # the spec path (no generators) and the translations supplied as
+    # generators, whose orbits the DFS computes, give the same report
+    opts = CheckOptions(skip_stages=frozenset(skip))
+    supplied = replace(opts, generators=cayley_translations(g.cayley_spec))
+    a = check_conformal_rigidity(g, opts).to_json_dict()
+    b = check_conformal_rigidity(g, supplied).to_json_dict()
+    del a["timings"], b["timings"]
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_circulant_12_keeps_its_eigenvector_end_without_the_lp():
+    # with the character LP skipped the upper end of circulant(12, {1, 2})
+    # is certified by a rank-one phi over the spec's two edge orbits
+    g = circulant(12, {1, 2})
+    rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset({"character_lp"})))
+    assert (rep.upper.verdict, rep.upper.method) == ("certified", "Eigenvector")
+    assert len(rep.upper.certificate.payload["orbit_sums"]) == 2
+    assert (rep.lower.verdict, rep.lower.method) == ("refuted", "Falsifier")
 
 
 def test_lp_refuted_ends_share_one_dense_decomposition(monkeypatch):

@@ -7,7 +7,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.cli import main
+from confrigid.errors import NotAutomorphismError
+from confrigid.graphs import circulant
+from confrigid.symmetry import PermutationSet
 
 
 def _run(capsys, argv):
@@ -176,6 +180,24 @@ def test_gens_file_bypasses_search(tmp_path, capsys):
     assert report["lower"]["method"] == "EdgeTransitive"
 
 
+def test_gens_file_on_a_cayley_graph_is_checked(tmp_path, capsys):
+    # supplied generators replace the spec's translations, and their orbits
+    # are computed, so a non-automorphism is still caught
+    g = circulant(8, {1, 2})
+    bad = PermutationSet(n=8, gens=((1, 0, 2, 3, 4, 5, 6, 7),))
+    with pytest.raises(NotAutomorphismError):
+        check_conformal_rigidity(g, CheckOptions(generators=bad))
+    f = tmp_path / "gens.txt"
+    f.write_text("1 0 2 3 4 5 6 7\n")
+    code, out, err = _run(capsys, ["check", "--circulant", "8", "1,2", "--gens", str(f)])
+    assert code == 1 and not out
+    assert "non-edge" in err
+    f.write_text("1 2 3 4 5 6 7 0\n")  # the rotation, an automorphism
+    code, out, _ = _run(capsys, ["check", "--circulant", "8", "1,2", "--gens", str(f), "--json"])
+    assert code in (0, 2)  # a report, not an input error
+    assert json.loads(out)["edgeOrbits"] == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -227,10 +249,11 @@ def test_embed_circulant_21_traces_heptagon(capsys):
 
 
 def test_family_range_and_walk1(capsys):
-    code, out, _ = _run(capsys, ["family", "6", "12", "--json"])
+    # the whole range the CLI accepts, up to N = 192
+    code, out, _ = _run(capsys, ["family", "6", "64", "--json"])
     assert code == 0
     rows = json.loads(out)
-    assert [r["n"] for r in rows] == list(range(6, 13))
+    assert [r["n"] for r in rows] == list(range(6, 65))
     for r in rows:
         assert r["lowerVerdict"] == "certified"
         assert r["upperVerdict"] == "certified"

@@ -99,6 +99,19 @@ def test_character_spectrum_matches_the_element_loop(spec):
     assert table.eigenvalues.tobytes() == eigenvalues.tobytes()
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_generator_columns_and_rows_match_the_full_table(spec):
+    # the check reads only gen_chars and a few rows; each must be the full
+    # table's slice bit for bit, single rows included
+    table = character_spectrum(spec)
+    chars = table.chars
+    assert table.gen_chars.tobytes() == chars[:, table.gen_idx].tobytes()
+    N = spec.size
+    subsets = [[k] for k in range(N)] + [list(range(N)), list(range(0, N, 2)), [N - 1, 0]]
+    for ks in subsets:
+        assert table.rows(ks).tobytes() == chars[ks].tobytes(), ks
+
+
 def _characters_near(table, lam, tol=1e-8):
     """The oracle's own lookup: the characters whose eigenvalue is within
     tol of lam."""

@@ -8,11 +8,12 @@ import pytest
 from confrigid.catalog import catalog
 from confrigid import symmetry
 from confrigid.errors import GroupTooLargeError, NotAutomorphismError
-from confrigid.graphs import Graph, circulant, normalize_edges
+from confrigid.graphs import CayleySpec, Graph, cayley_abelian, circulant, normalize_edges
 from confrigid.symmetry import (
     PermutationSet,
     _orbit_blocks,
     _refine_colors,
+    cayley_orbits,
     cayley_translations,
     compose,
     find_automorphisms,
@@ -132,6 +133,38 @@ def test_cayley_translations_circulant():
     orb = orbits(g, p)
     assert orb.num_vertex_orbits == 1
     assert orb.num_edge_orbits == 2
+
+
+def _product_specs():
+    """Thirty seeded random symmetric generating sets over each of eight
+    products of cyclic groups, the disconnected ones included."""
+    rng = np.random.default_rng(20)
+    for orders in ((2, 2), (2, 4), (3, 3), (4, 6), (2, 2, 2), (2, 2, 4), (3, 5), (2, 3, 4)):
+        elems = [e for e in itertools.product(*(range(o) for o in orders)) if any(e)]
+        for _ in range(30):
+            picks = rng.choice(len(elems), size=rng.integers(1, min(4, len(elems)) + 1),
+                               replace=False)
+            gens = set()
+            for k in picks.tolist():
+                gens.add(elems[k])
+                gens.add(tuple((-c) % o for c, o in zip(elems[k], orders)))
+            yield CayleySpec(orders, tuple(sorted(gens)))
+
+
+def test_cayley_orbits_match_the_translation_orbits():
+    # every circulant with N = 3..40 and |S| <= 2 or N <= 18 and |S| = 3,
+    # connected or not, and random product-group specs: the spec's orbits
+    # are the DFS's
+    graphs = [
+        circulant(N, set(S))
+        for N in range(3, 41)
+        for k in ((1, 2, 3) if N <= 18 else (1, 2))
+        for S in itertools.combinations(range(1, N // 2 + 1), k)
+    ]
+    graphs += [cayley_abelian(spec) for spec in _product_specs()]
+    for g in graphs:
+        want = orbits(g, cayley_translations(g.cayley_spec))
+        assert cayley_orbits(g) == want, g.cayley_spec
 
 
 def test_non_automorphism_rejected():
