@@ -335,11 +335,14 @@ def _gram_certificate(
     return _verified_certificate(g, emb, "sdp_gram", end, {"X": gram.X}, iso_tol, extra)
 
 
-def _decide(
-    g: Graph, U: np.ndarray, orb: OrbitPartition | None, tol: float
-) -> LengthDecision:
-    """The equal-length decision on basis U over the edge orbits of orb."""
+def _decide(g: Graph, U: np.ndarray, group: _Group, tol: float) -> LengthDecision:
+    """The equal-length decision on basis U.  Its blocks are the edge
+    orbits of the group when U has k > 1 columns.  At k = 1 every
+    automorphism maps the eigenvector u to +-u, so the edge lengths are
+    already equal on each orbit and the per-edge decision is the block
+    decision: the group is not read."""
     e = g.edge_array
+    orb = group.orb() if U.shape[1] > 1 else None
     blocks = orb.edge_orbits if orb is not None and orb.num_edge_orbits < g.m else None
     return length_decision(U[e[:, 0]] - U[e[:, 1]], tol=tol, blocks=blocks)
 
@@ -478,6 +481,56 @@ def product_rigidity(
 # ---------------------------------------------------------------------------
 
 
+class _Group:
+    """The automorphisms the cascade reads, built on first read.
+
+    Supplied generators and a Cayley spec's orbits are taken up front, so a
+    non-automorphism raises even when no end reads the group.  Otherwise
+    the search runs the first time an end reads the orbits, and never above
+    SEARCH_MAX_N.  A Cayley spec's translations are built only when the
+    symmetrized SDP asks for the generators.  seconds is the time spent
+    building, wherever it ran."""
+
+    def __init__(self, g: Graph, generators: PermutationSet | None):
+        self._g = g
+        self._perms = generators
+        self.partition: OrbitPartition | None = None  # None until built
+        self.exhausted: bool | None = None  # None when no search ran
+        self.seconds = 0.0
+        # whether the first read of the orbits runs the search
+        self._search = (
+            generators is None and g.cayley_spec is None and g.n <= SEARCH_MAX_N
+        )
+        if generators is not None or g.cayley_spec is not None:
+            t0 = time.perf_counter()
+            if generators is not None:
+                self.partition = orbits(g, generators)
+            else:
+                self.partition = cayley_orbits(g)
+            self.seconds = time.perf_counter() - t0
+
+    def orb(self) -> OrbitPartition | None:
+        if self._search:
+            self._search = False
+            t0 = time.perf_counter()
+            self._perms = find_automorphisms(self._g)
+            self.exhausted = self._perms.exhausted
+            self.partition = orbits(self._g, self._perms)
+            self.seconds += time.perf_counter() - t0
+        return self.partition
+
+    def perms(self) -> PermutationSet | None:
+        if self.orb() is not None and self._perms is None:
+            t0 = time.perf_counter()
+            self._perms = cayley_translations(self._g.cayley_spec)
+            self.seconds += time.perf_counter() - t0
+        return self._perms
+
+    def vertex_transitive(self) -> bool:
+        orb = self.orb()
+        return orb is not None and orb.num_vertex_orbits == 1
+
+
 def _falsify_end(
     g: Graph, end: str, lam: float, decision: LengthDecision
 ) -> tuple[FalsifierResult, bool]:
@@ -493,8 +546,7 @@ def _certify_end(
     end: str,
     lam: float,
     decomposition: Callable[[], EigenspaceDecomposition],
-    perms: PermutationSet | None,
-    orb: OrbitPartition | None,
+    group: _Group,
     walk1: bool | None,
     table: CharacterTable | None,
     characters: np.ndarray | None,
@@ -502,9 +554,11 @@ def _certify_end(
 ) -> EndReport:
     """One end of the cascade.  decomposition returns the dense
     eigendecomposition, built on its first call, so an end the character LP
-    certifies before any stage asks for it makes no dense eigensolve.
-    characters are the table's characters of lam, grouped under the check's
-    group_tol (None without a table)."""
+    certifies before any stage asks for it makes no dense eigensolve.  The
+    group is read only by the EdgeTransitive label, by the decision at
+    k > 1 and by the vertex-transitivity test of a rigid decision the LP
+    did not refute.  characters are the table's characters of lam, grouped
+    under the check's group_tol (None without a table)."""
     lp_refuted = False
 
     @functools.cache
@@ -526,16 +580,18 @@ def _certify_end(
         cert = replace(cert, kind=kind)
         return EndReport(end, "certified", method, cert, None, cert.residuals)
 
-    if (
-        opts.stage_enabled("edge_transitive")
-        and orb is not None
-        and orb.num_edge_orbits == 1
+    # with no table the canonical test goes first, so only an end it passes
+    # reads the group; a table's spec orbits are already at hand
+    if opts.stage_enabled("edge_transitive") and (
+        table is not None or canonical() is not None
     ):
-        # the projector U U^T commutes with every automorphism, so an
-        # edge-transitive group makes the canonical embedding edge-isometric
-        found = canonical_report("edge_transitive", "EdgeTransitive")
-        if found is not None:
-            return found
+        orb = group.orb()
+        if orb is not None and orb.num_edge_orbits == 1:
+            # the projector U U^T commutes with every automorphism, so an
+            # edge-transitive group makes the canonical embedding edge-isometric
+            found = canonical_report("edge_transitive", "EdgeTransitive")
+            if found is not None:
+                return found
 
     if table is not None:
         lp = abelian_lp_certificate(table, characters)
@@ -579,19 +635,21 @@ def _certify_end(
             return found
 
     U = decomposition().basis_for(lam)
-    decision = _decide(g, U, orb, opts.feas_tol)
+    decision = _decide(g, U, group, opts.feas_tol)
 
     # both SDP stages certify from the end's one Gram matrix, a rigid
     # decision's X (none after a separating c or at the decision's cap)
-    vt = orb is not None and orb.num_vertex_orbits == 1
-    symmetrized = vt and opts.stage_enabled("symmetrized_sdp")
-    gram_stage = symmetrized or opts.stage_enabled("trivial_sdp")
-    if decision.status == "rigid" and not lp_refuted and gram_stage:
+    rigid = decision.status == "rigid" and not lp_refuted
+    symmetrized = (
+        rigid and opts.stage_enabled("symmetrized_sdp") and group.vertex_transitive()
+    )
+    if rigid and (symmetrized or opts.stage_enabled("trivial_sdp")):
         try:
             cert = None
             if symmetrized:
                 cert = eigenvector_certificate(
-                    g, U, lam, perms, orb, decision, opts.feas_tol, opts.iso_tol, end
+                    g, U, lam, group.perms(), group.orb(), decision,
+                    opts.feas_tol, opts.iso_tol, end,
                 )
             if cert is None:  # no rank-one phi: the Gram matrix itself
                 cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
@@ -629,7 +687,8 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
 
     Stage order per end: edge-transitivity, character LP (abelian Cayley,
     decisive both ways), 1-walk regularity, canonical embedding, the
-    equal-length decision on the edge orbits, symmetrized SDP, the Gram
+    equal-length decision (over the edge orbits when the end's eigenspace
+    has k > 1, over single edges at k = 1), symmetrized SDP, the Gram
     certificate (stage `trivial_sdp`), falsifier.  The edge-transitivity,
     1-walk regularity and canonical stages share one test of the canonical
     embedding.  The decision runs at every end those stages leave open,
@@ -640,7 +699,12 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     are drawn, so no verdict depends on a seed.
     walk1 comes from the eigenprojectors (no walk counts), and no group is
     listed.  An abelian Cayley graph with no supplied generators takes its
-    orbits from its spec (`cayley_orbits`).  With the character LP enabled,
+    orbits from its spec (`cayley_orbits`).  Any other graph with no
+    supplied generators runs the automorphism search only when an end reads
+    the group: the EdgeTransitive label of an end whose canonical test
+    passes, a decision at k > 1, or a rigid decision's test for vertex
+    transitivity.  When no end reads it, vertex_transitive, edge_orbits
+    and search_exhausted are None.  With the character LP enabled,
     lambda_2, lambda_n and walk1 come from the characters at the generators
     (closed-form eigenvalues, projector entries summed over each
     eigenvalue's characters), and the dense eigendecomposition is built
@@ -673,17 +737,8 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     lamn = float(values[-1])
     timings["spectrum"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    perms, search_exhausted = opts.generators, None
-    if perms is None and g.cayley_spec is not None:
-        # the translations, whose orbits follow from the spec
-        perms, orb = cayley_translations(g.cayley_spec), cayley_orbits(g)
-    else:
-        if perms is None and g.n <= SEARCH_MAX_N:
-            perms = find_automorphisms(g)
-            search_exhausted = perms.exhausted
-        orb = orbits(g, perms) if perms is not None else None
-    timings["symmetry"] = time.perf_counter() - t0
+    group = _Group(g, opts.generators)
+    timings["symmetry"] = group.seconds  # the final total is set below
 
     t0 = time.perf_counter()
     if table is not None:
@@ -694,16 +749,20 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
         walk1 = None
     timings["walkreg"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    lower = _certify_end(
-        g, "lower", lam2, decomposition, perms, orb, walk1, table, lower_chars, opts
-    )
-    timings["lower"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    upper = _certify_end(
-        g, "upper", lamn, decomposition, perms, orb, walk1, table, upper_chars, opts
-    )
-    timings["upper"] = time.perf_counter() - t0
+    def timed_end(end: str, lam: float, characters: np.ndarray | None) -> EndReport:
+        t0, built = time.perf_counter(), group.seconds
+        report = _certify_end(
+            g, end, lam, decomposition, group, walk1, table, characters, opts
+        )
+        # the group's build time counts under "symmetry", not under the end
+        # that triggered it
+        timings[end] = time.perf_counter() - t0 - (group.seconds - built)
+        return report
+
+    lower = timed_end("lower", lam2, lower_chars)
+    upper = timed_end("upper", lamn, upper_chars)
+    timings["symmetry"] = group.seconds
+    orb = group.partition
 
     return RigidityReport(
         graph_name=g.name,
@@ -717,5 +776,5 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
         vertex_transitive=None if orb is None else orb.num_vertex_orbits == 1,
         edge_orbits=None if orb is None else orb.num_edge_orbits,
         timings=timings,
-        search_exhausted=search_exhausted,
+        search_exhausted=group.exhausted,
     )

@@ -12,6 +12,7 @@ import pytest
 from confrigid.catalog import catalog
 from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.graphs import Graph, circulant, normalize_edges
+from confrigid.symmetry import find_automorphisms
 
 # connected graphs on n = 2..6 vertices (OEIS A001349)
 CONNECTED = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -120,3 +121,24 @@ def test_coarse_group_tol_keeps_the_kernel_apart(g, group_tol):
     lam2 = np.mean(vals[: first[0] + 1 if len(first) else len(vals)])
     assert rep.lambda2 == pytest.approx(lam2, rel=1e-9)
     _recheck(g, rep)
+
+
+def test_lazy_group_gives_the_report_of_an_eager_group():
+    # the group built only where an end reads it, against the same group
+    # supplied up front: the same verdicts, methods and certificates, and
+    # witnesses that moved only by rounding (per-edge values where the
+    # eager group gives block means at a simple eigenvalue)
+    graphs = [g for n in CONNECTED for g in _connected_graphs(n)]
+    graphs += [catalog(name) for name in ("path_20", "path_40", "triangular_prism")]
+    for g in graphs:
+        lazy = check_conformal_rigidity(g).to_json_dict()
+        eager = check_conformal_rigidity(
+            g, CheckOptions(generators=find_automorphisms(g))
+        ).to_json_dict()
+        for end in ("lower", "upper"):
+            a, b = lazy[end], eager[end]
+            assert (a["verdict"], a["method"]) == (b["verdict"], b["method"]), g.edges
+            assert a["certificate"] == b["certificate"], g.edges
+            assert (a["witness"] is None) == (b["witness"] is None)
+            if a["witness"] is not None:
+                np.testing.assert_allclose(a["witness"], b["witness"], rtol=0, atol=1e-12)

@@ -5,8 +5,10 @@ import functools
 import importlib
 import json
 import pkgutil
+import time
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 from test_lp_sdp import _plain_circulants
@@ -381,7 +383,12 @@ def test_cayley_check_reads_no_full_table_and_no_orbit_search(monkeypatch, capsy
     monkeypatch.setattr(CharacterTable, "chars", property(_raising("CharacterTable.chars")))
     monkeypatch.setattr(certify, "orbits", _raising("orbits"))
     monkeypatch.setattr(symmetry, "orbits", _raising("orbits"))
-    assert cli.main(["family", "6", "24", "--json"]) == 0
+    # only the symmetrized SDP reads the translations, and no family end
+    # reaches it
+    with monkeypatch.context() as mp:
+        mp.setattr(certify, "cayley_translations", _raising("cayley_translations"))
+        mp.setattr(symmetry, "cayley_translations", _raising("cayley_translations"))
+        assert cli.main(["family", "6", "24", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert {(r["lowerVerdict"], r["upperVerdict"]) for r in rows} == {("certified", "certified")}
     g = circulant(12, {1, 2})
@@ -570,6 +577,68 @@ def test_report_says_whether_the_search_ran_out(monkeypatch):
     rep = check_conformal_rigidity(petersen)
     assert rep.search_exhausted is True
     assert rep.to_json_dict()["searchExhausted"] is True
+
+
+def _connected_gnm(n, m, rng):
+    iu, ju = np.triu_indices(n, k=1)
+    while True:
+        keep = rng.choice(len(iu), size=m, replace=False)
+        g = Graph(n, normalize_edges(n, zip(iu[keep].tolist(), ju[keep].tolist())))
+        if g.is_connected():
+            return g
+
+
+def _random_cubic(n, rng):
+    """A uniform simple connected 3-regular graph: random pairings of 3n
+    half-edges, drawn again until the pairing has no loop, no multiple
+    edge and one component."""
+    while True:
+        pairs = np.sort(rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2), axis=1)
+        simple = np.all(pairs[:, 0] < pairs[:, 1])
+        if simple and len(np.unique(pairs[:, 0] * n + pairs[:, 1])) == len(pairs):
+            g = Graph(n, normalize_edges(n, map(tuple, pairs.tolist())))
+            if g.is_connected():
+                return g
+
+
+def test_simple_ends_run_no_automorphism_search(monkeypatch):
+    # at a simple eigenvalue every automorphism maps the eigenvector u to
+    # +-u, so an end whose canonical test fails is decided without a group
+    from test_cli import _schema
+
+    rng = np.random.default_rng(5)
+    graphs = [catalog("path_40"), _random_cubic(200, rng)]
+    graphs += [_connected_gnm(n, round(2.25 * n), rng) for n in (24, 32, 40)]
+    monkeypatch.setattr(certify, "find_automorphisms", _raising("find_automorphisms"))
+    for g in graphs:
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert vals[2] - vals[1] > 1e-6 and vals[-1] - vals[-2] > 1e-6  # simple ends
+        rep = check_conformal_rigidity(g)
+        assert (rep.lower.verdict, rep.upper.verdict) == ("refuted", "refuted"), (g.n, g.m)
+        d = rep.to_json_dict()
+        jsonschema.validate(d, _schema())
+        assert (d["vertexTransitive"], d["edgeOrbits"], d["searchExhausted"]) == (None,) * 3
+        assert d["timings"]["symmetry"] == 0.0
+    # the prism's lambda_n = 5 is double, so its upper end reads the group
+    monkeypatch.undo()
+    rep = check_conformal_rigidity(catalog("triangular_prism"))
+    assert rep.vertex_transitive is True and rep.search_exhausted is False
+
+
+def test_symmetry_timing_is_the_group_build_wherever_it_ran(monkeypatch):
+    # the prism's upper end triggers the search; its time counts under
+    # "symmetry", not under "upper", so the entries still add up to the check
+    def slow_search(g):
+        time.sleep(0.2)
+        return find_automorphisms(g)
+
+    monkeypatch.setattr(certify, "find_automorphisms", slow_search)
+    t0 = time.perf_counter()
+    rep = check_conformal_rigidity(catalog("triangular_prism"))
+    elapsed = time.perf_counter() - t0
+    assert rep.timings["symmetry"] >= 0.2
+    assert rep.timings["upper"] < 0.2 and rep.timings["lower"] < 0.2
+    assert sum(rep.timings.values()) <= elapsed
 
 
 def test_orbits_computed_once_per_check(monkeypatch):

@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from confrigid.catalog import catalog
 from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.cli import main
 from confrigid.errors import NotAutomorphismError
@@ -196,6 +197,19 @@ def test_gens_file_on_a_cayley_graph_is_checked(tmp_path, capsys):
     code, out, _ = _run(capsys, ["check", "--circulant", "8", "1,2", "--gens", str(f), "--json"])
     assert code in (0, 2)  # a report, not an input error
     assert json.loads(out)["edgeOrbits"] == 2
+
+
+def test_gens_are_checked_where_no_end_reads_the_group(tmp_path, capsys):
+    # both ends of path_20 are simple and refuted without a group, yet
+    # supplied generators are still checked up front
+    bad = PermutationSet(n=20, gens=((1, 0) + tuple(range(2, 20)),))
+    with pytest.raises(NotAutomorphismError):
+        check_conformal_rigidity(catalog("path_20"), CheckOptions(generators=bad))
+    f = tmp_path / "gens.txt"
+    f.write_text(" ".join(map(str, bad.gens[0])) + "\n")
+    code, out, err = _run(capsys, ["check", "--catalog", "path_20", "--gens", str(f)])
+    assert code == 1 and not out
+    assert "non-edge" in err
 
 
 @pytest.mark.parametrize(
