@@ -5,6 +5,7 @@ Cartesian-product embeddings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,13 +111,33 @@ def symmetrized_embedding(g: Graph, phi: np.ndarray, p: PermutationSet) -> Embed
 
 @dataclass(frozen=True)
 class EdgeLengthProfile:
+    """Edge lengths of an embedding and whether they are equal, with its
+    sphericity diagnostics.
+
+    vertex_norms, is_spherical and radius are computed on first read and
+    cached: the certification cascade reads only the edge lengths, the
+    isometry test and the mean length c, while the `embed` command and the
+    product embeddings also read the sphericity.
+    """
+
+    points: np.ndarray
     lengths: np.ndarray
     is_edge_isometric: bool
     c: float
-    vertex_norms: np.ndarray
-    is_spherical: bool
-    radius: float
     tol: float
+
+    @cached_property
+    def vertex_norms(self) -> np.ndarray:
+        return np.linalg.norm(self.points, axis=1)
+
+    @cached_property
+    def is_spherical(self) -> bool:
+        norms = self.vertex_norms
+        return bool(norms.max() - norms.min() <= self.tol * (1.0 + norms.max()))
+
+    @cached_property
+    def radius(self) -> float:
+        return float(self.vertex_norms.mean())
 
 
 def edge_length_profile(
@@ -126,11 +147,11 @@ def edge_length_profile(
 
     Edge-isometric requires max-min <= tol*(1+max) and min > tol (zero-length
     edges count as failures since the common length must be positive).
+    Sphericity has the same relative tolerance on the vertex norms.
     """
     P = e.points
     ends = g.edge_array
     lengths = np.linalg.norm(P[ends[:, 0]] - P[ends[:, 1]], axis=1)
-    norms = np.linalg.norm(P, axis=1)
     if len(lengths):
         iso = bool(
             lengths.max() - lengths.min() <= tol * (1.0 + lengths.max())
@@ -139,16 +160,7 @@ def edge_length_profile(
         c = float(lengths.mean())
     else:
         iso, c = False, 0.0
-    spherical = bool(norms.max() - norms.min() <= tol * (1.0 + norms.max()))
-    return EdgeLengthProfile(
-        lengths=lengths,
-        is_edge_isometric=iso,
-        c=c,
-        vertex_norms=norms,
-        is_spherical=spherical,
-        radius=float(norms.mean()),
-        tol=tol,
-    )
+    return EdgeLengthProfile(points=P, lengths=lengths, is_edge_isometric=iso, c=c, tol=tol)
 
 
 def unit_edge_normalized(e: Embedding, g: Graph, tol: float = ISO_TOL) -> Embedding:

@@ -210,8 +210,14 @@ def length_decision(
     weighted sum of the atoms.  The run stops at "rigid" when |c| <= tol |l|,
     at "not_rigid" when lambda_min(S(c)) > 0 beyond rounding (DUAL_TOL), and
     at "undecided" at the max_iter guard or where rounding stalls the run (no
-    descent left, or a singular corral), with the X and c it reached.  At
-    k = 1, S(c) is the scalar |c|^2, so the first two tests decide.
+    descent left, or a singular corral), with the X and c it reached.
+    At k = 1, S(c) is the 1 x 1 matrix c . sum B^2, reported as dual_min_eig:
+    |c|^2 only up to rounding, since c sums to zero only up to rounding.
+    A 1 x 1 matrix is its own eigenvalue, so no eigensolve runs, and
+    without blocks a block mean is the row itself, so no mean is formed: the
+    first two tests return at iteration 0 with X = [[1]].  A value that
+    passes neither goes to the corral, whose only atom is X again, and ends
+    "undecided" with no descent left.
     With B = U_i - U_j over the edges (U an eigenspace basis) and edge-orbit
     blocks, S(c), I / k and every atom commute with the group's action on
     the eigenspace, so X lies in the commutant (never projected), where an
@@ -221,13 +227,17 @@ def length_decision(
     lambda_n) moves the whole eigenvalue cluster the improving way.
     """
     k = B.shape[1]
-    label = np.arange(len(B))
-    for r, block in enumerate(blocks or ()):
-        label[list(block)] = r
-    size = np.bincount(label)
+    if blocks:
+        label = np.arange(len(B))
+        for r, block in enumerate(blocks):
+            label[list(block)] = r
+        size = np.bincount(label)
 
-    def mean(x: np.ndarray) -> np.ndarray:  # exact on single rows
-        return (np.bincount(label, weights=x) / size)[label]
+        def mean(x: np.ndarray) -> np.ndarray:
+            return (np.bincount(label, weights=x) / size)[label]
+    else:
+        def mean(x: np.ndarray) -> np.ndarray:  # every row is its own block
+            return x
 
     sq = np.sum(B * B, axis=1)
     X = np.eye(k) / k
@@ -239,7 +249,9 @@ def length_decision(
         gap = float(np.linalg.norm(c) / np.linalg.norm(lengths))
         if gap <= tol:
             return LengthDecision("rigid", X, c, np.nan, gap, it)
-        vals, vecs = np.linalg.eigh((B.T * c) @ B)
+        S = (B.T * c) @ B
+        # a 1 x 1 S(c) is its own eigenvalue, with eigenvector 1: no solve
+        vals, vecs = np.linalg.eigh(S) if k > 1 else (S[0], np.ones((1, 1)))
         # sum |c_e| |b_e|^2 bounds |S(c)|, so rounding cannot pass this test
         bound = DUAL_TOL * float(np.abs(c) @ sq)
         if vals[0] > bound:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
-from test_lp_sdp import _plain_circulants
+from test_lp_sdp import _connected_gnm, _plain_circulants, _simple_end_graphs
 
 import confrigid
 from confrigid import certify, cli, sdp, symmetry
@@ -579,15 +579,6 @@ def test_report_says_whether_the_search_ran_out(monkeypatch):
     assert rep.to_json_dict()["searchExhausted"] is True
 
 
-def _connected_gnm(n, m, rng):
-    iu, ju = np.triu_indices(n, k=1)
-    while True:
-        keep = rng.choice(len(iu), size=m, replace=False)
-        g = Graph(n, normalize_edges(n, zip(iu[keep].tolist(), ju[keep].tolist())))
-        if g.is_connected():
-            return g
-
-
 def _random_cubic(n, rng):
     """A uniform simple connected 3-regular graph: random pairings of 3n
     half-edges, drawn again until the pairing has no loop, no multiple
@@ -623,6 +614,51 @@ def test_simple_ends_run_no_automorphism_search(monkeypatch):
     monkeypatch.undo()
     rep = check_conformal_rigidity(catalog("triangular_prism"))
     assert rep.vertex_transitive is True and rep.search_exhausted is False
+
+
+def test_simple_ends_make_one_eigensolve_per_check(monkeypatch):
+    # at simple ends the spectrum is the check's only eigensolve: neither
+    # decision solves its 1 x 1 S(c).  The reports equal those of decisions
+    # over singleton blocks, which form the block means
+    def singleton_blocks(B, tol, blocks=None):
+        return length_decision(B, tol=tol, blocks=[(e,) for e in range(len(B))])
+
+    for g in _simple_end_graphs():
+        with monkeypatch.context() as m:
+            m.setattr(certify, "length_decision", singleton_blocks)
+            want = check_conformal_rigidity(g).to_json_dict()
+        with monkeypatch.context() as m:
+            solves = _count_calls(m, np.linalg, "eigh")
+            got = check_conformal_rigidity(g).to_json_dict()
+        assert len(solves) == 1, g.edges
+        assert (got["lower"]["verdict"], got["upper"]["verdict"]) == ("refuted", "refuted")
+        del want["timings"], got["timings"]
+        assert got == want
+
+
+def test_cascade_computes_no_sphericity(monkeypatch, capsys):
+    # the cascade reads only the edge lengths, the isometry test and the
+    # mean length: no profile it builds computes its vertex norms
+    from test_census import CONNECTED, _connected_graphs
+
+    profiles = []
+
+    def recording(*args, **kwargs):
+        profiles.append(edge_length_profile(*args, **kwargs))
+        return profiles[-1]
+
+    monkeypatch.setattr(certify, "edge_length_profile", recording)
+    graphs = [g for n in CONNECTED for g in _connected_graphs(n)]
+    graphs += [catalog(name) for name in ("petersen", "hoffman", "shrikhande_complement",
+                                          "hypercube_4", "complete_7", "complete_bipartite_4_5",
+                                          "cycle_48")]
+    graphs += [Graph(18, circulant(18, {1, 5}).edges), _petersen_prism()]
+    for g in graphs:
+        check_conformal_rigidity(g)
+    assert cli.main(["family", "6", "8"]) == 0
+    capsys.readouterr()
+    assert any(p.is_edge_isometric for p in profiles)
+    assert not [p for p in profiles if "vertex_norms" in vars(p)]
 
 
 def test_symmetry_timing_is_the_group_build_wherever_it_ran(monkeypatch):

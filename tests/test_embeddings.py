@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from confrigid.catalog import catalog
+from confrigid.certify import check_conformal_rigidity, product_rigidity
 from confrigid.embeddings import (
     canonical_embedding,
     chi_gamma,
@@ -19,7 +20,7 @@ from confrigid.embeddings import (
     unit_edge_normalized,
 )
 from confrigid.errors import EigenvalueError, HypothesisViolatedError
-from confrigid.graphs import CayleySpec, circulant, laplacian
+from confrigid.graphs import CayleySpec, Graph, cartesian_product, circulant, laplacian
 from confrigid.spectra import eigendecompose
 from confrigid.symmetry import cayley_translations, find_automorphisms
 
@@ -132,6 +133,37 @@ def test_unit_edge_normalized():
             ),
             catalog("path_4"),
         )
+
+
+def test_sphericity_is_computed_on_first_read():
+    # canonical, character-LP, SDP-Gram, symmetrized and product
+    # embeddings: the lazy fields equal the eager formulas bit for bit
+    k5_minus_edge = Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5) if j > 1))
+    petersen_prism = cartesian_product(catalog("petersen"), catalog("path_2"))
+    cases = []
+    for g in (catalog("petersen"), catalog("hypercube_3"), circulant(18, {1, 5}),
+              k5_minus_edge, petersen_prism):
+        rep = check_conformal_rigidity(g)
+        cases += [(er.certificate.embedding, g) for er in (rep.lower, rep.upper) if er.certificate]
+    c4 = catalog("cycle_4")
+    cases.append((product_rigidity(c4, c4).embedding, cartesian_product(c4, c4)))
+    emb = canonical_embedding(c4, eigendecompose(laplacian(c4)), 4.0)
+    cases.append(product_embedding(c4, emb, c4, emb, mode="lambdamax")[::-1])
+    c6 = catalog("cycle_6")
+    phi = eigendecompose(laplacian(c6)).basis_for(1.0)[:, 0]
+    cases.append((symmetrized_embedding(c6, phi, find_automorphisms(c6)), c6))
+    sources = {e.source for e, _ in cases}
+    assert {"canonical", "character-lp", "sdp-gram", "product-lambda2", "product-lambdamax"} <= sources
+    assert any(s.startswith("symmetrized") for s in sources)
+    for e, g in cases:
+        prof = edge_length_profile(e, g)
+        assert not {"vertex_norms", "is_spherical", "radius"} & set(vars(prof))
+        norms = np.linalg.norm(e.points, axis=1)
+        assert prof.is_spherical is bool(norms.max() - norms.min() <= prof.tol * (1.0 + norms.max()))
+        assert np.array_equal(prof.vertex_norms, norms)
+        assert prof.radius == float(norms.mean())
+        assert prof.vertex_norms is prof.vertex_norms  # computed once
+    assert {edge_length_profile(e, g).is_spherical for e, g in cases} == {True, False}
 
 
 def test_product_embedding_lambda2_c4_c4():

@@ -8,9 +8,8 @@ import pytest
 from test_census import _connected_graphs
 
 from confrigid.catalog import catalog
-from confrigid.graphs import circulant, laplacian
+from confrigid.graphs import Graph, circulant, laplacian, normalize_edges
 from confrigid.lp import phase1_feasibility
-from confrigid.graphs import Graph
 from confrigid.sdp import (
     DECISION_ITERATIONS,
     DUAL_TOL,
@@ -101,7 +100,7 @@ def test_trivial_group_instance_constrains_edge_lengths():
 
 
 def test_length_decision_simple_eigenvalue_decides_at_once():
-    # k = 1: S(c) is the scalar |c|^2
+    # k = 1: S(c) is the scalar c . sum B^2, which is |c|^2 up to rounding
     d = length_decision(np.array([[1.0], [2.0], [0.5]]))
     assert (d.status, d.iterations) == ("not_rigid", 0)
     assert d.dual_min_eig == pytest.approx(float(d.c @ d.c))
@@ -158,6 +157,54 @@ def test_singleton_blocks_match_no_blocks_bit_for_bit():
         single = length_decision(B, blocks=[(e,) for e in range(g.m)])
         assert (single.status, single.iterations) == (plain.status, plain.iterations)
         assert np.array_equal(single.X, plain.X) and np.array_equal(single.c, plain.c)
+
+
+def _connected_gnm(n, m, rng):
+    iu, ju = np.triu_indices(n, k=1)
+    while True:
+        keep = rng.choice(len(iu), size=m, replace=False)
+        g = Graph(n, normalize_edges(n, zip(iu[keep].tolist(), ju[keep].tolist())))
+        if g.is_connected():
+            return g
+
+
+def _simple_end_graphs():
+    """path_40 and three seeded connected G(n, round(2.25 n)) draws, whose
+    lambda_2 and lambda_n are both simple."""
+    rng = np.random.default_rng(5)
+    graphs = [catalog("path_40")]
+    graphs += [_connected_gnm(n, round(2.25 * n), rng) for n in (24, 32, 40)]
+    for g in graphs:
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert vals[2] - vals[1] > 1e-6 and vals[-1] - vals[-2] > 1e-6, g.edges
+    return graphs
+
+
+def test_simple_eigenvalue_decision_is_its_first_iteration_without_a_solve(monkeypatch):
+    # at k = 1 the decision returns what the corral's first iteration
+    # computes, bit for bit, and runs no eigensolve: a 1 x 1 S(c) is its own
+    # eigenvalue, and without blocks a block mean is the row itself
+    rows = []
+    for g in _simple_end_graphs():
+        dec = eigendecompose(laplacian(g))
+        rows += [_edge_rows(g, lam, dec) for lam in (dec.eigenvalues[1], dec.eigenvalues[-1])]
+    eigh = np.linalg.eigh
+    solves = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: solves.append(a) or eigh(*a, **kw))
+    for B in rows:
+        assert B.shape[1] == 1
+        d = length_decision(B)
+        lengths = np.sum(B * B, axis=1)
+        c = lengths - lengths.mean()
+        S = (B.T * c) @ B
+        assert d.status == "not_rigid"
+        assert np.array_equal(d.c, c)
+        assert d.gap == np.linalg.norm(c) / np.linalg.norm(lengths)
+        assert d.dual_min_eig == S[0, 0]
+        assert np.array_equal(d.X, [[1.0]]) and d.iterations == 0
+        # the eigensolve of S(c) the decision skips returns its entry
+        assert eigh(S)[0][0] == S[0, 0]
+    assert solves == []
 
 
 def _frank_wolfe_status(B, blocks=None):
