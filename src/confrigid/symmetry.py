@@ -80,22 +80,6 @@ class OrbitPartition:
         return len(self.edge_orbits)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _orbit_blocks(
     size: int, images: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
@@ -226,6 +210,41 @@ def _refine_colors(g: Graph) -> np.ndarray:
         colors = new
 
 
+def _search_adjacency(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Neighbourhood bitsets and ascending neighbour lists of the graph the
+    search runs on: G itself, or its complement when G holds more than half
+    of the n(n - 1)/2 pairs.  Aut(G) = Aut of the complement, and the
+    sparser graph prunes more candidates per prefix neighbour.  For the
+    complement no Python loop runs over G's edges: its bitsets are the
+    boolean complement rows packed little-endian, and its lists are read
+    off the bitsets."""
+    n = g.n
+    e = g.edge_array
+    if 4 * g.m <= n * (n - 1):
+        adj = [0] * n
+        nbr: list[list[int]] = [[] for _ in range(n)]
+        for i, j in e.tolist():
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            nbr[i].append(j)
+            nbr[j].append(i)
+        return adj, nbr
+    free = ~np.eye(n, dtype=bool)
+    free[e[:, 0], e[:, 1]] = free[e[:, 1], e[:, 0]] = False
+    rows = np.packbits(free, axis=1, bitorder="little").tobytes()
+    w = len(rows) // n
+    adj = [int.from_bytes(rows[v * w : (v + 1) * w], "little") for v in range(n)]
+    nbr = []
+    for mask in adj:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        nbr.append(out)
+    return adj, nbr
+
+
 def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
     """Generating set of Aut(G), one automorphism per point of each basic
     orbit: at most n - 1 generators, and the group is never held.
@@ -246,8 +265,17 @@ def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
     they generate.
 
     Neighbourhoods, colour classes and the used vertices are bitsets held
-    in Python ints, so each node costs a few word operations.  Graphs above
-    SEARCH_MAX_N vertices raise GraphTooLargeError."""
+    in Python ints, so each node costs a few word operations.  Candidates
+    are tested lazily: a node walks the next level's candidate mask in
+    ascending order and descends into each passing vertex before testing
+    the next, so once a descent succeeds no later candidate of that level
+    is tested.  On a graph with more than half of all pairs as
+    edges the search runs on the complement (as nauty does), which has
+    the same automorphisms and the same equitable colouring, so
+    _refine_colors(g) serves both; the tree, and so the generators, then
+    differ from a search on G's own edges, but the group they generate
+    does not.  Graphs above SEARCH_MAX_N vertices raise
+    GraphTooLargeError."""
     if g.n > SEARCH_MAX_N:
         raise GraphTooLargeError(f"automorphism search capped at n = {SEARCH_MAX_N}")
     n = g.n
@@ -255,13 +283,7 @@ def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
     class_size = np.bincount(colors)
     if len(class_size) == n:  # discrete: only the identity
         return PermutationSet(n=n, gens=())
-    adj = [0] * n
-    nbr: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.edge_array.tolist():
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        nbr[i].append(j)
-        nbr[j].append(i)
+    adj, nbr = _search_adjacency(g)
     color = colors.tolist()
     class_mask = [0] * len(class_size)
     for v, c in enumerate(color):
@@ -297,67 +319,88 @@ def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
     image = list(order)  # image[i] is the image of order[i]
     used = (1 << n) - 1
     gens: list[tuple[int, ...]] = []
-    orbit_of = _UnionFind(n)
+    parent = list(range(n))  # union-find of the orbits, each root its least
     nodes = 0
     exhausted = False
 
-    def candidates(level: int) -> list[int]:
-        """Unused vertices of order[level]'s colour whose adjacency to the
-        mapped prefix is that of order[level] to the prefix, in ascending
-        order.  The prefix is exactly `used`: a vertex adjacent to the images
-        of all of order[level]'s prefix neighbours has no other used
-        neighbour iff it has as many used neighbours as they are."""
-        mask = level_class[level] & ~used
-        nbrs = prefix_nbrs[level]
-        for j in nbrs:
-            mask &= adj[image[j]]
-        k = len(nbrs)
-        out = []
-        while mask:
-            low = mask & -mask
-            c = low.bit_length() - 1
-            if (adj[c] & used).bit_count() == k:
-                out.append(c)
-            mask ^= low
-        return out
+    def find(x: int) -> int:
+        """The root of x's orbit, with path halving; the hot loops below
+        inline it."""
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def extend(level: int, c: int) -> bool:
         """Map order[level] to c and complete the map depth-first to an
-        automorphism, stopping at the first; `used` is restored on return."""
+        automorphism, stopping at the first; `used` is restored on return.
+
+        The next level's candidates are the unused vertices of its colour
+        adjacent to the images of all its prefix neighbours (`mask`) that
+        have no other used neighbour: the prefix is exactly `used`, so that
+        is a popcount equal to the number of those neighbours.  Each is
+        tested just before its search, in ascending order."""
         nonlocal nodes, exhausted, used
         if nodes >= limit:
             exhausted = True
             return False
         nodes += 1
         image[level] = c
+        level += 1
+        if level == n:
+            return True
         used |= 1 << c
-        found = level + 1 == n
-        if not found:
-            for d in candidates(level + 1):
-                if extend(level + 1, d):
-                    found = True
-                    break
-        used &= ~(1 << c)
-        return found
+        mask = level_class[level] & ~used
+        nbrs = prefix_nbrs[level]
+        for j in nbrs:
+            mask &= adj[image[j]]
+        k = len(nbrs)
+        while mask:
+            low = mask & -mask
+            d = low.bit_length() - 1
+            if (adj[d] & used).bit_count() == k and extend(level, d):
+                break
+            mask ^= low
+        used ^= 1 << c
+        return mask != 0
 
     for level in range(n - 1, -1, -1):
         v = order[level]
         used &= ~(1 << v)  # order[:level] stays fixed pointwise
-        home = orbit_of.find(v)
+        home = find(v)
         failed = set()  # roots of the orbits where extend failed
-        for c in candidates(level):
-            root = orbit_of.find(c)
+        # the level's candidates, tested as in extend
+        mask = level_class[level] & ~used
+        nbrs = prefix_nbrs[level]
+        for j in nbrs:
+            mask &= adj[image[j]]
+        k = len(nbrs)
+        while mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            mask ^= low
+            if (adj[c] & used).bit_count() != k:
+                continue
+            root = c  # find(c), inlined as in the union below
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
             if root == home or root in failed:
                 continue
             if not extend(level, c):
                 failed.add(root)
                 continue
-            gens.append(tuple(image[level_of[u]] for u in range(n)))
+            gens.append(tuple([image[l] for l in level_of]))
             for i, j in enumerate(gens[-1]):
-                if i != j:
-                    orbit_of.union(i, j)
-            home = orbit_of.find(v)
-            failed = {orbit_of.find(r) for r in failed}
+                if i != j:  # union(i, j): the larger root under the smaller
+                    while parent[i] != i:
+                        parent[i] = i = parent[parent[i]]
+                    while parent[j] != j:
+                        parent[j] = j = parent[parent[j]]
+                    if i < j:
+                        parent[j] = i
+                    elif j < i:
+                        parent[i] = j
+            home = find(v)
+            failed = {find(r) for r in failed}
         if exhausted:
             break
     return PermutationSet(n=n, gens=tuple(gens), exhausted=exhausted)

@@ -495,6 +495,35 @@ def test_eigenvector_end_needs_no_sdp_feasibility(case):
     assert (er.verdict, er.method) == ("certified", "Eigenvector")
 
 
+def _commutant_projection_by_kron(U, p, X):
+    """Oracle: the commutant projection with kron(R, R) from np.kron."""
+    k = U.shape[1]
+    H = np.zeros((k * k, k * k))
+    for sigma in p.gens:
+        R = U.T @ U[np.array(sigma)]
+        D = np.kron(R, R) - np.eye(k * k)
+        H += D.T @ D
+    vals, vecs = np.linalg.eigh(H)
+    N = vecs[:, vals <= 1e-9 * max(1.0, float(vals[-1]))]
+    return (N @ (N.T @ X.reshape(-1))).reshape(k, k)
+
+
+def test_commutant_projection_matches_np_kron(monkeypatch):
+    # the broadcast kron(R, R) holds the same products as np.kron, so the
+    # projection is bit-identical on every eigenspace a check passes it
+    project = certify._commutant_projection
+    calls = _count_calls(monkeypatch, certify, "_commutant_projection")
+    graphs = [_petersen_prism()]
+    for S in ({1, 2}, {2, 3}):
+        c = circulant(12, S)
+        graphs.append(Graph(c.n, c.edges))
+    for g in graphs:
+        check_conformal_rigidity(g)
+    assert sorted(U.shape[1] for U, _, _ in calls) == [4, 6, 6]
+    for U, p, X in calls:
+        assert np.array_equal(project(U, p, X), _commutant_projection_by_kron(U, p, X))
+
+
 @pytest.mark.parametrize("n", [7, 40])
 def test_rigid_decision_gram_needs_no_projection(monkeypatch, n):
     # K_n minus a 3-edge matching is not vertex-transitive: at lambda_n = n

@@ -7,8 +7,16 @@ import pytest
 
 from confrigid.catalog import catalog
 from confrigid import symmetry
+from confrigid.certify import check_conformal_rigidity
 from confrigid.errors import GroupTooLargeError, NotAutomorphismError
-from confrigid.graphs import CayleySpec, Graph, cayley_abelian, circulant, normalize_edges
+from confrigid.graphs import (
+    CayleySpec,
+    Graph,
+    cartesian_product,
+    cayley_abelian,
+    circulant,
+    normalize_edges,
+)
 from confrigid.symmetry import (
     PermutationSet,
     _orbit_blocks,
@@ -289,22 +297,60 @@ PINNED_GENERATORS = {
         (0, 2, 1, 11, 10, 6, 5, 8, 7, 9, 4, 3),
         (1, 0, 5, 8, 7, 2, 10, 4, 3, 11, 6, 9),
     ),
-    # two colour classes of different sizes, which steer the vertex order
+    # two colour classes of different sizes, which steer the vertex order;
+    # dense, so the search runs on the complement K_4 + K_5
     "complete_bipartite_4_5": (
         (0, 1, 2, 3, 4, 5, 6, 8, 7),
         (0, 1, 2, 7, 4, 5, 6, 3, 8),
-        (0, 1, 2, 3, 4, 6, 5, 7, 8),
         (0, 3, 2, 1, 4, 5, 6, 7, 8),
-        (0, 1, 2, 3, 5, 4, 6, 7, 8),
         (1, 0, 2, 3, 4, 5, 6, 7, 8),
+        (0, 1, 2, 3, 4, 6, 5, 7, 8),
+        (0, 1, 2, 3, 5, 4, 6, 7, 8),
         (0, 1, 4, 3, 2, 5, 6, 7, 8),
+    ),
+    # the benchmark's sparse symmetric graphs, the last two as plain edge
+    # lists: their searches must not move when dense graphs' do
+    "cycle_48": (
+        (
+            0, 15, 21, 39, 20, 6, 5, 36, 26, 23, 41, 31, 44, 16, 28, 1, 13, 24, 34, 33, 4,
+            2, 29, 9, 17, 46, 8, 42, 14, 22, 47, 11, 37, 19, 18, 40, 7, 32, 45, 3, 35, 10,
+            27, 43, 12, 38, 25, 30
+        ),
+        (
+            1, 12, 26, 41, 25, 27, 14, 35, 21, 30, 39, 13, 16, 44, 8, 0, 31, 11, 32, 7,
+            40, 9, 47, 2, 19, 10, 28, 43, 5, 37, 29, 24, 22, 17, 38, 4, 33, 34, 3, 45, 36,
+            46, 6, 42, 15, 18, 20, 23
+        ),
+    ),
+    "cay_z18_1_5": (
+        (0, 14, 16, 7, 12, 10, 17, 3, 11, 9, 5, 8, 4, 15, 1, 13, 2, 6),
+        (1, 0, 3, 2, 8, 9, 16, 17, 4, 5, 10, 13, 15, 11, 14, 12, 6, 7),
+        (2, 6, 17, 1, 10, 12, 16, 3, 11, 13, 8, 5, 15, 4, 7, 9, 0, 14),
+        (4, 11, 13, 5, 0, 3, 8, 12, 6, 17, 16, 1, 7, 2, 15, 14, 10, 9),
+    ),
+    "petersen_x_k2": (
+        (0, 3, 2, 1, 4, 16, 6, 13, 8, 17, 10, 15, 12, 7, 18, 11, 5, 9, 14, 19),
+        (0, 13, 8, 7, 4, 11, 10, 3, 2, 9, 6, 5, 12, 1, 14, 16, 15, 17, 18, 19),
+        (0, 1, 11, 6, 14, 8, 3, 10, 5, 19, 7, 2, 12, 13, 4, 15, 16, 17, 18, 9),
+        (1, 3, 2, 0, 7, 16, 6, 13, 9, 17, 14, 12, 15, 4, 18, 11, 19, 8, 10, 5),
+        (2, 17, 14, 8, 5, 0, 9, 12, 1, 4, 15, 10, 6, 11, 19, 18, 3, 13, 16, 7),
     ),
 }
 
 
+def _pinned_graph(name):
+    """A pinned graph under the seed-0 relabelling: a catalog graph, or one
+    of the benchmark's vertex-transitive graphs with two edge orbits."""
+    if name == "cay_z18_1_5":
+        return _relabelled(circulant(18, {1, 5}))
+    if name == "petersen_x_k2":
+        return _relabelled(cartesian_product(catalog("petersen"), catalog("path_2")))
+    return _relabelled(catalog(name))
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
 def test_generators_pinned_under_relabelling(name):
-    p = find_automorphisms(_relabelled(catalog(name)))
+    p = find_automorphisms(_pinned_graph(name))
     assert not p.exhausted
     assert p.gens == PINNED_GENERATORS[name]
 
@@ -314,11 +360,14 @@ def test_generators_pinned_under_relabelling(name):
     [
         ("petersen", 34),
         ("hoffman", 261),
-        ("shrikhande_complement", 142),
+        ("shrikhande_complement", 61),
         ("cycle_12", 23),
         ("hypercube_4", 73),
-        ("complete_bipartite_4_5", 41),
-        ("triangular_prism", 22),
+        ("complete_bipartite_4_5", 38),
+        ("triangular_prism", 17),
+        ("cycle_48", 95),
+        ("cay_z18_1_5", 173),
+        ("petersen_x_k2", 122),
     ],
 )
 def test_search_node_count_pinned(name, nodes):
@@ -326,7 +375,9 @@ def test_search_node_count_pinned(name, nodes):
     # one short is exhausted.  Pruning by non-adjacency to the prefix and
     # failed-orbit pruning (no search into the orbit of a candidate whose
     # search failed) never change the generators found, only this count.
-    g = _relabelled(catalog(name))
+    # shrikhande_complement, complete_bipartite_4_5 and triangular_prism
+    # are dense, so their trees are those of their complements.
+    g = _pinned_graph(name)
     assert not find_automorphisms(g, limit=nodes).exhausted
     assert find_automorphisms(g, limit=nodes - 1).exhausted
 
@@ -362,3 +413,37 @@ def test_trivial_group_orbits_match_the_dfs(n, m, seed):
     assert (trivial.num_vertex_orbits, trivial.num_edge_orbits) == (g.n, g.m)
     with pytest.raises(ValueError):
         orbits(g, PermutationSet(n=g.n + 1, gens=()))
+
+
+def _cycle_complement(n):
+    cycle = set(circulant(n, {1}).edges)
+    return Graph(n, tuple(e for e in itertools.combinations(range(n), 2) if e not in cycle))
+
+
+@pytest.mark.parametrize("n", [20, 64])
+def test_dense_cycle_complement_search_finishes(n):
+    # more than half of all pairs are edges, so the search runs on C_n
+    # itself: the dihedral group, where a search on the complement's
+    # own edges exhausts the default budget with no generator
+    g = _cycle_complement(n)
+    p = find_automorphisms(g)
+    assert not p.exhausted
+    orb = orbits(g, p)
+    assert orb.num_vertex_orbits == 1
+    assert orb.num_edge_orbits == n // 2 - 1
+    assert group_order(p) == 2 * n
+
+
+def test_dense_complete_bipartite_is_edge_transitive():
+    # K_20,20 is searched as its complement, two disjoint K_20
+    g = catalog("complete_bipartite_20_20")
+    p = find_automorphisms(g)
+    assert not p.exhausted
+    orb = orbits(g, p)
+    assert (orb.num_vertex_orbits, orb.num_edge_orbits) == (1, 1)
+
+
+def test_dense_cycle_complement_check_reports_a_finished_search():
+    rep = check_conformal_rigidity(_cycle_complement(20))
+    assert rep.search_exhausted is False
+    assert rep.to_json_dict()["searchExhausted"] is False
