@@ -295,6 +295,34 @@ def lp_certificate_embedding(
     return make_embedding(g, P[:, keep], lam, source="character-lp")
 
 
+def _lp_certificate(
+    g: Graph,
+    table: CharacterTable,
+    lp: LpCertificateResult,
+    lam: float,
+    end: str,
+    iso_tol: float,
+) -> Certificate | None:
+    """The re-verified certificate of a certified LP solution; None when the
+    LP did not certify or its embedding fails."""
+    if lp.status != "certified":
+        return None
+    try:
+        emb = lp_certificate_embedding(g, table, lp, lam)
+    except EigenvalueError:
+        # under a coarse group_tol a class can merge characters of distinct
+        # eigenvalues, and their combination is then no eigenvector of lam
+        return None
+    payload = {
+        "coefficients": lp.coefficients,
+        "character_indices": list(lp.character_indices),
+        "t": lp.t,
+        "complex_only": lp.complex_only,
+    }
+    extra = {"lp_objective": lp.lp_objective}
+    return _verified_certificate(g, emb, "character_lp", end, payload, iso_tol, extra)
+
+
 # ---------------------------------------------------------------------------
 # SDP-backed certificates
 # ---------------------------------------------------------------------------
@@ -411,7 +439,8 @@ def product_rigidity(
     """Conformal rigidity of a Cartesian product from rigid factors with
     equal algebraic connectivity and equal avg-degree / (2 lambda_max),
     re-verified directly on the product graph.  Raises when a hypothesis
-    fails; returns None when a factor cannot be certified."""
+    fails (`product_embedding` tests both equalities); returns None when a
+    factor cannot be certified."""
     from .embeddings import product_embedding
 
     options = options or CheckOptions()
@@ -419,18 +448,6 @@ def product_rigidity(
     repH = check_conformal_rigidity(gH, options)
     if not (repG.rigid and repH.rigid):
         return None
-    if abs(repG.lambda2 - repH.lambda2) > 1e-8 * (1.0 + abs(repG.lambda2)):
-        raise HypothesisViolatedError(
-            f"lambda_2 mismatch: {repG.lambda2} vs {repH.lambda2}"
-        )
-    dG = 2.0 * gG.m / gG.n
-    dH = 2.0 * gH.m / gH.n
-    rG = dG / (2.0 * repG.lambda_max)
-    rH = dH / (2.0 * repH.lambda_max)
-    if abs(rG - rH) > 1e-8 * (1.0 + rG):
-        raise HypothesisViolatedError(
-            f"avg-degree/(2 lambda_max) mismatch: {rG} vs {rH}"
-        )
 
     def spherical_max_embedding(g: Graph, rep: RigidityReport) -> Embedding:
         candidates = [rep.upper.certificate.embedding]
@@ -563,7 +580,9 @@ def _certify_end(
     k > 1 and by the vertex-transitivity test of a rigid decision the LP
     did not refute.  characters are the table's characters of lam, grouped
     under the check's group_tol (None without a table)."""
-    lp_refuted = False
+
+    def certified(cert: Certificate | None, method: str) -> EndReport | None:
+        return cert and EndReport(end, "certified", method, cert, None, cert.residuals)
 
     @functools.cache
     def canonical() -> Certificate | None:
@@ -571,118 +590,76 @@ def _certify_end(
             emb = canonical_embedding(g, decomposition(), lam)
         except EigenvalueError:
             return None
-        return _verified_certificate(
-            g, emb, "canonical_isometric", end, {}, opts.iso_tol
-        )
+        return _verified_certificate(g, emb, "canonical_isometric", end, {}, opts.iso_tol)
 
-    def canonical_report(kind: str, method: str) -> EndReport | None:
+    def labelled(kind: str, method: str) -> EndReport | None:
         """EdgeTransitive, OneWalkRegular and CanonicalIsometric share one
         test of the canonical embedding; only the label differs."""
         cert = canonical()
-        if cert is None:
-            return None
-        cert = replace(cert, kind=kind)
-        return EndReport(end, "certified", method, cert, None, cert.residuals)
+        return certified(cert and replace(cert, kind=kind), method)
 
     # with no table the canonical test goes first, so only an end it passes
-    # reads the group; a table's spec orbits are already at hand
-    if opts.stage_enabled("edge_transitive") and (
-        table is not None or canonical() is not None
-    ):
+    # reads the group; a table's spec orbits are already at hand.  The
+    # projector U U^T commutes with every automorphism, so an edge-transitive
+    # group makes the canonical embedding edge-isometric
+    if opts.stage_enabled("edge_transitive") and (table is not None or canonical()):
         orb = group.orb()
         if orb is not None and orb.num_edge_orbits == 1:
-            # the projector U U^T commutes with every automorphism, so an
-            # edge-transitive group makes the canonical embedding edge-isometric
-            found = canonical_report("edge_transitive", "EdgeTransitive")
-            if found is not None:
+            if found := labelled("edge_transitive", "EdgeTransitive"):
                 return found
 
-    if table is not None:
-        lp = abelian_lp_certificate(table, characters)
-        if lp.status == "certified":
-            try:
-                emb = lp_certificate_embedding(g, table, lp, lam)
-            except EigenvalueError:
-                # under a coarse group_tol a class can merge characters of
-                # distinct eigenvalues, and their combination is then no
-                # eigenvector of lam: no certificate
-                cert = None
-            else:
-                cert = _verified_certificate(
-                    g,
-                    emb,
-                    "character_lp",
-                    end,
-                    {
-                        "coefficients": lp.coefficients,
-                        "character_indices": list(lp.character_indices),
-                        "t": lp.t,
-                        "complex_only": lp.complex_only,
-                    },
-                    opts.iso_tol,
-                    extra_residuals={"lp_objective": lp.lp_objective},
-                )
-            if cert is not None:
-                return EndReport(
-                    end, "certified", "CharacterLP", cert, None, cert.residuals
-                )
-        elif lp.status == "not_in_polytope":
-            lp_refuted = True  # decisive: nothing certifies; the falsifier refutes
+    lp = None if table is None else abelian_lp_certificate(table, characters)
+    if lp is not None:
+        cert = _lp_certificate(g, table, lp, lam, end, opts.iso_tol)
+        if found := certified(cert, "CharacterLP"):
+            return found
+    # decisive: nothing certifies, and the falsifier refutes
+    lp_refuted = lp is not None and lp.status == "not_in_polytope"
 
-    if not lp_refuted:
-        found = None
-        if opts.stage_enabled("walk_regular") and walk1:
-            found = canonical_report("one_walk_regular", "OneWalkRegular")
-        elif opts.stage_enabled("canonical"):
-            found = canonical_report("canonical_isometric", "CanonicalIsometric")
-        if found is not None:
+    walk_label = opts.stage_enabled("walk_regular") and walk1
+    if not lp_refuted and (walk_label or opts.stage_enabled("canonical")):
+        kind = "one_walk_regular" if walk_label else "canonical_isometric"
+        method = "OneWalkRegular" if walk_label else "CanonicalIsometric"
+        if found := labelled(kind, method):
             return found
 
     U = decomposition().basis_for(lam)
     decision = _decide(g, U, group, opts.feas_tol)
-
     # both SDP stages certify from the end's one Gram matrix, a rigid
     # decision's X (none after a separating c or at the decision's cap)
     rigid = decision.status == "rigid" and not lp_refuted
-    symmetrized = (
-        rigid and opts.stage_enabled("symmetrized_sdp") and group.vertex_transitive()
-    )
-    if rigid and (symmetrized or opts.stage_enabled("trivial_sdp")):
-        try:
-            cert = None
-            if symmetrized:
-                cert = eigenvector_certificate(
-                    g, U, lam, group.perms(), group.orb(), decision,
-                    opts.feas_tol, opts.iso_tol, end,
-                )
-            if cert is None:  # no rank-one phi: the Gram matrix itself
-                cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
-        except EigenvalueError:
-            cert = None  # as at the LP: a merged eigenspace is no eigenspace of lam
-        if cert is not None:
-            method = "Eigenvector" if cert.kind == "eigenvector" else "SdpGram"
-            return EndReport(end, "certified", method, cert, None, cert.residuals)
+    try:
+        if rigid and opts.stage_enabled("symmetrized_sdp") and group.vertex_transitive():
+            cert = eigenvector_certificate(
+                g, U, lam, group.perms(), group.orb(), decision,
+                opts.feas_tol, opts.iso_tol, end,
+            )
+            if found := certified(cert, "Eigenvector"):
+                return found
+        if rigid and opts.stage_enabled("trivial_sdp"):  # the Gram matrix itself
+            cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
+            if found := certified(cert, "SdpGram"):
+                return found
+    except EigenvalueError:
+        pass  # as at the LP: a merged eigenspace is no eigenspace of lam
 
     facts = decision.residuals()
-    residuals = {"lp_refuted": 1.0} if lp_refuted else {}
-    residuals.update(facts)
     # a rigid decision found equal lengths: there is no direction to follow
     if opts.stage_enabled("falsify") and decision.status != "rigid":
-        wit, refutes = _falsify_end(g, end, lam, decision)
+        # the end's own extreme raw eigenvalue, not the group mean lam
+        raw = (
+            decomposition().raw_eigenvalues if table is None else np.sort(table.eigenvalues)
+        )
+        unit = float(raw[1] if end == "lower" else raw[-1])
+        wit, refutes = _falsify_end(g, end, unit, decision)
         if refutes:
             method = "CharacterLP+Falsifier" if lp_refuted else "Falsifier"
-            return EndReport(
-                end,
-                "refuted",
-                method,
-                None,
-                wit.best_w,
-                # the margin is re-checkable: best_value against the unit value
-                {"best_value": wit.best_value, "falsifier_unit": lam, **facts},
-            )
+            # the margin is re-checkable: best_value against the unit value
+            residuals = {"best_value": wit.best_value, "falsifier_unit": unit, **facts}
+            return EndReport(end, "refuted", method, None, wit.best_w, residuals)
         # why this end stays undecided: how close the falsifier came
-        residuals.update(falsifier_best=wit.best_value, falsifier_unit=lam)
-
+        facts = {**facts, "falsifier_best": wit.best_value, "falsifier_unit": unit}
+    residuals = {"lp_refuted": 1.0, **facts} if lp_refuted else facts
     return EndReport(end, "undecided", None, None, None, residuals)
 
 

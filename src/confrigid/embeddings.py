@@ -36,9 +36,9 @@ def make_embedding(
     points: np.ndarray,
     eigenvalue: float,
     source: str,
-    tol: float = RESIDUAL_TOL,
 ) -> Embedding:
-    """Validate eigenspace residual, centering, and nontriviality."""
+    """Validate eigenspace residual (to RESIDUAL_TOL), centering, and
+    nontriviality."""
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
         P = P[:, None]
@@ -49,7 +49,7 @@ def make_embedding(
         raise ValueError("zero embedding")
     L = g.unit_laplacian
     resid = np.max(np.abs(L @ P - eigenvalue * P))
-    if resid > tol * (1.0 + abs(eigenvalue)) * max(scale, 1.0):
+    if resid > RESIDUAL_TOL * (1.0 + abs(eigenvalue)) * max(scale, 1.0):
         raise EigenvalueError(
             f"columns are not in the eigenspace of {eigenvalue}: residual {resid:.3e}"
         )
@@ -82,9 +82,9 @@ def explicit_embedding(g: Graph, columns: np.ndarray, eigenvalue: float) -> Embe
     return make_embedding(g, columns, eigenvalue, source="explicit")
 
 
-def rayleigh_eigenvalue(g: Graph, phi: np.ndarray, tol: float = RESIDUAL_TOL) -> float:
+def rayleigh_eigenvalue(g: Graph, phi: np.ndarray) -> float:
     """Eigenvalue of phi, verified by residual; raises if phi is not an
-    eigenvector (up to tol)."""
+    eigenvector (up to RESIDUAL_TOL)."""
     phi = np.asarray(phi, dtype=float)
     nrm = float(np.linalg.norm(phi))
     if nrm == 0:
@@ -92,7 +92,7 @@ def rayleigh_eigenvalue(g: Graph, phi: np.ndarray, tol: float = RESIDUAL_TOL) ->
     L = g.unit_laplacian
     lam = float(phi @ L @ phi) / (nrm * nrm)
     resid = np.max(np.abs(L @ phi - lam * phi))
-    if resid > tol * (1.0 + abs(lam)) * nrm:
+    if resid > RESIDUAL_TOL * (1.0 + abs(lam)) * nrm:
         raise EigenvalueError(f"vector is not an eigenvector: residual {resid:.3e}")
     return lam
 
@@ -244,60 +244,52 @@ def product_embedding(
     gH: Graph,
     eH: Embedding,
     mode: str,
-    tol: float = 1e-8,
     iso_tol: float = ISO_TOL,
 ) -> tuple[Graph, Embedding]:
-    """Edge-isometric embedding of the Cartesian product.
+    """Edge-isometric embedding of the Cartesian product from edge-isometric
+    factor embeddings, each first rescaled to unit edges.
 
-    mode="lambda2": requires equal positive eigenvalues and edge-isometric
-    inputs; output columns are [U_G (x) 1 | 1 (x) U_H] after unit-edge
-    normalization, at the common eigenvalue.
+    mode="lambda2": requires equal positive eigenvalues; output columns are
+    [U_G (x) 1 | 1 (x) U_H] at the common eigenvalue.
 
-    mode="lambdamax": requires spherical edge-isometric inputs whose
-    unit-edge radii agree (equivalently equal avg-degree / (2 lambda_max));
-    output is the row-wise tensor embedding at the sum of eigenvalues, which
-    is also spherical.  iso_tol is the factors' edge-isometry and
-    sphericity tolerance.
+    mode="lambdamax": requires spherical inputs whose unit-edge radii agree
+    (equivalently equal avg-degree / (2 lambda_max)); output is the
+    row-wise tensor embedding at the sum of eigenvalues, which is also
+    spherical.
+
+    iso_tol is the factors' edge-isometry and sphericity tolerance; the
+    eigenvalues and the radii must agree to a relative 1e-8.
     """
+    if mode not in ("lambda2", "lambdamax"):
+        raise ValueError(f"unknown product mode {mode!r}")
     profG = edge_length_profile(eG, gG, iso_tol)
     profH = edge_length_profile(eH, gH, iso_tol)
+    for prof, which in ((profG, "first"), (profH, "second")):
+        if not prof.is_edge_isometric:
+            raise HypothesisViolatedError(f"{which} factor embedding not edge-isometric")
+    UG = eG.points / profG.c
+    UH = eH.points / profH.c
     prod = cartesian_product(gG, gH)
     if mode == "lambda2":
-        if abs(eG.eigenvalue - eH.eigenvalue) > tol * (1.0 + abs(eG.eigenvalue)):
+        if abs(eG.eigenvalue - eH.eigenvalue) > 1e-8 * (1.0 + abs(eG.eigenvalue)):
             raise HypothesisViolatedError(
                 f"eigenvalues differ: {eG.eigenvalue} vs {eH.eigenvalue}"
             )
-        if not profG.is_edge_isometric:
-            raise HypothesisViolatedError("first factor embedding not edge-isometric")
-        if not profH.is_edge_isometric:
-            raise HypothesisViolatedError("second factor embedding not edge-isometric")
-        UG = eG.points / profG.c
-        UH = eH.points / profH.c
         cols = np.hstack(
             [np.kron(UG, np.ones((gH.n, 1))), np.kron(np.ones((gG.n, 1)), UH)]
         )
-        emb = make_embedding(prod, cols, eG.eigenvalue, source="product-lambda2")
-        return prod, emb
-    if mode == "lambdamax":
-        for prof, which in ((profG, "first"), (profH, "second")):
-            if not prof.is_edge_isometric:
-                raise HypothesisViolatedError(f"{which} factor not edge-isometric")
-            if not prof.is_spherical:
-                raise HypothesisViolatedError(f"{which} factor not spherical")
-        rG = profG.radius / profG.c
-        rH = profH.radius / profH.c
-        if abs(rG - rH) > tol * (1.0 + rG):
-            raise HypothesisViolatedError(
-                f"unit-edge radii differ: {rG} vs {rH}"
-            )
-        UG = eG.points / profG.c
-        UH = eH.points / profH.c
-        cols = np.kron(UG, UH)
-        emb = make_embedding(
-            prod, cols, eG.eigenvalue + eH.eigenvalue, source="product-lambdamax"
-        )
-        return prod, emb
-    raise ValueError(f"unknown product mode {mode!r}")
+        return prod, make_embedding(prod, cols, eG.eigenvalue, source="product-lambda2")
+    for prof, which in ((profG, "first"), (profH, "second")):
+        if not prof.is_spherical:
+            raise HypothesisViolatedError(f"{which} factor not spherical")
+    rG = profG.radius / profG.c
+    rH = profH.radius / profH.c
+    if abs(rG - rH) > 1e-8 * (1.0 + rG):
+        raise HypothesisViolatedError(f"unit-edge radii differ: {rG} vs {rH}")
+    emb = make_embedding(
+        prod, np.kron(UG, UH), eG.eigenvalue + eH.eigenvalue, source="product-lambdamax"
+    )
+    return prod, emb
 
 
 def embedding_to_csv(e: Embedding) -> str:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-9
+MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -21,9 +22,10 @@ class Phase1Result:
     iterations: int
 
 
-def phase1_feasibility(A: np.ndarray, b: np.ndarray, max_iter: int = 10_000) -> Phase1Result:
+def phase1_feasibility(A: np.ndarray, b: np.ndarray) -> Phase1Result:
     """Solve min 1^T a  s.t.  A x + a = b (rows pre-flipped so b >= 0),
-    x, a >= 0, with Bland's anti-cycling rule.  Feasible iff optimum ~ 0.
+    x, a >= 0, with Bland's anti-cycling rule, in at most MAX_PIVOTS
+    pivots.  Feasible iff optimum ~ 0.
 
     Each pivot enters the first eligible column (flatnonzero), runs the
     ratio test over the rows with a positive entering entry only, and
@@ -46,7 +48,7 @@ def phase1_feasibility(A: np.ndarray, b: np.ndarray, max_iter: int = 10_000) -> 
     basis = list(range(n, n + m))
 
     it = 0
-    while it < max_iter:
+    while it < MAX_PIVOTS:
         it += 1
         eligible = np.flatnonzero(T[m, : n + m] < -PIVOT_TOL)
         if eligible.size == 0:

@@ -29,10 +29,11 @@ def default_group_tol(M: np.ndarray, scale: float | None = None) -> float:
 class EigenspaceDecomposition:
     """Eigenvalues grouped into eigenspaces under an explicit tolerance.
 
-    eigenvalues are the distinct values, ascending: eigenvalues[0] is the
-    smallest eigenvalue alone, and after it consecutive values differ by
-    more than group_tol.  bases[i] is an n x multiplicities[i] matrix with
-    orthonormal columns.  raw_eigenvalues is the full ungrouped spectrum.
+    eigenvalues are the group means, ascending: eigenvalues[0] is the
+    smallest eigenvalue alone, and after it each group's raw eigenvalues
+    span at most group_tol (`_group`).  bases[i] is an n x
+    multiplicities[i] matrix with orthonormal columns.  raw_eigenvalues is
+    the full ungrouped spectrum.
     """
 
     eigenvalues: np.ndarray
@@ -78,19 +79,35 @@ def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cuts and means of ascending vals grouped under group_tol: group 0 is
     vals[0] alone (a connected graph's Laplacian kernel, never merged with
     lambda_2 however small lambda_2 is), and after it a new group starts
-    wherever consecutive values differ by more than group_tol; group i is
+    wherever consecutive values differ by more than group_tol.  A group
+    whose spread still exceeds group_tol is then split greedily from its
+    first value, so no group spans more than group_tol.  Group i is
     vals[cuts[i]:cuts[i + 1]].  Each mean is bit for bit np.mean of its
     group: a singleton is its value, a pair (a + b) / 2, and a larger group
     the sum and division np.mean makes, without its wrapper."""
     breaks = np.diff(vals) > group_tol
     breaks[:1] = True
     cuts = np.concatenate(([0], np.flatnonzero(breaks) + 1, [len(vals)]))
-    starts, mults = cuts[:-1], np.diff(cuts)
+    mults = np.diff(cuts)
+    big = np.flatnonzero(mults > 2).tolist()
+    bounds = cuts.tolist()
+    # a chained pair spans at most group_tol, a longer chain can span more
+    splits = []
+    for k in big:
+        a, b = bounds[k], bounds[k + 1]
+        while vals[b - 1] - vals[a] > group_tol:
+            a += int(np.argmax(vals[a:b] - vals[a] > group_tol))
+            splits.append(a)
+    if splits:
+        cuts = np.union1d(cuts, splits)
+        mults = np.diff(cuts)
+        big = np.flatnonzero(mults > 2).tolist()
+        bounds = cuts.tolist()
+    starts = cuts[:-1]
     means = vals[starts]
     pair = mults == 2
     means[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
-    bounds = cuts.tolist()
-    for k in np.flatnonzero(mults > 2).tolist():
+    for k in big:
         a, b = bounds[k], bounds[k + 1]
         means[k] = np.add.reduce(vals[a:b]) / (b - a)
     return cuts, means

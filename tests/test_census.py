@@ -114,12 +114,27 @@ def test_every_small_connected_graph_is_decided():
 def test_coarse_group_tol_keeps_the_kernel_apart(g, group_tol):
     # the reported lambda_2 is that of a grouping that keeps the kernel
     # apart: the mean of the first group of the spectrum above 0, however
-    # coarse; whatever the check decides there passes the recheck
+    # coarse, which spans at most group_tol from its smallest value;
+    # whatever the check decides there passes the recheck
     rep = check_conformal_rigidity(g, CheckOptions(group_tol=group_tol))
     vals = np.linalg.eigvalsh(_laplacian(g.n, g.edges))[1:]
-    first = np.flatnonzero(np.diff(vals) > group_tol)
-    lam2 = np.mean(vals[: first[0] + 1 if len(first) else len(vals)])
+    lam2 = np.mean(vals[vals - vals[0] <= group_tol])
     assert rep.lambda2 == pytest.approx(lam2, rel=1e-9)
+    _recheck(g, rep)
+
+
+def test_coarse_group_tol_refutes_path_40_at_both_ends():
+    # group_tol = 0.3 spans the 39 nonzero eigenvalues of path_40 in one
+    # chain of gaps; bounded groups keep lambda_2's group to the 7 values
+    # within 0.3 of its smallest, and the falsifier starts from that raw
+    # value, so both ends are refuted as at the default group_tol
+    g = catalog("path_40")
+    rep = check_conformal_rigidity(g, CheckOptions(group_tol=0.3))
+    vals = np.linalg.eigvalsh(_laplacian(g.n, g.edges))
+    assert rep.lambda2 == pytest.approx(np.mean(vals[1:8]), rel=1e-9)
+    for er, k in ((rep.lower, 1), (rep.upper, -1)):
+        assert (er.verdict, er.method) == ("refuted", "Falsifier")
+        assert er.residuals["falsifier_unit"] == pytest.approx(vals[k], rel=1e-9)
     _recheck(g, rep)
 
 

@@ -83,7 +83,7 @@ def test_decision_tolerance_below_rounding_gives_a_report(feas_tol):
     g = cartesian_product(catalog("petersen"), catalog("path_2"))
     rep = check_conformal_rigidity(g, CheckOptions(feas_tol=feas_tol))
     assert rep.lower.verdict == "undecided"
-    assert rep.lower.residuals["falsifier_best"] == rep.lambda2
+    assert rep.lower.residuals["falsifier_best"] == rep.lower.residuals["falsifier_unit"]
     default = check_conformal_rigidity(g)
     assert default.lower.method == "Eigenvector"
     assert (rep.upper.verdict, rep.upper.method) == ("refuted", "Falsifier")
@@ -444,16 +444,16 @@ def test_lp_refuted_ends_share_one_dense_decomposition(monkeypatch):
 
 
 def test_coarse_group_tol_runs_each_lp_on_its_grouped_characters(monkeypatch):
-    # group_tol = 0.3 merges the top ten characters, of five distinct
-    # eigenvalues, and their mean is the eigenvalue of none of them; the
-    # kernel stays apart, so lambda_2 = 0.2166 keeps its own two
-    # characters.  Each end's LP takes its grouped class: the lower end is
-    # refuted as at the default group_tol, and a combination that is no
-    # eigenvector of the upper mean certifies nothing
+    # group_tol = 0.3 merges the top six characters, of three distinct
+    # eigenvalues within 0.3 of the smallest of them, and their mean is the
+    # eigenvalue of none of them; the kernel stays apart, so lambda_2 =
+    # 0.2166 keeps its own two characters.  Each end's LP takes its grouped
+    # class: the lower end is refuted as at the default group_tol, and a
+    # combination that is no eigenvector of the upper mean certifies nothing
     g = circulant(30, {1, 2})
     _, order, cuts = character_eigenspaces(character_spectrum(g.cayley_spec), 0.3)
     classes = [order[cuts[1] : cuts[2]], order[cuts[-2] : cuts[-1]]]
-    assert (cuts[1], len(classes[0]), len(classes[1])) == (1, 2, 10)
+    assert (cuts[1], len(classes[0]), len(classes[1])) == (1, 2, 6)
     seen = []
     lp = certify.abelian_lp_certificate
 
@@ -468,6 +468,72 @@ def test_coarse_group_tol_runs_each_lp_on_its_grouped_characters(monkeypatch):
     assert rep.lambda2 == check_conformal_rigidity(g).lambda2
     assert (rep.lower.verdict, rep.lower.method) == ("refuted", "CharacterLP+Falsifier")
     assert rep.upper.verdict == "undecided"
+
+
+def _plain(g):
+    return Graph(g.n, g.edges, name=g.name)
+
+
+def test_skipped_trivial_sdp_leaves_a_rigid_decision_undecided():
+    # the plain-edge-list circulant(12, {1, 2, 3}) is vertex-transitive and
+    # its upper decision is rigid, but no rank-one phi passes: only the Gram
+    # certificate, which trivial_sdp names, certifies it.  Skipped, the end
+    # stays undecided with the decision's residuals, and the falsifier has
+    # no direction to follow
+    g = _plain(circulant(12, {1, 2, 3}))
+    assert check_conformal_rigidity(g).upper.method == "SdpGram"
+    rep = check_conformal_rigidity(g, CheckOptions(skip_stages=frozenset({"trivial_sdp"})))
+    assert (rep.upper.verdict, rep.upper.method, rep.upper.certificate) == (
+        "undecided", None, None
+    )
+    assert set(rep.upper.residuals) == {"decision_gap", "decision_iterations"}
+    assert (rep.lower.verdict, rep.lower.method) == ("refuted", "Falsifier")
+
+
+_DECISION_CODES = {
+    "ET": ("certified", "EdgeTransitive"),
+    "W1": ("certified", "OneWalkRegular"),
+    "CI": ("certified", "CanonicalIsometric"),
+    "LP": ("certified", "CharacterLP"),
+    "EV": ("certified", "Eigenvector"),
+    "GR": ("certified", "SdpGram"),
+    "F": ("refuted", "Falsifier"),
+    "LPF": ("refuted", "CharacterLP+Falsifier"),
+    "U": ("undecided", None),
+}
+
+# the skip sets: none, each stage on its own, and every stage but falsify
+_SKIP_SETS = [frozenset()] + [frozenset({s}) for s in STAGES]
+_SKIP_SETS.append(frozenset(STAGES) - {"falsify"})
+
+# lower/upper per skip set, in _SKIP_SETS order.  Computed before the
+# cascade was rewritten; the one entry that changed since is circulant(12,
+# {1, 2, 3})'s upper end with trivial_sdp skipped, once certified by SdpGram
+_DECISION_TABLE = {
+    "petersen": "ET/ET W1/W1 ET/ET ET/ET ET/ET ET/ET ET/ET ET/ET U/U",
+    "hoffman": "W1/W1 W1/W1 W1/W1 CI/CI W1/W1 W1/W1 W1/W1 W1/W1 U/U",
+    "triangular_prism": "F/F F/F F/F F/F F/F F/F F/F U/U F/F",
+    "path_20": "F/F F/F F/F F/F F/F F/F F/F U/U F/F",
+    "complete_bipartite_3_4": "ET/ET CI/CI ET/ET ET/ET ET/ET ET/ET ET/ET ET/ET U/U",
+    "petersen_x_k2": "EV/F EV/F EV/F EV/F EV/F GR/F EV/F EV/U U/F",
+    "circulant_12_123": "F/GR F/GR F/GR F/GR F/GR F/GR F/U U/GR F/U",
+    "cayley_12_12": "LPF/LP LPF/LP F/EV LPF/LP LPF/LP LPF/LP LPF/LP U/LP F/U",
+    "cayley_18_15": "LP/LP LP/LP CI/CI LP/LP LP/LP LP/LP LP/LP LP/LP U/U",
+}
+
+
+def test_cascade_decision_table():
+    graphs = {name: catalog(name) for name in list(_DECISION_TABLE)[:5]}
+    graphs["petersen_x_k2"] = _plain(_petersen_prism())
+    graphs["circulant_12_123"] = _plain(circulant(12, {1, 2, 3}))
+    graphs["cayley_12_12"] = circulant(12, {1, 2})
+    graphs["cayley_18_15"] = circulant(18, {1, 5})
+    for name, row in _DECISION_TABLE.items():
+        for skip, cell in zip(_SKIP_SETS, row.split(), strict=True):
+            rep = check_conformal_rigidity(graphs[name], CheckOptions(skip_stages=skip))
+            got = [(er.verdict, er.method) for er in (rep.lower, rep.upper)]
+            want = [_DECISION_CODES[code] for code in cell.split("/")]
+            assert got == want, (name, sorted(skip))
 
 
 def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):
