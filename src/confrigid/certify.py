@@ -87,6 +87,11 @@ class CheckOptions:
         check_tolerance("feas_tol", self.feas_tol)
         if self.group_tol is not None:
             check_tolerance("group_tol", self.group_tol)
+        # a misspelt stage would skip nothing; a bare string is not a set of names
+        skip = frozenset(self.skip_stages)
+        if unknown := skip - set(STAGES):
+            raise ValueError(f"unknown stages: {sorted(unknown)}")
+        object.__setattr__(self, "skip_stages", skip)
 
     def stage_enabled(self, name: str) -> bool:
         return name not in self.skip_stages
@@ -352,9 +357,12 @@ def _commutant_projection(
 
 def _sdp_embedding(g: Graph, U: np.ndarray, X: np.ndarray, lam: float) -> Embedding:
     """Embedding implied by a Gram matrix: factor X as V V^T and embed as
-    U V (n x k at most)."""
+    U V (n x k at most).  Raises EigenvalueError when X has no positive
+    eigenvalue, so there is no embedding to test."""
     vals, vecs = np.linalg.eigh((X + X.T) / 2.0)
     keep = vals > 1e-10 * max(float(vals.max()), 1e-30)
+    if not keep.any():
+        raise EigenvalueError("the Gram matrix has no positive eigenvalue")
     V = vecs[:, keep] * np.sqrt(vals[keep])
     return make_embedding(g, U @ V, lam, source="sdp-gram")
 
@@ -445,20 +453,28 @@ def product_rigidity(
 
     options = options or CheckOptions()
     repG = check_conformal_rigidity(gG, options)
-    repH = check_conformal_rigidity(gH, options)
+    # a repeated factor is checked once (equal graphs may differ in spec)
+    same = gH == gG and gH.cayley_spec == gG.cayley_spec
+    repH = repG if same else check_conformal_rigidity(gH, options)
     if not (repG.rigid and repH.rigid):
         return None
 
+    def spherical(emb: Embedding, g: Graph) -> bool:
+        prof = edge_length_profile(emb, g, tol=options.iso_tol)
+        return prof.is_edge_isometric and prof.is_spherical
+
     def spherical_max_embedding(g: Graph, rep: RigidityReport) -> Embedding:
-        candidates = [rep.upper.certificate.embedding]
-        dec = eigendecompose(g.unit_laplacian)
+        emb = rep.upper.certificate.embedding
+        if spherical(emb, g):
+            return emb
+        # the canonical embedding, on the report's own grouping
+        dec = eigendecompose(g.unit_laplacian, group_tol=options.group_tol)
         try:
-            candidates.append(canonical_embedding(g, dec, rep.lambda_max))
+            emb = canonical_embedding(g, dec, rep.lambda_max)
         except EigenvalueError:
             pass
-        for emb in candidates:
-            prof = edge_length_profile(emb, g, tol=options.iso_tol)
-            if prof.is_edge_isometric and prof.is_spherical:
+        else:
+            if spherical(emb, g):
                 return emb
         raise HypothesisViolatedError(
             "no spherical edge-isometric lambda_max embedding found"

@@ -18,9 +18,9 @@ from .catalog import catalog, catalog_names
 from .certify import STAGES, CheckOptions, RigidityReport, check_conformal_rigidity
 from .embeddings import canonical_embedding, edge_length_profile, embedding_to_csv
 from .errors import ConfrigidError
-from .graphs import CayleySpec, Graph, cayley_abelian, circulant, laplacian
+from .graphs import CayleySpec, Graph, cayley_abelian, circulant
 from .graphs import parse_edge_list, parse_graph6
-from .spectra import check_tolerance, circulant_curve_extremes, eigendecompose
+from .spectra import circulant_curve_extremes, eigendecompose
 from .symmetry import parse_generators
 
 
@@ -37,19 +37,19 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
                      help="abelian Cayley graph: orders 'n1,n2,...' then one "
                           "generator per argument as comma-separated coordinates "
                           "(the set is closed under negation automatically)")
-    p.add_argument("--gens", metavar="FILE",
-                   help="file of automorphisms (one permutation per line, images "
-                        "separated by spaces or commas); skips the search")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-group", type=float, default=None,
                    help="eigenvalue grouping tolerance (default: scaled 1e-8)")
-    p.add_argument("--tol-iso", type=float, default=1e-7,
+    p.add_argument("--tol-iso", type=float, default=CheckOptions.iso_tol,
                    help="edge-isometry tolerance (relative)")
-    p.add_argument("--tol-feas", type=float, default=1e-8,
-                   help="equal-length decision tolerance")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _add_cascade_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol-feas", type=float, default=CheckOptions.feas_tol,
+                   help="equal-length decision tolerance")
     p.add_argument("--stage-skip", default="",
                    help="comma list of stages to skip; stages: " + ", ".join(STAGES))
 
@@ -82,10 +82,6 @@ def build_graph(args: argparse.Namespace) -> Graph:
 
 
 def build_options(args: argparse.Namespace, g: Graph) -> CheckOptions:
-    skip = frozenset(tok.strip() for tok in args.stage_skip.split(",") if tok.strip())
-    unknown = skip - set(STAGES)
-    if unknown:
-        raise ValueError(f"unknown stages: {sorted(unknown)}")
     gens = None
     if getattr(args, "gens", None):
         with open(args.gens) as fh:
@@ -95,7 +91,7 @@ def build_options(args: argparse.Namespace, g: Graph) -> CheckOptions:
         iso_tol=args.tol_iso,
         feas_tol=args.tol_feas,
         generators=gens,
-        skip_stages=skip,
+        skip_stages={tok.strip() for tok in args.stage_skip.split(",") if tok.strip()},
     )
 
 
@@ -138,9 +134,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    check_tolerance("iso_tol", args.tol_iso)
+    opts = CheckOptions(group_tol=args.tol_group, iso_tol=args.tol_iso)
     g = build_graph(args)
-    dec = eigendecompose(laplacian(g), group_tol=args.tol_group)
+    dec = eigendecompose(g.unit_laplacian, group_tol=opts.group_tol)
     if args.value is not None:
         lam = args.value
     elif args.at == "lambdamax":
@@ -148,7 +144,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     else:
         lam = float(dec.eigenvalues[1])
     emb = canonical_embedding(g, dec, lam)
-    prof = edge_length_profile(emb, g, tol=args.tol_iso)
+    prof = edge_length_profile(emb, g, tol=opts.iso_tol)
     if args.json:
         print(json.dumps({
             "eigenvalue": emb.eigenvalue,
@@ -210,7 +206,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the certification pipeline")
     _add_input_flags(p_check)
+    p_check.add_argument("--gens", metavar="FILE",
+                         help="file of automorphisms (one permutation per line, "
+                              "images separated by spaces or commas); skips the search")
     _add_common_flags(p_check)
+    _add_cascade_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_embed = sub.add_parser("embed", help="export a canonical spectral embedding")
@@ -228,6 +228,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("start", type=int, help="first n (>= 6)")
     p_fam.add_argument("end", type=int, help="last n (<= 64)")
     _add_common_flags(p_fam)
+    _add_cascade_flags(p_fam)
     p_fam.set_defaults(func=cmd_family)
     return parser
 

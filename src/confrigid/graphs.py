@@ -217,17 +217,11 @@ def circulant(N: int, S) -> Graph:
     Graph is built once, on cayley_abelian's edges, labelled 0..N-1."""
     if N < 3:
         raise ValueError("circulant needs N >= 3")
-    residues = set()
-    for s in S:
-        s = s % N
-        if s == 0:
-            raise GeneratorError("identity element in generating set")
-        residues.add(s)
-        residues.add((-s) % N)
-    if not residues:
-        raise GeneratorError("empty generating set")
-    spec = CayleySpec(orders=(N,), gens=tuple((s,) for s in sorted(residues)))
-    half = sorted(s for s in residues if s <= N - s)
+    # CayleySpec rejects the identity and an empty set
+    residues = {s % N for s in S}
+    residues = sorted(residues | {-s % N for s in residues})
+    spec = CayleySpec(orders=(N,), gens=tuple((s,) for s in residues))
+    half = [s for s in residues if s <= N - s]
     return Graph(
         n=N,
         edges=_cayley_edges(spec),

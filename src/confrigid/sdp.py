@@ -37,14 +37,13 @@ class SdpInstance:
     for the trivial group); the group itself is never listed.
     """
 
-    U: np.ndarray
     orbit_mats: np.ndarray  # blocks x k x k
     trace_mat: np.ndarray
     group_size: int
 
     @property
     def k(self) -> int:
-        return self.U.shape[1]
+        return self.trace_mat.shape[0]
 
     def constraint_mats(self) -> np.ndarray:
         """Equality constraints: trace = 1 and orbit_r - orbit_1 = 0."""
@@ -81,7 +80,6 @@ def build_sdp_instance(
     if orb is not None:
         mats = np.stack([mats[list(block)].mean(axis=0) for block in orb.edge_orbits])
     return SdpInstance(
-        U=U,
         orbit_mats=mats,
         trace_mat=U.T @ U,
         group_size=0 if p is None else len(p.gens),

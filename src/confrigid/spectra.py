@@ -42,10 +42,6 @@ class EigenspaceDecomposition:
     group_tol: float
     raw_eigenvalues: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return int(self.multiplicities.sum())
-
     def index_of(self, lam: float) -> int:
         """The eigenspace whose value is within group_tol of lam."""
         d = np.abs(self.eigenvalues - lam)
@@ -180,13 +176,12 @@ class CharacterTable:
     the same mixed-radix order as the Cayley graph's vertices.  The table
     holds the element coordinates `coords` (N x r), the phase matrix
     `phases` = coords / orders, and the characters at the generators only:
-    gen_chars[k, j] = chi^k(spec.gens[j]), with gen_idx[j] the column of
-    spec.gens[j].  `rows(ks)` gives whole characters, and `chars`, the full
-    N x N table, is built on first access; both agree with gen_chars bit
-    for bit.
+    gen_chars[k, j] = chi^k(s_j) at the spec's generators s_j, with
+    gen_idx[j] the column of s_j.  `rows(ks)` gives whole characters, and
+    `chars`, the full N x N table, is built on first access; both agree
+    with gen_chars bit for bit.
     """
 
-    spec: CayleySpec
     coords: np.ndarray
     phases: np.ndarray
     gen_chars: np.ndarray
@@ -221,7 +216,7 @@ def character_spectrum(spec: CayleySpec) -> CharacterTable:
     # row sums over the two layouts can round differently
     gen_chars = np.asfortranarray(np.exp(2j * np.pi * _phase_block(phases, arr[gen_idx])))
     eigenvalues = np.sum(1.0 - gen_chars.real, axis=1)
-    return CharacterTable(spec, arr, phases, gen_chars, eigenvalues, gen_idx)
+    return CharacterTable(arr, phases, gen_chars, eigenvalues, gen_idx)
 
 
 def character_eigenspaces(

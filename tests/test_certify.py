@@ -3,6 +3,7 @@ and the full cascade."""
 
 import functools
 import importlib
+import itertools
 import json
 import pkgutil
 import time
@@ -67,6 +68,35 @@ def test_check_options_reject_a_tolerance_not_finite_and_positive(name, bad):
     # a NaN tolerance fails every comparison and would leave both ends undecided
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         CheckOptions(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "skip",
+    [{"falsifier"}, "falsify", ("canonical", "sdp")],
+    ids=["misspelt", "bare-string", "one-unknown"],
+)
+def test_check_options_reject_an_unknown_stage(skip):
+    # a misspelt stage would skip nothing, and a bare string is no set of stages
+    with pytest.raises(ValueError, match="unknown stages"):
+        CheckOptions(skip_stages=skip)
+
+
+def test_check_options_store_skipped_stages_as_a_frozenset():
+    opts = CheckOptions(skip_stages=["falsify", "canonical"])
+    assert opts.skip_stages == frozenset({"falsify", "canonical"})
+    assert not opts.stage_enabled("falsify") and opts.stage_enabled("trivial_sdp")
+
+
+@pytest.mark.parametrize(
+    "g, skip",
+    [(catalog("complete_4"), ()), (circulant(5, {1, 2}), ("character_lp",))],
+    ids=["complete_4", "circulant_5_1_2-no-lp"],
+)
+def test_group_tol_below_rounding_gives_a_report(g, skip):
+    # the commutant projection of a a^T keeps no eigenvalue above its cutoff,
+    # so the Gram matrix has no embedding to test: the end stays undecided
+    rep = check_conformal_rigidity(g, CheckOptions(group_tol=1e-16, skip_stages=skip))
+    assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
 
 
 @pytest.mark.parametrize("bad", BAD_TOLS)
@@ -821,6 +851,71 @@ def test_product_rigidity_c4_c4_and_k3_k3():
     assert cert is not None and cert.kind == "product"
     cert = product_rigidity(k3, k3)
     assert cert is not None and cert.kind == "product"
+
+
+def test_product_rigidity_checks_a_repeated_factor_once(monkeypatch):
+    # the upper certificate's own embedding is spherical, so the canonical
+    # fallback never decomposes the factor again
+    calls = {"check": 0, "eigendecompose": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(certify, "check_conformal_rigidity",
+                        counting("check", check_conformal_rigidity))
+    monkeypatch.setattr(certify, "eigendecompose", counting("eigendecompose", eigendecompose))
+    cert = product_rigidity(catalog("petersen"), catalog("petersen"))
+    assert cert is not None and cert.kind == "product"
+    assert calls == {"check": 1, "eigendecompose": 1}
+
+
+def test_product_fallback_decomposes_at_the_callers_group_tol(monkeypatch):
+    # a certificate embedding that is not spherical sends the factor to its
+    # canonical embedding, grouped as the factor's own check grouped it
+    seen = []
+
+    def recording(L, group_tol=None):
+        seen.append(group_tol)
+        return eigendecompose(L, group_tol=group_tol)
+
+    c4 = catalog("cycle_4")
+    opts = CheckOptions(group_tol=1e-6)
+    rep = check_conformal_rigidity(c4, opts)
+    emb = rep.upper.certificate.embedding
+    skewed = replace(emb, points=emb.points + 1.0)  # off-centre: not spherical
+    upper = replace(rep.upper, certificate=replace(rep.upper.certificate, embedding=skewed))
+    monkeypatch.setattr(certify, "check_conformal_rigidity",
+                        lambda g, options: replace(rep, upper=upper))
+    monkeypatch.setattr(certify, "eigendecompose", recording)
+    cert = product_rigidity(c4, c4, opts)
+    assert cert is not None and cert.kind == "product"
+    assert seen == [1e-6, 1e-6]
+
+
+def test_character_lp_agrees_with_the_sdp_route_on_small_circulants():
+    # the paper's abelian criterion (a convex combination of the end's
+    # characters) against the equal-length SDP route, on every connected
+    # circulant(N, S) with N = 5..16 and |S| <= 3: same verdicts, all decided
+    checked = rigid = 0
+    for N in range(5, 17):
+        for r in (1, 2, 3):
+            for S in itertools.combinations(range(1, N // 2 + 1), r):
+                g = circulant(N, set(S))
+                if not g.is_connected():
+                    continue
+                lp = check_conformal_rigidity(g)
+                sdp_route = check_conformal_rigidity(
+                    g, CheckOptions(skip_stages={"character_lp"})
+                )
+                verdicts = (lp.lower.verdict, lp.upper.verdict)
+                assert verdicts == (sdp_route.lower.verdict, sdp_route.upper.verdict), g.name
+                assert "undecided" not in verdicts, g.name
+                checked += 1
+                rigid += lp.rigid
+    assert (checked, rigid) == (350, 67)
 
 
 def test_product_rigidity_rejects_c4_c6():

@@ -9,7 +9,7 @@ import pytest
 
 from confrigid.catalog import catalog
 from confrigid.certify import CheckOptions, check_conformal_rigidity
-from confrigid.cli import main
+from confrigid.cli import build_options, main, make_parser
 from confrigid.errors import NotAutomorphismError
 from confrigid.graphs import circulant
 from confrigid.symmetry import PermutationSet
@@ -59,6 +59,23 @@ def test_check_refuted_exit_two(capsys):
         assert sign * (res["best_value"] - unit) > 1e-6 * unit
         # the equal-length decision's dual certificate: S(c) is positive definite
         assert res["dual_min_eig"] > 0
+
+
+def test_text_report_of_a_refuted_graph(capsys):
+    code, out, _ = _run(capsys, ["check", "--catalog", "path_4"])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-1] == "overall: refuted"
+    for end in ("lower", "upper"):
+        i = next(k for k, ln in enumerate(lines) if ln.lstrip().startswith(end + ":"))
+        assert lines[i].endswith("refuted via Falsifier")
+        assert lines[i + 1].strip().startswith("witness weights: [")
+        assert lines[i + 2].strip().startswith("achieved value: ")
+    # the witness and value lines print the JSON report's figures
+    _, out, _ = _run(capsys, ["check", "--catalog", "path_4", "--json"])
+    report = json.loads(out)
+    w = ", ".join(f"{x:.6g}" for x in report["lower"]["witness"])
+    assert f"witness weights: [{w}]" in "\n".join(lines)
 
 
 def test_check_undecided_exit_three(capsys):
@@ -228,6 +245,35 @@ def test_usage_error_is_input_error(capsys, argv):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--catalog", "petersen", "--gens", "FILE"],
+        ["embed", "--catalog", "petersen", "--tol-feas", "1e-6"],
+        ["embed", "--catalog", "petersen", "--stage-skip", "falsify"],
+        ["family", "6", "6", "--gens", "FILE"],
+    ],
+    ids=["embed-gens", "embed-tol-feas", "embed-stage-skip", "family-gens"],
+)
+def test_a_command_rejects_a_flag_it_does_not_read(capsys, argv):
+    # embed runs no cascade, and family builds its own circulants
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err and argv[-2] in err
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = make_parser()
+    defaults = CheckOptions()
+    for argv in (["check", "--catalog", "petersen"], ["family", "6", "6"]):
+        args = parser.parse_args(argv)
+        assert args.tol_iso == defaults.iso_tol
+        assert args.tol_feas == defaults.feas_tol
+        assert build_options(args, catalog("petersen")) == defaults
+    assert parser.parse_args(["embed", "--catalog", "petersen"]).tol_iso == defaults.iso_tol
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
 def test_help_and_version_exit_zero(capsys, argv):
     code, out, _ = _run(capsys, argv)
@@ -247,6 +293,20 @@ def test_embed_path4_lambdamax(capsys):
     order = sorted(range(4), key=lambda i: coords[i])
     assert order == [2, 0, 3, 1]
     assert "edge-isometric: False" in out
+
+
+def test_embed_at_a_given_value(capsys):
+    code, out, _ = _run(capsys, ["embed", "--catalog", "petersen", "--value", "5"])
+    assert code == 0
+    assert "# eigenvalue = 5 (multiplicity 4)" in out
+    assert "edge-isometric: True" in out
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "vertex,x0,x1,x2,x3"
+    assert len(lines) == 11
+    # a value that is no eigenvalue is an input error
+    code, out, err = _run(capsys, ["embed", "--catalog", "petersen", "--value", "3"])
+    assert code == 1 and out == ""
+    assert "no eigenvalue near 3" in err
 
 
 def test_embed_circulant_21_traces_heptagon(capsys):
