@@ -19,6 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .embeddings import (
+    ISO_TOL,
     Embedding,
     canonical_embedding,
     edge_length_profile,
@@ -35,6 +36,7 @@ from .falsify import FalsifierResult, line_search, reverify
 from .graphs import Graph
 from .lp import phase1_feasibility
 from .sdp import (
+    FEAS_TOL,
     LengthDecision,
     build_sdp_instance,
     length_decision,
@@ -48,6 +50,7 @@ from .spectra import (
     character_spectrum,
     character_walk1,
     check_tolerance,
+    default_group_tol,
     eigendecompose,
     resolve_group_tol,
 )
@@ -76,8 +79,8 @@ STAGES = (
 @dataclass(frozen=True)
 class CheckOptions:
     group_tol: float | None = None
-    iso_tol: float = 1e-7
-    feas_tol: float = 1e-8
+    iso_tol: float = ISO_TOL
+    feas_tol: float = FEAS_TOL
     generators: PermutationSet | None = None
     skip_stages: frozenset = field(default_factory=frozenset)
 
@@ -394,8 +397,8 @@ def eigenvector_certificate(
     p: PermutationSet,
     orb: OrbitPartition,
     gram: LengthDecision,
-    feas_tol: float = 1e-8,
-    iso_tol: float = 1e-7,
+    feas_tol: float = FEAS_TOL,
+    iso_tol: float = ISO_TOL,
     end: str = "lower",
 ) -> Certificate | None:
     """Rank reduction of the X of gram, the rigid equal-length decision on
@@ -660,12 +663,10 @@ def _certify_end(
         pass  # as at the LP: a merged eigenspace is no eigenspace of lam
 
     facts = decision.residuals()
+    raw = decomposition().raw_eigenvalues if table is None else np.sort(table.eigenvalues)
     # a rigid decision found equal lengths: there is no direction to follow
     if opts.stage_enabled("falsify") and decision.status != "rigid":
         # the end's own extreme raw eigenvalue, not the group mean lam
-        raw = (
-            decomposition().raw_eigenvalues if table is None else np.sort(table.eigenvalues)
-        )
         unit = float(raw[1] if end == "lower" else raw[-1])
         wit, refutes = _falsify_end(g, end, unit, decision)
         if refutes:
@@ -675,6 +676,10 @@ def _certify_end(
             return EndReport(end, "refuted", method, None, wit.best_w, residuals)
         # why this end stays undecided: how close the falsifier came
         facts = {**facts, "falsifier_best": wit.best_value, "falsifier_unit": unit}
+    # a group_tol below rounding can split lam's eigenspace; say so at an open end
+    near = int(np.sum(np.abs(raw - lam) <= default_group_tol(g.unit_laplacian)))
+    if near > U.shape[1]:
+        facts = {**facts, "default_multiplicity": float(near)}
     residuals = {"lp_refuted": 1.0, **facts} if lp_refuted else facts
     return EndReport(end, "undecided", None, None, None, residuals)
 

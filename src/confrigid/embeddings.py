@@ -31,6 +31,12 @@ class Embedding:
         return self.points.shape[1]
 
 
+def _check_residual(resid: float, value: float, scale: float, what: str) -> None:
+    """EigenvalueError when resid exceeds RESIDUAL_TOL * (1 + |value|) * scale."""
+    if resid > RESIDUAL_TOL * (1.0 + abs(value)) * scale:
+        raise EigenvalueError(f"{what}: residual {resid:.3e}")
+
+
 def make_embedding(
     g: Graph,
     points: np.ndarray,
@@ -47,12 +53,10 @@ def make_embedding(
     scale = float(np.max(np.abs(P)))
     if scale == 0.0:
         raise ValueError("zero embedding")
-    L = g.unit_laplacian
-    resid = np.max(np.abs(L @ P - eigenvalue * P))
-    if resid > RESIDUAL_TOL * (1.0 + abs(eigenvalue)) * max(scale, 1.0):
-        raise EigenvalueError(
-            f"columns are not in the eigenspace of {eigenvalue}: residual {resid:.3e}"
-        )
+    resid = np.max(np.abs(g.unit_laplacian @ P - eigenvalue * P))
+    _check_residual(
+        resid, eigenvalue, max(scale, 1.0), f"columns are not in the eigenspace of {eigenvalue}"
+    )
     if np.max(np.abs(P.sum(axis=0))) > 1e-6 * max(scale, 1.0) * g.n:
         raise EigenvalueError("embedding is not centered")
     return Embedding(points=P, eigenvalue=float(eigenvalue), source=source)
@@ -70,10 +74,7 @@ def canonical_embedding(g: Graph, dec: EigenspaceDecomposition, lam: float) -> E
     start = int(dec.multiplicities[:idx].sum())
     raw = dec.raw_eigenvalues[start : start + dec.multiplicities[idx]]
     resid = float(np.max(np.abs(raw - value)))
-    if resid > RESIDUAL_TOL * (1.0 + abs(value)):
-        raise EigenvalueError(
-            f"columns are not in the eigenspace of {value}: residual {resid:.3e}"
-        )
+    _check_residual(resid, value, 1.0, f"columns are not in the eigenspace of {value}")
     return Embedding(points=dec.bases[idx], eigenvalue=value, source="canonical")
 
 
@@ -92,8 +93,7 @@ def rayleigh_eigenvalue(g: Graph, phi: np.ndarray) -> float:
     L = g.unit_laplacian
     lam = float(phi @ L @ phi) / (nrm * nrm)
     resid = np.max(np.abs(L @ phi - lam * phi))
-    if resid > RESIDUAL_TOL * (1.0 + abs(lam)) * nrm:
-        raise EigenvalueError(f"vector is not an eigenvector: residual {resid:.3e}")
+    _check_residual(resid, lam, nrm, "vector is not an eigenvector")
     return lam
 
 
@@ -182,13 +182,6 @@ class OrbitVector:
     representatives: tuple[tuple[int, int], ...]
 
 
-def pair_sums(phi: np.ndarray, elements: list[tuple[int, ...]]) -> np.ndarray:
-    """Matrix M with M[i, j] = sum over sigma of phi[sigma(i)] * phi[sigma(j)]."""
-    phi = np.asarray(phi, dtype=float)
-    S = np.stack([phi[np.array(sigma)] for sigma in elements], axis=0)
-    return S.T @ S
-
-
 def phi_psi(
     g: Graph,
     phi: np.ndarray,
@@ -201,8 +194,10 @@ def phi_psi(
     rayleigh_eigenvalue(g, phi)  # membership check; raises if not an eigenvector
     if orb is None:
         orb = orbits(g, p)
-    elements = group_closure(p)
-    M = pair_sums(phi, elements)
+    phi = np.asarray(phi, dtype=float)
+    # M[i, j] = sum over sigma of phi[sigma(i)] * phi[sigma(j)]
+    S = np.stack([phi[np.array(sigma)] for sigma in group_closure(p)], axis=0)
+    M = S.T @ S
     scale = max(1.0, float(np.max(np.abs(M))))
     values, reps = [], []
     for block in orb.edge_orbits:

@@ -21,6 +21,7 @@ DECISION_ITERATIONS = 500
 # `length_decision` reports "not_rigid" when lambda_min(S(c)) exceeds this
 # multiple of sum_e |c_e| |b_e|^2, a bound on |S(c)|: far above rounding.
 DUAL_TOL = 1e-10
+FEAS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def _psd_project(X: np.ndarray) -> np.ndarray:
 
 
 def sdp_feasibility(
-    inst: SdpInstance, tol: float = 1e-8, max_iter: int = 5000
+    inst: SdpInstance, tol: float = FEAS_TOL, max_iter: int = 5000
 ) -> SdpResult:
     """Dykstra alternating projection between the PSD cone (eigenvalue clip)
     and the affine constraint set: a test oracle that no check calls.
@@ -187,7 +188,7 @@ class LengthDecision:
 
 def length_decision(
     B: np.ndarray,
-    tol: float = 1e-8,
+    tol: float = FEAS_TOL,
     max_iter: int = DECISION_ITERATIONS,
     blocks: Sequence[Sequence[int]] | None = None,
 ) -> LengthDecision:

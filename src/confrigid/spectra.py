@@ -74,46 +74,35 @@ def check_tolerance(name: str, tol: float) -> None:
 def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cuts and means of ascending vals grouped under group_tol: group 0 is
     vals[0] alone (a connected graph's Laplacian kernel, never merged with
-    lambda_2 however small lambda_2 is), and after it a new group starts
-    wherever consecutive values differ by more than group_tol.  A group
-    whose spread still exceeds group_tol is then split greedily from its
-    first value, so no group spans more than group_tol.  Group i is
+    lambda_2 however small lambda_2 is), and after it a new group starts at
+    the first value more than group_tol above the current group's first
+    value, so no group spans more than group_tol.  Group i is
     vals[cuts[i]:cuts[i + 1]].  Each mean is bit for bit np.mean of its
-    group: a singleton is its value, a pair (a + b) / 2, and a larger group
-    the sum and division np.mean makes, without its wrapper."""
-    breaks = np.diff(vals) > group_tol
-    breaks[:1] = True
-    cuts = np.concatenate(([0], np.flatnonzero(breaks) + 1, [len(vals)]))
+    group (but a singleton is its value, so -0.0 stays -0.0): a pair is
+    (a + b) / 2, and a larger group the sum and division np.mean makes."""
+    raw = vals.tolist()
+    bounds = [0]
+    for i in range(1, len(raw)):
+        if i == 1 or raw[i] - raw[bounds[-1]] > group_tol:
+            bounds.append(i)
+    bounds.append(len(raw))
+    cuts = np.array(bounds)
     mults = np.diff(cuts)
-    big = np.flatnonzero(mults > 2).tolist()
-    bounds = cuts.tolist()
-    # a chained pair spans at most group_tol, a longer chain can span more
-    splits = []
-    for k in big:
-        a, b = bounds[k], bounds[k + 1]
-        while vals[b - 1] - vals[a] > group_tol:
-            a += int(np.argmax(vals[a:b] - vals[a] > group_tol))
-            splits.append(a)
-    if splits:
-        cuts = np.union1d(cuts, splits)
-        mults = np.diff(cuts)
-        big = np.flatnonzero(mults > 2).tolist()
-        bounds = cuts.tolist()
     starts = cuts[:-1]
     means = vals[starts]
     pair = mults == 2
     means[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
-    for k in big:
+    for k in np.flatnonzero(mults > 2).tolist():
         a, b = bounds[k], bounds[k + 1]
         means[k] = np.add.reduce(vals[a:b]) / (b - a)
     return cuts, means
 
 
 def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceDecomposition:
-    """Full decomposition of a symmetric matrix; near-equal eigenvalues
-    above the smallest are merged into one eigenspace (`_group`), whose
-    basis is eigh's columns for them and whose value is the mean of the
-    merged eigenvalues.
+    """Full decomposition of a symmetric matrix; above the smallest
+    eigenvalue, each run of eigenvalues within group_tol of the run's first
+    is merged into one eigenspace (`_group`), whose basis is eigh's columns
+    for them and whose value is the mean of the merged eigenvalues.
 
     M must be finite and symmetric to within 1e-12 * max(1, max|M|), tested
     in one pass over M - M.T; that scale is computed once and also sets the

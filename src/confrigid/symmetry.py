@@ -32,10 +32,6 @@ class PermutationSet:
                 raise ValueError(f"not a permutation of 0..{self.n - 1}: {p}")
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p*q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -44,8 +40,8 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def group_closure(p: PermutationSet) -> list[tuple[int, ...]]:
     """All elements of the group generated by p.gens, by BFS over generators;
     GroupTooLargeError past GROUP_CAP elements."""
-    seen = {identity_perm(p.n)}
-    frontier = [identity_perm(p.n)]
+    seen = {tuple(range(p.n))}  # the identity
+    frontier = list(seen)
     while frontier:
         nxt = []
         for a in frontier:

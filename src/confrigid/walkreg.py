@@ -14,20 +14,12 @@ from .spectra import WALK1_TOL, EigenspaceDecomposition, eigendecompose
 
 @dataclass(frozen=True)
 class WalkRegularityReport:
-    regular: bool
     walk0: bool
     walk1: bool
-    failing_power: int | None
-    powers_checked: int
-
-
-def _distinct_adjacency_eigenvalues(g: Graph) -> int:
-    dec = eigendecompose(g.adjacency().astype(float))
-    return len(dec.eigenvalues)
 
 
 def walk_regularity(g: Graph) -> WalkRegularityReport:
-    """Check A^s for s up to the adjacency-algebra dimension bound.
+    """walk0 and walk1 from the powers A^s; the first varying diagonal fails both.
 
     Walk counts are exact (arbitrary-precision integers).  The bound m-1
     (m = distinct adjacency eigenvalues) suffices since A^s lies in the
@@ -39,32 +31,18 @@ def walk_regularity(g: Graph) -> WalkRegularityReport:
         raise DisconnectedError("walk regularity assumes a connected graph")
     if not g.is_regular():
         raise NotRegularError("walk regularity is defined for regular graphs")
-    m = _distinct_adjacency_eigenvalues(g)
-    smax = m - 1
+    smax = len(eigendecompose(g.adjacency().astype(float)).eigenvalues) - 1
     if g.n <= 24:
         smax = max(smax, g.n - 1)
     A = g.adjacency().astype(object)
     P = np.eye(g.n, dtype=object)
-    walk0, walk1 = True, True
-    failing = None
-    for s in range(1, smax + 1):
+    walk1 = True
+    for _ in range(smax):
         P = P @ A
-        if walk0 and len({P[i, i] for i in range(g.n)}) > 1:
-            walk0 = walk1 = False
-            failing = s
-        if walk1 and len({P[i, j] for i, j in g.edges}) > 1:
-            walk1 = False
-            if failing is None:
-                failing = s
-        if not walk0:
-            break
-    return WalkRegularityReport(
-        regular=True,
-        walk0=walk0,
-        walk1=walk1,
-        failing_power=failing,
-        powers_checked=smax,
-    )
+        if len({P[i, i] for i in range(g.n)}) > 1:
+            return WalkRegularityReport(walk0=False, walk1=False)
+        walk1 = walk1 and len({P[i, j] for i, j in g.edges}) <= 1
+    return WalkRegularityReport(walk0=True, walk1=walk1)
 
 
 # a batch's (n + m) x K product of basis columns holds at most this many

@@ -106,6 +106,58 @@ def test_every_small_connected_graph_is_decided():
     assert decided == 2 * sum(CONNECTED.values())
 
 
+# (verdict, method) of an end, by its letter in PINNED
+END_LABELS = {
+    "E": ("certified", "EdgeTransitive"),
+    "S": ("certified", "SdpGram"),
+    "F": ("refuted", "Falsifier"),
+}
+# the letters of the lower and the upper end of every connected graph on n
+# vertices, keyed by n and the graph's canonical edge bitmask
+PINNED = {
+    2: {1: "EE"},
+    3: {3: "EE", 7: "EE"},
+    4: {7: "EE", 13: "FF", 15: "FF", 30: "EE", 31: "FS", 63: "EE"},
+    5: {15: "EE", 29: "FF", 31: "FF", 58: "FF", 59: "FF", 62: "FF", 63: "FF", 126: "EE",
+        127: "FS", 185: "FF", 187: "FF", 191: "FF", 207: "FF", 220: "EE", 221: "FF",
+        223: "FF", 254: "FF", 255: "FF", 495: "FS", 511: "FS", 1023: "EE"},
+    6: {31: "EE", 61: "FF", 63: "FF", 121: "FF", 122: "FF", 123: "FF", 126: "FF",
+        127: "FF", 246: "FF", 247: "FF", 254: "FF", 255: "FF", 510: "EE", 511: "FS",
+        633: "FF", 635: "FF", 639: "FF", 659: "FF", 663: "FF", 671: "FF", 691: "FF",
+        692: "FF", 693: "FF", 694: "FF", 695: "FF", 700: "FF", 701: "FF", 703: "FF",
+        758: "FF", 759: "FF", 760: "FF", 761: "FF", 762: "FF", 763: "FF", 766: "FF",
+        767: "FF", 922: "FF", 923: "FF", 926: "FF", 927: "FF", 954: "FF", 955: "FF",
+        956: "FF", 957: "FF", 958: "FF", 959: "FF", 1022: "FF", 1023: "FF", 1749: "FF",
+        1751: "FF", 1759: "FF", 1780: "FF", 1781: "FF", 1783: "FF", 1788: "FF",
+        1789: "FF", 1791: "FF", 1880: "EE", 1881: "FF", 1883: "FF", 1884: "FF",
+        1885: "FF", 1887: "FF", 1915: "FF", 1916: "FF", 1917: "FF", 1919: "FF",
+        2012: "FF", 2013: "FF", 2014: "FF", 2015: "FF", 2046: "FF", 2047: "FF",
+        4060: "EE", 4061: "FF", 4063: "FS", 4095: "FS", 5873: "FF", 5875: "FF",
+        5879: "FF", 5887: "FF", 5907: "FF", 5911: "FF", 5919: "FF", 5941: "FF",
+        5943: "FF", 5948: "FF", 5949: "FF", 5950: "FF", 5951: "FF", 6007: "FF",
+        6010: "FF", 6011: "FF", 6014: "FF", 6015: "FF", 6142: "FF", 6143: "FF",
+        6654: "FF", 6655: "FF", 7071: "FF", 7100: "FF", 7101: "FF", 7103: "FF",
+        7166: "FF", 7167: "FF", 8157: "FF", 8159: "FF", 8191: "FF", 15870: "EE",
+        15871: "FS", 16383: "FS", 32767: "EE"},
+}
+
+
+def test_every_small_connected_graph_keeps_its_verdicts_and_methods():
+    got = {}
+    for n in CONNECTED:
+        index = {pair: bit for bit, pair in enumerate(itertools.combinations(range(n), 2))}
+        for g in _connected_graphs(n):
+            rep = check_conformal_rigidity(g)
+            mask = sum(1 << index[e] for e in g.edges)
+            got[n, mask] = [(er.verdict, er.method) for er in (rep.lower, rep.upper)]
+    want = {
+        (n, mask): [END_LABELS[c] for c in ends]
+        for n, row in PINNED.items()
+        for mask, ends in row.items()
+    }
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "g, group_tol",
     [(catalog("path_40"), 0.01), (catalog("path_40"), 0.3), (circulant(30, {1, 2}), 0.3)],

@@ -88,15 +88,23 @@ def test_check_options_store_skipped_stages_as_a_frozenset():
 
 
 @pytest.mark.parametrize(
-    "g, skip",
-    [(catalog("complete_4"), ()), (circulant(5, {1, 2}), ("character_lp",))],
-    ids=["complete_4", "circulant_5_1_2-no-lp"],
+    "g, skip, mult",
+    [
+        (catalog("complete_4"), (), 3.0),
+        (circulant(5, {1, 2}), ("character_lp",), 4.0),
+        (circulant(5, {1, 2}), (), 4.0),
+    ],
+    ids=["complete_4", "circulant_5_1_2-no-lp", "circulant_5_1_2"],
 )
-def test_group_tol_below_rounding_gives_a_report(g, skip):
+def test_group_tol_below_rounding_gives_a_report(g, skip, mult):
     # the commutant projection of a a^T keeps no eigenvalue above its cutoff,
-    # so the Gram matrix has no embedding to test: the end stays undecided
+    # so the Gram matrix has no embedding to test, and the character LP runs
+    # on a split class: the end stays undecided, and says that the default
+    # group_tol finds more eigenvalues at its lambda than the check used
     rep = check_conformal_rigidity(g, CheckOptions(group_tol=1e-16, skip_stages=skip))
     assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
+    for er in (rep.lower, rep.upper):
+        assert er.residuals["default_multiplicity"] == mult
 
 
 @pytest.mark.parametrize("bad", BAD_TOLS)

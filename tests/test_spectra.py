@@ -8,6 +8,7 @@ from confrigid.catalog import catalog
 from confrigid.errors import NotSymmetricError
 from confrigid.graphs import CayleySpec, circulant, laplacian
 from confrigid.spectra import (
+    _group,
     character_eigenspaces,
     character_spectrum,
     circulant_curve_extremes,
@@ -120,6 +121,70 @@ def test_kernel_is_its_own_group(tol):
     assert p40.eigenvalues[0] == p40.raw_eigenvalues[0]
     if tol <= 0.01:  # the gap lambda_3 - lambda_2 of path_40 is 0.018
         assert p40.eigenvalues[1] == pytest.approx(2.0 - 2.0 * np.cos(np.pi / 40), rel=1e-9)
+
+
+def _two_pass_group(vals, group_tol):
+    """The reference grouping, in two passes: cut wherever consecutive
+    values differ by more than group_tol (and after vals[0]), then split
+    each chain that spans more than group_tol greedily from its first
+    value.  Means as `_group` forms them."""
+    breaks = np.diff(vals) > group_tol
+    breaks[:1] = True
+    cuts = np.concatenate(([0], np.flatnonzero(breaks) + 1, [len(vals)]))
+    mults = np.diff(cuts)
+    big = np.flatnonzero(mults > 2).tolist()
+    bounds = cuts.tolist()
+    splits = []
+    for k in big:
+        a, b = bounds[k], bounds[k + 1]
+        while vals[b - 1] - vals[a] > group_tol:
+            a += int(np.argmax(vals[a:b] - vals[a] > group_tol))
+            splits.append(a)
+    if splits:
+        cuts = np.union1d(cuts, splits)
+        mults = np.diff(cuts)
+        big = np.flatnonzero(mults > 2).tolist()
+        bounds = cuts.tolist()
+    starts = cuts[:-1]
+    means = vals[starts]
+    pair = mults == 2
+    means[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
+    for k in big:
+        a, b = bounds[k], bounds[k + 1]
+        means[k] = np.add.reduce(vals[a:b]) / (b - a)
+    return cuts, means
+
+
+# steps between consecutive values, in units of group_tol: exact ties, just
+# below, at and just above group_tol, and wide gaps
+NEAR_TIE_STEPS = np.array([0.0, 0.3, 0.999999, 1.0, 1.000001, 1.7, 40.0])
+
+
+def _near_tie_spectrum(rng):
+    """Ascending values of length 1..39 from NEAR_TIE_STEPS, at a random
+    offset and a group_tol in [1e-12, 1]."""
+    n = int(rng.integers(1, 40))
+    group_tol = 10.0 ** rng.uniform(-12, 0)
+    steps = NEAR_TIE_STEPS[rng.integers(0, len(NEAR_TIE_STEPS), size=n)] * group_tol
+    steps[0] = (0.0, 1.0, 8.0)[int(rng.integers(3))] * rng.uniform(-1.0, 1.0)
+    return np.cumsum(steps), group_tol
+
+
+def test_greedy_grouping_matches_the_two_pass_rule():
+    rng = np.random.default_rng(2026)
+    for _ in range(20_000):
+        vals, group_tol = _near_tie_spectrum(rng)
+        cuts, means = _group(vals, group_tol)
+        want_cuts, want_means = _two_pass_group(vals, group_tol)
+        assert cuts.tolist() == want_cuts.tolist(), (vals.tolist(), group_tol)
+        assert means.tobytes() == want_means.tobytes(), (vals.tolist(), group_tol)
+        # the rule itself: vals[0] alone, no group spans more than group_tol,
+        # and each later group starts at the first value more than group_tol
+        # above the previous group's first value
+        assert cuts[:2].tolist() == [0, 1]
+        starts, ends = cuts[:-1], cuts[1:] - 1
+        assert np.all(vals[ends[1:]] - vals[starts[1:]] <= group_tol)
+        assert np.all(vals[starts[2:]] - vals[starts[1:-1]] > group_tol)
 
 
 @settings(max_examples=20, deadline=None)
