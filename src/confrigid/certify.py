@@ -251,7 +251,7 @@ def abelian_lp_certificate(
         if np.max(np.abs(c @ V - t)) <= 1e-7:  # substitution check
             # does a single real eigenvector achieve it, or only a complex combination?
             support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
-            complex_only = bool(np.all(np.max(np.abs(table.rows(support).imag), axis=1) > 1e-9))
+            complex_only = not any(table.real(support))
             return LpCertificateResult(
                 status="certified",
                 coefficients=c,
@@ -293,12 +293,11 @@ def lp_certificate_embedding(
     characters of table: the n x 2d columns sqrt(c_j) * [Re chi^j, Im chi^j].
     Its Gram matrix is that of the group-symmetrized
     phi = sum_j sqrt(c_j) chi^j divided by the group order."""
-    ks = [k for ck, k in zip(lp.coefficients, lp.character_indices) if ck > 0]
-    cols = []
-    for ck, row in zip(lp.coefficients[lp.coefficients > 0], table.rows(ks)):
-        chi = np.sqrt(ck) * row
-        cols += [chi.real, chi.imag]
-    P = np.stack(cols, axis=1)
+    pos = lp.coefficients > 0
+    ks = np.asarray(lp.character_indices)[pos]
+    chi = np.sqrt(lp.coefficients[pos])[:, None] * table.rows(ks)
+    # n x d x 2 -> n x 2d: the columns Re chi^j, Im chi^j, j by j
+    P = np.stack((chi.real.T, chi.imag.T), axis=2).reshape(chi.shape[1], -1)
     keep = np.linalg.norm(P, axis=0) > 1e-12
     return make_embedding(g, P[:, keep], lam, source="character-lp")
 
@@ -632,8 +631,15 @@ def _certify_end(
         cert = _lp_certificate(g, table, lp, lam, end, opts.iso_tol)
         if found := certified(cert, "CharacterLP"):
             return found
-    # decisive: nothing certifies, and the falsifier refutes
-    lp_refuted = lp is not None and lp.status == "not_in_polytope"
+    # decisive: nothing certifies, and the falsifier refutes.  Not on a split
+    # class: a group_tol below rounding can leave out characters of lam that
+    # the default group_tol keeps, and the polytope of a part proves nothing
+    lp_refuted = (
+        lp is not None
+        and lp.status == "not_in_polytope"
+        and np.sum(np.abs(table.eigenvalues - lam) <= default_group_tol(g.unit_laplacian))
+        <= len(characters)
+    )
 
     walk_label = opts.stage_enabled("walk_regular") and walk1
     if not lp_refuted and (walk_label or opts.stage_enabled("canonical")):

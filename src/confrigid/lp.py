@@ -1,11 +1,15 @@
 """Dense phase-1 simplex (Bland's rule) for small equality-form feasibility
 problems: find x >= 0 with A x = b, by minimizing the sum of artificial
 variables.  Dimensions here are tiny: the character LP over d characters of
-an eigenvalue and a generating set S is (2|S| + 1) x (d + 2), so the
-priority is determinism, not speed."""
+an eigenvalue and a generating set S is (2|S| + 1) x (d + 2).  At that size
+a numpy call costs more than the arithmetic it does, so the tableau is set
+up with numpy and pivoted on Python floats: one IEEE-754 double operation
+for each of numpy's, in the same order, so the pivots and every bit of the
+result are those of the array version."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +31,12 @@ def phase1_feasibility(A: np.ndarray, b: np.ndarray) -> Phase1Result:
     x, a >= 0, with Bland's anti-cycling rule, in at most MAX_PIVOTS
     pivots.  Feasible iff optimum ~ 0.
 
-    Each pivot enters the first eligible column (flatnonzero), runs the
-    ratio test over the rows with a positive entering entry only, and
-    eliminates with one rank-1 update of the rows with a nonzero one."""
+    Each pivot enters the first eligible column, runs the ratio test over
+    the rows with a positive entering entry only, and eliminates from every
+    other row with a nonzero entering entry.  The set-up stays numpy's: its
+    column sums can be pairwise (a single column of 8 or more rows), and a
+    left-to-right sum can differ in the last bit; the pivots run on the
+    tableau's rows as lists of Python floats."""
     A = np.asarray(A, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     m, n = A.shape
@@ -45,38 +52,41 @@ def phase1_feasibility(A: np.ndarray, b: np.ndarray) -> Phase1Result:
     # objective row: minimize sum of artificials -> reduced costs
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
+    rows = T.tolist()
     basis = list(range(n, n + m))
 
     it = 0
     while it < MAX_PIVOTS:
         it += 1
-        eligible = np.flatnonzero(T[m, : n + m] < -PIVOT_TOL)
-        if eligible.size == 0:
+        obj = rows[m]
+        # Bland: the smallest eligible index enters
+        enter = next((j for j in range(n + m) if obj[j] < -PIVOT_TOL), -1)
+        if enter < 0:
             break
-        enter = int(eligible[0])  # Bland: smallest eligible index
-        leave, best = -1, np.inf
-        for i in np.flatnonzero(T[:m, enter] > PIVOT_TOL).tolist():
-            ratio = T[i, -1] / T[i, enter]
-            if ratio < best - PIVOT_TOL or (
-                abs(ratio - best) <= PIVOT_TOL
-                and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best, leave = ratio, i
+        leave, best = -1, math.inf
+        for i in range(m):
+            if rows[i][enter] > PIVOT_TOL:
+                ratio = rows[i][-1] / rows[i][enter]
+                if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
         if leave < 0:
             break  # unbounded cannot happen in phase 1; guard anyway
-        T[leave] /= T[leave, enter]
-        # one rank-1 update of every other row with a nonzero entering entry
-        col = T[:, enter].copy()
-        col[leave] = 0.0
-        rows = np.flatnonzero(np.abs(col) > 0)
-        T[rows] -= np.outer(col[rows], T[leave])
+        piv = rows[leave][enter]
+        prow = rows[leave] = [v / piv for v in rows[leave]]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if i != leave and abs(f) > 0:
+                rows[i] = [v - f * p for v, p in zip(row, prow)]
         basis[leave] = enter
 
     x = np.zeros(n)
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = T[i, -1]
-    objective = float(-T[m, -1])
+            x[bi] = rows[i][-1]
+    objective = -rows[m][-1]
     return Phase1Result(
         feasible=objective <= 1e-9, x=x, objective=objective, iterations=it
     )

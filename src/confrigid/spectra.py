@@ -166,9 +166,10 @@ class CharacterTable:
     holds the element coordinates `coords` (N x r), the phase matrix
     `phases` = coords / orders, and the characters at the generators only:
     gen_chars[k, j] = chi^k(s_j) at the spec's generators s_j, with
-    gen_idx[j] the column of s_j.  `rows(ks)` gives whole characters, and
-    `chars`, the full N x N table, is built on first access; both agree
-    with gen_chars bit for bit.
+    gen_idx[j] the column of s_j.  `rows(ks)` gives whole characters,
+    `real(ks)` tells which of them are real-valued without evaluating them,
+    and `chars`, the full N x N table, is built on first access; rows and
+    chars agree with gen_chars bit for bit.
     """
 
     coords: np.ndarray
@@ -184,6 +185,14 @@ class CharacterTable:
     def rows(self, ks) -> np.ndarray:
         """The characters chi^k for k in ks, one row each (len(ks) x N)."""
         return np.exp(2j * np.pi * _phase_block(self.phases[ks], self.coords))
+
+    def real(self, ks) -> list[bool]:
+        """Whether each chi^k for k in ks is real-valued, read from its
+        index: iff 2 k_t = 0 (mod n_t) for every t, that is iff each phase
+        k_t / n_t is 0 or 1/2 (exactly so in floating point: the division is
+        correctly rounded, and any other k_t / n_t in [0, 1) lies at least
+        1 / (2 n_t) from both)."""
+        return [set(row) <= {0.0, 0.5} for row in self.phases[ks].tolist()]
 
     @functools.cached_property
     def chars(self) -> np.ndarray:

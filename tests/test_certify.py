@@ -99,12 +99,14 @@ def test_check_options_store_skipped_stages_as_a_frozenset():
 def test_group_tol_below_rounding_gives_a_report(g, skip, mult):
     # the commutant projection of a a^T keeps no eigenvalue above its cutoff,
     # so the Gram matrix has no embedding to test, and the character LP runs
-    # on a split class: the end stays undecided, and says that the default
-    # group_tol finds more eigenvalues at its lambda than the check used
+    # on a split class, whose not_in_polytope refutes nothing: the end stays
+    # undecided, and says that the default group_tol finds more eigenvalues
+    # at its lambda than the check used
     rep = check_conformal_rigidity(g, CheckOptions(group_tol=1e-16, skip_stages=skip))
     assert (rep.lower.verdict, rep.upper.verdict) == ("undecided", "undecided")
     for er in (rep.lower, rep.upper):
         assert er.residuals["default_multiplicity"] == mult
+        assert "lp_refuted" not in er.residuals
 
 
 @pytest.mark.parametrize("bad", BAD_TOLS)
@@ -405,6 +407,30 @@ def test_family_scan_makes_no_dense_eigensolve(monkeypatch, capsys):
     assert len(rows) == 19
     assert {(r["lowerVerdict"], r["upperVerdict"]) for r in rows} == {("certified", "certified")}
     assert not eigh and not walk
+
+
+def test_family_scan_pivots_and_evaluates_each_character_once(monkeypatch, capsys):
+    # 38 character LPs take 142 pivots in all, and each certified end
+    # evaluates its whole characters once, for its embedding
+    its = []
+    phase1 = certify.phase1_feasibility
+
+    def counting_phase1(A, b):
+        res = phase1(A, b)
+        its.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(certify, "phase1_feasibility", counting_phase1)
+    rows = _count_calls(monkeypatch, CharacterTable, "rows")
+    assert cli.main(["family", "6", "24", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {(r["lowerVerdict"], r["upperVerdict"]) for r in report} == {("certified",) * 2}
+    assert (len(its), sum(its)) == (38, 142)
+    assert len(rows) == 38
+    rows.clear()
+    rep = check_conformal_rigidity(circulant(18, {1, 5}))
+    assert (rep.lower.method, rep.upper.method) == ("CharacterLP", "CharacterLP")
+    assert len(rows) == 2
 
 
 def _raising(what):

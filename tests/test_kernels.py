@@ -202,7 +202,8 @@ def _phase1_oracle(A, b, max_iter=10_000):
 def test_phase1_matches_the_row_loops_on_random_lps():
     rng = np.random.default_rng(0)
     for trial in range(1500):
-        m, n = rng.integers(1, 8, size=2)
+        # m >= 8 with n = 1: numpy's column sums of the set-up are pairwise
+        m, n = rng.integers(1, 14, size=2)
         if trial % 3 == 0:  # small integers: ties in the ratio test, zero entries
             A = rng.integers(-2, 3, size=(m, n)).astype(float)
             b = rng.integers(-2, 3, size=m).astype(float)
@@ -215,6 +216,20 @@ def test_phase1_matches_the_row_loops_on_random_lps():
         res = phase1_feasibility(A, b)
         assert res.x.tobytes() == x.tobytes(), trial
         assert (res.objective, res.iterations) == (objective, iterations), trial
+
+
+def test_real_characters_read_from_the_index_match_their_values():
+    # the characters of a group do not depend on its generators: Z_N for
+    # N = 3..40 and the product groups of SPECS
+    specs = [CayleySpec((N,), ((1,), (N - 1,))) for N in range(3, 41)] + SPECS
+    kinds = set()
+    for spec in specs:
+        table = character_spectrum(spec)
+        numeric = np.max(np.abs(table.chars.imag), axis=1) <= 1e-9
+        real = table.real(list(range(spec.size)))
+        assert np.array_equal(real, numeric), spec
+        kinds.update(real)
+    assert kinds == {True, False}
 
 
 def _lp_rows_oracle(V):
