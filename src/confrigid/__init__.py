@@ -5,15 +5,17 @@ simultaneously a maximizer of the algebraic connectivity lambda_2 and a
 minimizer of the largest Laplacian eigenvalue lambda_n over all nonnegative
 edge weightings with the same total.  The library certifies rigidity through
 edge-isometric spectral embeddings (symmetry orbits, a character-basis LP for
-abelian Cayley graphs, and one equal-length Gram matrix per end with rank
-reduction).  It refutes rigidity at an end by a line search along the dual
-certificate of the equal-length decision; no verdict depends on a seed.
+abelian Cayley graphs, and one equal-length Gram matrix per end, from which
+the Eigenvector stage reads one eigenvector).  It refutes rigidity at an end
+by a line search along the dual certificate of the equal-length decision; no
+verdict depends on a seed.
 
 Reference code, which no check runs: `walk_regularity` (exact walk counts),
 `symmetry.group_closure`/`group_order`, `phi_psi`, `symmetrized_embedding`,
-`embeddings.chi_gamma`, `sdp.sdp_feasibility`, `random_weight_search` and
-`subgradient_ascent`.  These are the paper's constructions and the older
-searches written out; the tests use them as independent oracles.
+`embeddings.chi_gamma`, `sdp.build_sdp_instance`, `sdp.sdp_feasibility`,
+`sdp.rank_reduce`, `random_weight_search` and `subgradient_ascent`.  These
+are the paper's constructions and the older searches written out; the tests
+use them as independent oracles.
 """
 
 from ._version import __version__

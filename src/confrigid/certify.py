@@ -30,19 +30,11 @@ from .errors import (
     EigenvalueError,
     HypothesisViolatedError,
     NotVertexTransitiveError,
-    NumericalRankAmbiguityError,
 )
 from .falsify import FalsifierResult, line_search, reverify
 from .graphs import Graph
 from .lp import phase1_feasibility
-from .sdp import (
-    FEAS_TOL,
-    LengthDecision,
-    build_sdp_instance,
-    length_decision,
-    rank_one_vector,
-    rank_reduce,
-)
+from .sdp import FEAS_TOL, LengthDecision, length_decision, rank_one_vector
 from .spectra import (
     CharacterTable,
     EigenspaceDecomposition,
@@ -400,34 +392,53 @@ def eigenvector_certificate(
     iso_tol: float = ISO_TOL,
     end: str = "lower",
 ) -> Certificate | None:
-    """Rank reduction of the X of gram, the rigid equal-length decision on
-    basis U of lam's eigenspace over the edge orbits orb of the group p: a
-    rank-one a a^T yields an eigenvector phi = U a whose edge orbits have
-    equal mean squared lengths (orbit_sums), embedded through its
-    projection onto the commutant.  None when no such phi passes."""
+    """An eigenvector phi = U a of lam's eigenspace (basis U) whose edge
+    orbits orb, under the group p, have equal mean squared lengths
+    (orbit_sums), embedded through the projection of a a^T onto the
+    commutant.  gram is the rigid equal-length decision on those orbits.
+
+    C_r = B_r^T B_r / |r| is orbit r's mean of b_e b_e^T (b_e = u_i - u_j).
+    With one or two orbits the only equality besides the trace is
+    a^T D a = 0 for D = C_2 - C_1 (D = 0 for one orbit), and a rank-one
+    solution exists exactly when D is not definite (Pataki 1998).  It is
+    read off D's extreme eigenpairs (mu, w): when mu_min < 0 < mu_max,
+    a = sqrt(mu_max) w_min + sqrt(-mu_min) w_max over sqrt(mu_max - mu_min),
+    else the eigenvector of the smaller |mu|; then a^T U^T U a = 1.  With
+    three or more orbits a is gram's X itself when that has rank one.
+    None when no such phi passes the orbit-sum and residual tests or the
+    edge-length check of its embedding."""
     if orb.num_vertex_orbits != 1:
         raise NotVertexTransitiveError("supplied group is not vertex-transitive")
     if lam <= 0:
         raise EigenvalueError("certificate needs a positive eigenvalue")
-    inst = build_sdp_instance(g, U, p, orb)
-    try:
-        Xr = rank_reduce(gram.X, inst)
-    except NumericalRankAmbiguityError:
-        Xr = gram.X
-    a = rank_one_vector(Xr)
-    if a is None:
-        return None
-    aa = np.outer(a, a)
-    sums = [float(np.tensordot(C, aa)) for C in inst.orbit_mats]
+    e = g.edge_array
+    B = U[e[:, 0]] - U[e[:, 1]]
+    C = [Br.T @ Br / len(Br) for Br in (B[list(r)] for r in orb.edge_orbits)]
+    G = U.T @ U
+    if len(C) <= 2:
+        mu, W = np.linalg.eigh(C[-1] - C[0])
+        if mu[0] < 0.0 < mu[-1]:
+            a = np.sqrt(mu[-1]) * W[:, 0] + np.sqrt(-mu[0]) * W[:, -1]
+            a /= np.sqrt(mu[-1] - mu[0])
+        else:
+            a = W[:, np.argmin(np.abs(mu))]
+        a = a / np.sqrt(a @ G @ a)
+    else:
+        a = rank_one_vector(gram.X)
+        if a is None:
+            return None
+    sums = [float(a @ Cr @ a) for Cr in C]
     spread = max(sums) - min(sums)
+    # the residual of the trace and equal-sum constraints at a a^T
+    residual = max(abs(float(a @ G @ a) - 1.0), *(abs(v - sums[0]) for v in sums))
     if not (
-        inst.residual(aa) <= 10 * feas_tol
+        residual <= 10 * feas_tol
         and spread <= 1e-8 * max(1.0, max(abs(v) for v in sums))
     ):
         return None
     return _verified_certificate(
         g,
-        _sdp_embedding(g, U, _commutant_projection(U, p, aa), lam),
+        _sdp_embedding(g, U, _commutant_projection(U, p, np.outer(a, a)), lam),
         "eigenvector",
         end,
         {"phi": U @ a, "orbit_sums": sums},

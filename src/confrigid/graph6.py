@@ -4,7 +4,9 @@ Bit-exact format: every byte is 63+v with v in [0, 63].  The size field is a
 single byte n+63 for n <= 62, otherwise the byte 126 followed by three bytes
 encoding n in 18 bits, big-endian.  Adjacency bits are the upper triangle in
 column-major order x(0,1), x(0,2), x(1,2), x(0,3), ... packed six per byte,
-most significant bit first, zero-padded at the end.
+most significant bit first, zero-padded at the end.  A record may start
+with the optional header ">>graph6<<", which `networkx.write_graph6` writes
+by default.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 from .errors import Graph6Error, GraphTooLargeError
 
 _MAX_N = 1 << 18
+_HEADER = b">>graph6<<"
+# the first bytes of the sibling formats, which share graph6's files and tools
+_OTHER_FORMATS = {b":": "sparse6", b">>sparse6<<": "sparse6",
+                  b"&": "digraph6", b">>digraph6<<": "digraph6"}
 
 
 def _read_size(data: bytes) -> tuple[int, int]:
@@ -35,7 +41,10 @@ def _read_size(data: bytes) -> tuple[int, int]:
 
 def parse_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Decode one graph6 record into (n, sorted edge list)."""
-    data = text.strip("\n\r").encode("ascii")
+    data = text.strip("\n\r").encode("ascii").removeprefix(_HEADER)
+    for mark, fmt in _OTHER_FORMATS.items():
+        if data.startswith(mark):
+            raise Graph6Error(f"a {fmt} record, not graph6: only graph6 is read")
     n, off = _read_size(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

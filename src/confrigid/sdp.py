@@ -1,7 +1,9 @@
 """One equal-length Gram matrix per eigenspace: the primal-dual decision on
 the mean squared lengths of edge blocks (Wolfe's minimum-norm point over
-the spectraplex) and Barvinok-Pataki rank reduction of its Gram matrix.
-`sdp_feasibility`, a Dykstra solver, is a test oracle no check calls."""
+the spectraplex), and `rank_one_vector`, which reads a rank-one Gram matrix
+as a vector.  The explicit instance (`build_sdp_instance`), its Dykstra
+solver `sdp_feasibility` and Barvinok-Pataki rank reduction (`rank_reduce`)
+are test oracles that no check calls."""
 
 from __future__ import annotations
 
@@ -71,7 +73,8 @@ def build_sdp_instance(
     """Precompute the block functionals for eigenspace basis U: the mean of
     b_e b_e^T over each edge orbit of orb, the orbit partition of the group
     generated by p, or over each single edge when both are None (the
-    trivial group)."""
+    trivial group).  A test oracle for the decision and the Eigenvector
+    stage, which form only what they read."""
     if (p is None) != (orb is None):
         raise ValueError("the generators and their orbit partition come together")
     U = np.asarray(U, dtype=float)
@@ -291,7 +294,8 @@ def length_decision(
 def rank_reduce(X: np.ndarray, inst: SdpInstance) -> np.ndarray:
     """Reduce a feasible X until rank(X') * (rank(X') + 1) / 2 <= number of
     equality constraints, staying feasible.  With exactly two constraints the
-    output has rank one.
+    output has rank one.  A test oracle: the Eigenvector stage reads its
+    rank-one solution off one eigensolve instead (`eigenvector_certificate`).
 
     Each step factors X = V V^T, finds a nonzero symmetric Delta with all
     constraint functionals vanishing on V Delta V^T, and moves to the

@@ -13,6 +13,8 @@ import jsonschema
 import numpy as np
 import pytest
 from test_lp_sdp import _connected_gnm, _plain_circulants, _simple_end_graphs
+from test_symmetry import _relabelled
+from test_transitive_gate import dihedral_cayley
 
 import confrigid
 from confrigid import certify, cli, sdp, symmetry
@@ -26,7 +28,7 @@ from confrigid.certify import (
     lp_certificate_embedding,
     product_rigidity,
 )
-from confrigid.embeddings import edge_length_profile
+from confrigid.embeddings import ISO_TOL, edge_length_profile
 from confrigid.errors import (
     DisconnectedError,
     GraphTooLargeError,
@@ -612,8 +614,8 @@ def test_refuting_decision_skips_the_symmetrized_sdp(monkeypatch):
 
 @pytest.mark.parametrize("case", ["circulant_12_upper", "petersen_prism_lower"])
 def test_eigenvector_end_needs_no_sdp_feasibility(case):
-    # the decision on the edge orbits is rigid, so its own Gram matrix is
-    # rank-reduced: no Dykstra solver is in reach
+    # the decision on the edge orbits is rigid, and its two orbits give the
+    # eigenvector in closed form: no Dykstra solver is in reach
     assert not _sdp_feasibility_bindings()
     if case == "circulant_12_upper":
         c = circulant(12, {1, 2})
@@ -623,6 +625,106 @@ def test_eigenvector_end_needs_no_sdp_feasibility(case):
         rep = check_conformal_rigidity(_petersen_prism())
         er = rep.lower
     assert (er.verdict, er.method) == ("certified", "Eigenvector")
+
+
+def _eigenvector_ends():
+    """Three vertex-transitive plain edge lists with two edge orbits, and
+    the end of each that the Eigenvector stage certifies."""
+    d12 = dihedral_cayley(12, {(1, 0), (11, 0), (5, 0), (7, 0), (0, 1)})  # r^+-1, r^+-5, s
+    return {
+        "petersen_x_k2": (_plain(_petersen_prism()), "lower"),
+        "circulant_12_12": (_plain(circulant(12, {1, 2})), "upper"),
+        "dihedral_12": (d12, "lower"),
+    }
+
+
+def _count_rank_reduction(monkeypatch):
+    """Calls of rank_reduce and build_sdp_instance, through certify (which
+    binds neither) or through sdp."""
+    calls = []
+    for name in ("rank_reduce", "build_sdp_instance"):
+        def counting(*args, fn=getattr(sdp, name), **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(certify, name, counting, raising=False)
+        monkeypatch.setattr(sdp, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_eigenvector_ends()))
+def test_two_orbit_eigenvector_end_needs_no_rank_reduction(monkeypatch, case):
+    # with two edge orbits phi is read off the eigenpairs of C_2 - C_1, so
+    # its orbit sums agree to rounding and no rank reduction runs
+    calls = _count_rank_reduction(monkeypatch)
+    g, end = _eigenvector_ends()[case]
+    rep = check_conformal_rigidity(g)
+    assert rep.edge_orbits == 2
+    er = getattr(rep, end)
+    assert (er.verdict, er.method) == ("certified", "Eigenvector")
+    sums = er.certificate.payload["orbit_sums"]
+    assert er.residuals["orbit_sum_spread"] <= 1e-12 * max(1.0, max(abs(v) for v in sums))
+    assert not calls
+
+
+def test_three_orbit_end_reads_only_the_decisions_gram_matrix(monkeypatch):
+    # three edge orbits: the Eigenvector stage tries the decision's X alone,
+    # which is not rank one here, so the Gram certificate labels the end
+    calls = _count_rank_reduction(monkeypatch)
+    tried = _count_calls(monkeypatch, certify, "eigenvector_certificate")
+    rep = check_conformal_rigidity(_plain(circulant(12, {1, 2, 3})))
+    assert rep.edge_orbits == 3
+    assert (rep.upper.verdict, rep.upper.method) == ("certified", "SdpGram")
+    assert len(tried) == 1 and not calls
+
+
+def test_eigenvector_certificate_with_one_edge_orbit():
+    # one orbit: there is no equal-sum constraint, and any unit vector of
+    # the eigenspace is an eigenvector certificate
+    g = catalog("petersen")
+    dec = eigendecompose(laplacian(g))
+    p = find_automorphisms(g)
+    orb = orbits(g, p)
+    assert orb.num_edge_orbits == 1
+    U = dec.bases[1]
+    cert = eigenvector_certificate(g, U, dec.eigenvalues[1], p, orb, _rigid_decision(g, U, orb))
+    assert cert is not None and cert.kind == "eigenvector"
+    assert len(cert.payload["orbit_sums"]) == 1
+    assert float(np.linalg.norm(cert.payload["phi"])) == pytest.approx(1.0)
+
+
+def _recheck(g, cert):
+    """An independent recheck of a certificate on g: its points are
+    eigenvectors of the Laplacian, centred, with equal edge lengths, and an
+    Eigenvector certificate's phi has equal mean squared edge lengths over
+    the edge orbits of the searched group."""
+    P = cert.embedding.points
+    assert np.max(np.abs(laplacian(g) @ P - cert.eigenvalue * P)) <= 1e-9
+    assert np.max(np.abs(P.sum(axis=0))) <= 1e-9
+    e = g.edge_array
+    lengths = np.linalg.norm(P[e[:, 0]] - P[e[:, 1]], axis=1)
+    assert np.ptp(lengths) <= ISO_TOL * (1.0 + lengths.max())
+    if cert.kind == "eigenvector":
+        phi = np.asarray(cert.payload["phi"])
+        sq = (phi[e[:, 0]] - phi[e[:, 1]]) ** 2
+        sums = [sq[list(r)].mean() for r in orbits(g, find_automorphisms(g)).edge_orbits]
+        assert np.ptp(sums) <= 1e-9 * max(sums)
+        assert sorted(sums) == pytest.approx(sorted(cert.payload["orbit_sums"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("case", list(_eigenvector_ends()))
+def test_eigenvector_labels_do_not_depend_on_the_numbering(case):
+    g, _ = _eigenvector_ends()[case]
+    rep = check_conformal_rigidity(g)
+    labels = [(er.verdict, er.method) for er in (rep.lower, rep.upper)]
+    assert ("certified", "Eigenvector") in labels
+    for seed in range(5):
+        h = _relabelled(g, seed)
+        rep = check_conformal_rigidity(h)
+        assert [(er.verdict, er.method) for er in (rep.lower, rep.upper)] == labels, seed
+        for er in (rep.lower, rep.upper):
+            if er.certificate is not None:
+                _recheck(h, er.certificate)
 
 
 def _commutant_projection_by_kron(U, p, X):

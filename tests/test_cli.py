@@ -186,6 +186,23 @@ def test_graph6_file_input(tmp_path, capsys):
     assert json.loads(out)["graph"]["n"] == 10
 
 
+def test_graph6_file_with_header(tmp_path, capsys):
+    f = tmp_path / "petersen.g6"
+    f.write_text(">>graph6<<IheA@GUAo\n")
+    code, out, _ = _run(capsys, ["check", "--graph6", str(f), "--json"])
+    assert code == 0
+    assert json.loads(out)["graph"]["n"] == 10
+
+
+@pytest.mark.parametrize("record, fmt", [(":Fa@x^\n", "sparse6"), ("&B?o\n", "digraph6")])
+def test_graph6_file_of_another_format_is_an_input_error(tmp_path, capsys, record, fmt):
+    f = tmp_path / "graph.txt"
+    f.write_text(record)
+    code, out, err = _run(capsys, ["check", "--graph6", str(f)])
+    assert (code, out) == (1, "")
+    assert f"Graph6Error]: a {fmt} record, not graph6" in err
+
+
 def test_gens_file_bypasses_search(tmp_path, capsys):
     f = tmp_path / "gens.txt"
     f.write_text("1 2 3 4 5 0\n")  # rotation of C6

@@ -45,6 +45,22 @@ def test_invalid_inputs_raise(bad):
         parse_graph6(bad)
 
 
+def test_optional_header_is_read():
+    # networkx.write_graph6 writes the header by default
+    assert parse_graph6(">>graph6<<IheA@GUAo\n") == parse_graph6("IheA@GUAo")
+    assert parse_graph6(">>graph6<<" + emit_graph6(101, [(0, 100)])) == (101, [(0, 100)])
+
+
+@pytest.mark.parametrize(
+    "record, fmt",
+    [(":Fa@x^", "sparse6"), (">>sparse6<<:Fa@x^", "sparse6"),
+     ("&B?o", "digraph6"), (">>digraph6<<&B?o", "digraph6")],
+)
+def test_sibling_formats_are_named(record, fmt):
+    with pytest.raises(Graph6Error, match=f"a {fmt} record, not graph6"):
+        parse_graph6(record)
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("BwBw")
