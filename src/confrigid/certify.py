@@ -5,7 +5,8 @@ embedding on the eigenspace of lambda_2 (lambda_n).  Every certificate
 emitted here is re-verified by reconstructing a concrete embedding and
 running the edge-length diagnostics; a certificate that fails re-verification
 is never emitted.  Refutations always carry a normalized weight vector that
-strictly beats the unit weights after an independent eigensolve.
+strictly beats the unit weights, its value re-verified on a fresh Laplacian
+by two Cholesky factorizations.
 """
 
 from __future__ import annotations
@@ -586,7 +587,8 @@ def _falsify_end(
 ) -> tuple[FalsifierResult, bool]:
     """One line search along the decision's dual c from the unit value lam
     and whether its witness refutes rigidity: the first improving step,
-    confirmed by one fresh eigensolve.  No solve recomputes lam."""
+    its value confirmed on a fresh L(w) by two Cholesky factorizations.  No
+    solve recomputes lam."""
     step = line_search(g, end, decision.c, lam)
     return step, step.improved and reverify(g, step, lam)
 

@@ -1,12 +1,18 @@
 """Disproof search over the normalized weight simplex {w >= 0, sum_e w_e =
-|E|}, one Laplacian eigensolve per weight vector tried.
+|E|}.
 
 The rigidity check uses only `line_search`, seed-free, along a given
 centred edge direction (the equal-length decision's dual c), and
-`reverify`.  `random_weight_search` (uniform draws from the simplex) and
+`reverify`.  Both decide "does the target eigenvalue beat theta?" by
+whether one shifted matrix (`_shifted`) has a Cholesky factorization: a
+symmetric matrix is positive definite exactly when it has one (Golub and
+Van Loan, Matrix Computations, 4th ed., section 4.2).  The line search
+makes one eigensolve, for its witness; `reverify` makes none.
+`random_weight_search` (uniform draws from the simplex) and
 `subgradient_ascent` (projected subgradient ascent on lambda_2, descent on
-lambda_n) are reference code that no check runs: stand-alone searches for
-library callers and an independent oracle for the tests."""
+lambda_n) are reference code that no check runs, one eigensolve per
+weight vector tried: stand-alone searches for library callers and an
+independent oracle for the tests."""
 
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, laplacian
+from .graphs import Graph, _scatter_laplacian, laplacian
 from .spectra import lambda_ends
 
 IMPROVE_MARGIN = 1e-6
@@ -70,28 +76,77 @@ def _is_improvement(end: str, value: float, unit_value: float) -> bool:
     return value < unit_value * (1.0 - IMPROVE_MARGIN)
 
 
+def _shifted(L: np.ndarray, end: str, theta: float) -> np.ndarray:
+    """A fresh matrix that is positive definite exactly when the end's
+    target eigenvalue of the Laplacian L beats theta.  At the upper end it
+    is theta I - L.  At the lower end it is L + alpha J - theta I with
+    alpha = (2|theta| + 1) / n: the all-ones vector, which L sends to 0,
+    gets 2|theta| + 1 - theta > 0 for every theta, and the vectors
+    orthogonal to it keep L's other eigenvalues minus theta, the least
+    lambda_2 - theta."""
+    n = len(L)
+    if end == "lower":
+        A = L + (2.0 * abs(theta) + 1.0) / n
+        A.ravel()[:: n + 1] -= theta  # a view: A is a fresh contiguous array
+    else:
+        A = -L
+        A.ravel()[:: n + 1] += theta
+    return A
+
+
+def _positive_definite(A: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _beats(L: np.ndarray, end: str, theta: float) -> bool:
+    """lambda_2(L) > theta at the lower end, lambda_n(L) < theta at the
+    upper end, by one Cholesky factorization and no eigensolve."""
+    return _positive_definite(_shifted(L, end, theta))
+
+
 def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResult:
     """Line search from unit weights along a centred edge direction d, which
     raises the target at the lower end (its negative is followed at the
     upper end); `unit` is the target's value at unit weights.
 
     The weights w = 1 + t d keep sum m and stay >= 0 for t up to t_max =
-    1 / max(-d).  The steps t_max * DIRECTION_STEPS are solved one at a
-    time from the largest down, and the first step that improves on `unit`
-    by IMPROVE_MARGIN is returned.  When none does, the result is the first
-    strictly best step of the grid (unit weights if no step beats them),
-    with `improved` false.  `trials` counts the steps solved.  A d that
-    lowers no weight (zero up to rounding) gives unit weights and solves no
-    step.  No random numbers are drawn.
+    1 / max(-d).  The steps t_max * DIRECTION_STEPS are screened one at a
+    time from the largest down.  L(w) is L(1) + t L_d, with L_d the
+    Laplacian of the signed d, so a base matrix for the margin theta
+    (`_shifted`, built once per call) plus or minus t L_d is positive
+    definite exactly when the step beats theta: each screen is one
+    Cholesky factorization.  The first step that passes is solved with one
+    eigensolve of L(w) and returned if `_is_improvement` agrees; if not, the
+    screen goes on.  When no step is accepted, the steps are solved one at
+    a time from the largest down, stopping at the first improving step;
+    with none, the result is the first strictly best step of the grid (unit
+    weights if no step beats them), with `improved` false.  `trials` counts
+    the steps tried.  A d that lowers no weight (zero up to rounding) gives
+    unit weights and tries no step.  No random numbers are drawn.
     """
     _check_end(end)
     if end == "upper":
         d = -d
-    best, best_w = unit, np.ones(g.m)
     top = float(np.max(-d))
+    steps = DIRECTION_STEPS / top if top > 0 else ()
+    theta = unit * (1.0 + IMPROVE_MARGIN if end == "lower" else 1.0 - IMPROVE_MARGIN)
+    base = _shifted(g.unit_laplacian, end, theta)
+    # the shifted matrix holds +L(w) at the lower end and -L(w) at the upper
+    L_d = _scatter_laplacian(g, d if end == "lower" else -d)
+    for j, t in enumerate(steps, start=1):
+        if _positive_definite(base + t * L_d):
+            # clipping only removes rounding below zero at the boundary step
+            w = np.maximum(1.0 + t * d, 0.0)
+            val = _value(g, w, end)
+            if _is_improvement(end, val, unit):
+                return FalsifierResult(end=end, best_w=w, best_value=val, improved=True, trials=j)
+    best, best_w = unit, np.ones(g.m)
     j = 0
-    for j, t in enumerate(DIRECTION_STEPS / top if top > 0 else (), start=1):
-        # clipping only removes rounding below zero at the boundary step
+    for j, t in enumerate(steps, start=1):
         w = np.maximum(1.0 + t * d, 0.0)
         val = _value(g, w, end)
         if _better(end, val, best):
@@ -184,10 +239,16 @@ def subgradient_ascent(
 
 
 def reverify(g: Graph, res: FalsifierResult, unit: float) -> bool:
-    """Recompute the claimed value with one fresh eigensolve and confirm
-    both the value and the improvement margin over `unit`, the target's
-    value at unit weights."""
-    val = _value(g, res.best_w, res.end)
-    if abs(val - res.best_value) > 1e-9 * (1.0 + abs(val)):
+    """Confirm the claimed value v = res.best_value and the claimed
+    improvement over `unit`, the target's value at unit weights, on a fresh
+    L(best_w) and with no eigensolve.  Two Cholesky factorizations prove
+    v - delta < lambda_2 <= v + delta at the lower end and v - delta <=
+    lambda_n < v + delta at the upper end, delta = 1e-9 (1 + |v|): the
+    target beats the weaker bound and not the stronger one."""
+    v = res.best_value
+    if _is_improvement(res.end, v, unit) != res.improved:
         return False
-    return _is_improvement(res.end, val, unit) == res.improved
+    L = laplacian(g, res.best_w)
+    delta = 1e-9 * (1.0 + abs(v))
+    weak, strong = (v - delta, v + delta) if res.end == "lower" else (v + delta, v - delta)
+    return _beats(L, res.end, weak) and not _beats(L, res.end, strong)

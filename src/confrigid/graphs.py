@@ -270,6 +270,12 @@ def laplacian(g: Graph, w=None) -> np.ndarray:
     lo = np.minimum.reduce(w, initial=0.0)
     if not (lo >= 0 and np.maximum.reduce(w, initial=0.0) < np.inf):
         raise WeightError("negative edge weight" if lo < 0 else "non-finite edge weight")
+    return _scatter_laplacian(g, w)
+
+
+def _scatter_laplacian(g: Graph, w: np.ndarray) -> np.ndarray:
+    """D(w) - A(w) for any float vector w of one value per edge, signed
+    ones included, with no check: the bincount behind `laplacian`."""
     # bincount of no indices is an integer array, whatever the weights
     L = np.bincount(g.laplacian_index, (w[:, None] * _SIGNS).ravel(), g.n * g.n)
     return L.astype(float, copy=False).reshape(g.n, g.n)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confrigid import certify
+from confrigid import certify, falsify
 from confrigid.catalog import catalog
 from confrigid.certify import STAGES, CheckOptions, check_conformal_rigidity
 from confrigid.errors import DisconnectedError
@@ -149,6 +150,18 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def _count_factorizations(monkeypatch):
+    calls = {"cholesky": 0}
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        calls["cholesky"] += 1
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return calls
+
+
 @pytest.mark.parametrize("steps", [0, 1, 40])
 def test_subgradient_solves_once_per_step(monkeypatch, steps):
     g = catalog("triangular_prism")
@@ -231,10 +244,12 @@ def test_line_search_refutes_at_first_improving_step(monkeypatch, g, end):
     rows, vals = _grid(g, end, decision.c)
     first = next(j for j, val in enumerate(vals) if _improves(end, val, unit))
     calls = _count_solves(monkeypatch)
+    factored = _count_factorizations(monkeypatch)
     res = line_search(g, end, decision.c, unit)
-    # no solve for the unit value, one per step down to the first improving
-    # one: no larger step improves
-    assert calls == {"eigh": 0, "eigvalsh": first + 1}
+    # no solve for the unit value, one factorization per step down to the
+    # first improving one (no larger step improves) and one solve for it
+    assert calls == {"eigh": 0, "eigvalsh": 1}
+    assert factored["cholesky"] == first + 1
     assert res.improved and res.trials == first + 1
     assert np.array_equal(res.best_w, rows[first])
     assert res.best_value == vals[first]
@@ -311,18 +326,20 @@ def test_line_search_improves_exactly_when_some_grid_step_does(g, end):
 
 
 def test_falsify_end_solves_no_step_past_the_first_improving_one(monkeypatch):
-    # a solve budget rather than a timing: each end's falsifier makes at most
-    # the scan's solves plus the witness's fresh solve, so a fall back to
-    # the whole 30-step grid fails here
+    # a solve budget rather than a timing: each refuted end's falsifier
+    # makes one solve, for the witness, and at most the scan's
+    # factorizations plus re-verification's two, so a fall back to the
+    # whole 30-step grid fails here
     g = catalog("path_128")
     calls = _count_solves(monkeypatch)
+    factored = _count_factorizations(monkeypatch)
     seen = []
     falsify_end = certify._falsify_end
 
     def counting_falsify_end(g, end, lam, decision):
-        before = dict(calls)
+        before = {**calls, **factored}
         out = falsify_end(g, end, lam, decision)
-        spent = {k: calls[k] - before[k] for k in calls}
+        spent = {k: v - before[k] for k, v in {**calls, **factored}.items()}
         seen.append((end, lam, decision.c, spent))
         return out
 
@@ -334,7 +351,92 @@ def test_falsify_end_solves_no_step_past_the_first_improving_one(monkeypatch):
         _, vals = _grid(g, end, c)
         scan = 1 + next(j for j, val in enumerate(vals) if _improves(end, val, lam))
         assert spent["eigh"] == 0
-        assert spent["eigvalsh"] <= scan + 1 < len(DIRECTION_STEPS)
+        assert spent["eigvalsh"] == 1
+        assert spent["cholesky"] <= scan + 2 < len(DIRECTION_STEPS)
+
+
+def _refuting_step(g, end):
+    unit = lambda_ends(g)[0 if end == "lower" else 1]
+    res = line_search(g, end, length_decision(_edge_rows(g, unit)).c, unit)
+    assert res.improved
+    return res, unit
+
+
+@pytest.mark.parametrize("end", ENDS)
+def test_reverify_factors_twice_and_solves_nothing(monkeypatch, end):
+    g = catalog("triangular_prism")
+    res, unit = _refuting_step(g, end)
+    calls = _count_solves(monkeypatch)
+    factored = _count_factorizations(monkeypatch)
+    assert reverify(g, res, unit)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert factored["cholesky"] == 2
+
+
+@pytest.mark.parametrize("end", ENDS)
+def test_reverify_rejects_a_moved_value_or_a_flipped_flag(end):
+    # the value is proved to 1e-9 (1 + |v|), which a 1e-8 relative move
+    # leaves for |v| > 1/9; the prism's ends are near 1 and 5
+    g = catalog("triangular_prism")
+    res, unit = _refuting_step(g, end)
+    assert res.best_value > 0.5
+    assert reverify(g, res, unit)
+    for factor in (1.0 + 1e-8, 1.0 - 1e-8):
+        assert not reverify(g, replace(res, best_value=res.best_value * factor), unit)
+    assert not reverify(g, replace(res, improved=False), unit)
+
+
+def test_reverify_accepts_a_small_lambda_2_and_an_unimproved_search():
+    g = catalog("path_128")
+    res, unit = _refuting_step(g, "lower")
+    assert res.best_value < 1e-3
+    assert reverify(g, res, unit)
+    g = catalog("petersen")
+    for end, unit in zip(ENDS, lambda_ends(g)):
+        res = random_weight_search(g, end, trials=50, seed=3)
+        assert not res.improved
+        assert reverify(g, res, unit)
+        assert not reverify(g, replace(res, improved=True), unit)
+
+
+@pytest.mark.parametrize("screen", [True, False], ids=["passes_every_step", "passes_no_step"])
+@pytest.mark.parametrize("g, end", STEP_CASES[:4])
+def test_line_search_does_not_trust_its_screen(monkeypatch, g, end, screen):
+    # a screen that passes a step the eigensolve does not confirm is read
+    # past, and one that passes none falls back to solving every step: both
+    # return the grid oracle's first improving step
+    unit = lambda_ends(g)[0 if end == "lower" else 1]
+    c = length_decision(_edge_rows(g, unit)).c
+    rows, vals = _grid(g, end, c)
+    first = next(j for j, val in enumerate(vals) if _improves(end, val, unit))
+    monkeypatch.setattr(falsify, "_positive_definite", lambda A: screen)
+    calls = _count_solves(monkeypatch)
+    res = line_search(g, end, c, unit)
+    assert res.improved
+    assert calls["eigvalsh"] == first + 1
+    assert res.trials == first + 1
+    assert np.array_equal(res.best_w, rows[first])
+    assert res.best_value == vals[first]
+
+
+@pytest.mark.parametrize("name", ["triangular_prism", "path_40", "petersen"])
+def test_shift_decides_each_end_at_every_theta(name):
+    # the lower end's shift lifts the all-ones kernel above theta for every
+    # theta, zero and negative ones included, where a 2 theta / n multiple
+    # of J would leave it at or below zero
+    L = catalog(name).unit_laplacian
+    n = len(L)
+    lam2, lamn = lambda_ends(catalog(name))
+    ones = np.ones(n)
+    for theta in (-3.0, -1e-12, 0.0, 1e-12, lam2 / 2, 2 * lamn):
+        assert ones @ falsify._shifted(L, "lower", theta) @ ones / n > 0
+    for theta in (-3.0, -1e-12, 0.0, lam2 / 2):
+        assert falsify._beats(L, "lower", theta)
+        assert not falsify._beats(L, "upper", theta)
+    for scale, beats in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        assert falsify._beats(L, "lower", lam2 * scale) is beats
+        assert falsify._beats(L, "upper", lamn * scale) is not beats
+    assert falsify._beats(L, "upper", 2 * lamn) and not falsify._beats(L, "lower", 2 * lamn)
 
 
 def test_line_search_refutes_with_trivial_sdp_skipped():
