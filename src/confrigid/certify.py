@@ -204,6 +204,11 @@ def _verified_certificate(
 # ---------------------------------------------------------------------------
 
 
+# the bound on the character LP's objective and on the one-class residual
+# under which an end is certified
+LP_CERTIFY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LpCertificateResult:
     status: str  # "certified" | "not_in_polytope" | "degenerate"
@@ -225,40 +230,59 @@ def abelian_lp_certificate(
     `character_eigenspaces` groups them (any order; the LP takes them
     ascending).
 
+    When the characters form one conjugate class ({chi} or {chi, conj chi},
+    neither real) the only candidate is the uniform c = 1/d: on a pair the
+    imaginary rows force c_1 = c_2 unless Im chi vanishes on S, and then
+    every c gives the same values.  Its values at the generators are one
+    d x |S| product, t is the mean of their real parts, and the end is
+    certified when every value lies within LP_CERTIFY_TOL of t; the
+    residual is reported as lp_objective.  Every other eigenspace, and a
+    class that misses the bound, goes to the phase-1 simplex.
+
     Certified implies an edge-isometric embedding on that eigenspace exists;
     not_in_polytope (LP objective above 1e-7) implies none exists, hence at
     lambda_2 or lambda_n the graph is not rigid at that end; degenerate is
-    an objective in (1e-9, 1e-7] or a solution that fails the substitution
-    check.
+    an objective in (LP_CERTIFY_TOL, 1e-7] or a solution that fails the
+    substitution check.
     """
     idxs = sorted(int(k) for k in characters)
     # chi_Gamma / |Gamma| has entry s equal to conj(chi(s))
     V = np.conj(table.gen_chars[idxs])  # d x |S|
     d = len(idxs)
-    res = phase1_feasibility(*character_lp_system(V))
-    status = "not_in_polytope" if res.objective > 1e-7 else "degenerate"
-    if res.objective <= 1e-9:
-        c = np.clip(res.x[:d], 0.0, None)
-        c = c / c.sum()
-        t = float(res.x[d] - res.x[d + 1])
-        if np.max(np.abs(c @ V - t)) <= 1e-7:  # substitution check
-            # does a single real eigenvector achieve it, or only a complex combination?
-            support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
-            complex_only = not any(table.real(support))
-            return LpCertificateResult(
-                status="certified",
-                coefficients=c,
-                character_indices=tuple(idxs),
-                t=t,
-                lp_objective=res.objective,
-                complex_only=complex_only,
-            )
+    c = None
+    if d == 1 or (d == 2 and not any(table.real(idxs))):
+        uniform = np.full(d, 1.0 / d)
+        w = uniform @ V
+        t = float(np.mean(w.real))
+        objective = float(np.max(np.abs(w - t)))
+        if objective <= LP_CERTIFY_TOL:
+            c = uniform
+    if c is None:
+        res = phase1_feasibility(*character_lp_system(V))
+        objective = res.objective
+        if objective <= LP_CERTIFY_TOL:
+            c = np.clip(res.x[:d], 0.0, None)
+            c = c / c.sum()
+            t = float(res.x[d] - res.x[d + 1])
+            if np.max(np.abs(c @ V - t)) > 1e-7:  # substitution check
+                c = None
+    if c is None:
+        return LpCertificateResult(
+            status="not_in_polytope" if objective > 1e-7 else "degenerate",
+            coefficients=None,
+            character_indices=tuple(idxs),
+            t=None,
+            lp_objective=objective,
+        )
+    # does a single real eigenvector achieve it, or only a complex combination?
+    support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
     return LpCertificateResult(
-        status=status,
-        coefficients=None,
+        status="certified",
+        coefficients=c,
         character_indices=tuple(idxs),
-        t=None,
-        lp_objective=res.objective,
+        t=t,
+        lp_objective=objective,
+        complex_only=not any(table.real(support)),
     )
 
 

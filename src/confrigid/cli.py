@@ -178,6 +178,8 @@ def cmd_family(args: argparse.Namespace) -> int:
             "N": 3 * n,
             "lowerVerdict": rep.lower.verdict,
             "upperVerdict": rep.upper.verdict,
+            "lowerMethod": rep.lower.method,
+            "upperMethod": rep.upper.method,
             "lambda2": rep.lambda2,
             "lambdaMax": rep.lambda_max,
             "argminIndex": kmin,
@@ -187,9 +189,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
-    print("n\tN\tlower\tupper\tlambda2\tlambdaMax\targmin_k\targmax_k\twalk1")
+    print("n\tN\tlower\tupper\tlower_method\tupper_method\tlambda2\tlambdaMax\t"
+          "argmin_k\targmax_k\twalk1")
     for r in rows:
         print(f"{r['n']}\t{r['N']}\t{r['lowerVerdict']}\t{r['upperVerdict']}\t"
+              f"{r['lowerMethod']}\t{r['upperMethod']}\t"
               f"{r['lambda2']:.10g}\t{r['lambdaMax']:.10g}\t"
               f"{r['argminIndex']}\t{r['argmaxIndex']}\t{r['walk1']}")
     return 0

@@ -154,13 +154,53 @@ def test_lp_certifies_circulant_18_1_5_both_ends():
         assert emb.dim <= 2 * len(lp.character_indices)
 
 
-def test_lp_rejects_triangular_prism_as_cayley_graph():
-    # the triangular prism is Cay(Z_6, {2, 3, 4}); rigidity fails at lambda_2
+def test_lp_rejects_triangular_prism_as_cayley_graph(monkeypatch):
+    # the triangular prism is Cay(Z_6, {2, 3, 4}); rigidity fails at lambda_2.
+    # Both end classes are one conjugate class, {chi^3} at lambda_2 and
+    # {chi^1, chi^5} at lambda_n, whose uniform combination is not constant
+    # on S: each goes to the simplex once, which refutes it
     g = circulant(6, {2, 3})
     assert g.m == 9 and g.degrees().tolist() == [3] * 6
-    table, [(_, chars), _] = _end_classes(g)
-    lp = abelian_lp_certificate(table, chars)
-    assert lp.status == "not_in_polytope"
+    table, ends = _end_classes(g)
+    assert [sorted(chars.tolist()) for _, chars in ends] == [[3], [1, 5]]
+    calls = _count_calls(monkeypatch, certify, "phase1_feasibility")
+    for _, chars in ends:
+        calls.clear()
+        lp = abelian_lp_certificate(table, chars)
+        assert lp.status == "not_in_polytope"
+        assert len(calls) == 1
+
+
+def test_lp_takes_the_simplex_only_for_the_multi_class_end(monkeypatch):
+    # circulant(12, {1, 2, 4, 5}): the lambda_2 class has 9 characters in
+    # several conjugate classes and is certified by one simplex call, with
+    # the coefficients and t of that solve bit for bit; the lambda_n class
+    # {chi^4, chi^8} is one class, certified by its uniform combination
+    # with no simplex call
+    g = circulant(12, {1, 2, 4, 5})
+    table, [(_, low), (lam, high)] = _end_classes(g)
+    assert sorted(low.tolist()) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+    assert sorted(high.tolist()) == [4, 8]
+    calls = _count_calls(monkeypatch, certify, "phase1_feasibility")
+    lp = abelian_lp_certificate(table, low)
+    assert lp.status == "certified" and len(calls) == 1
+    d = len(low)
+    V = np.conj(table.gen_chars[sorted(low.tolist())])
+    res = certify.phase1_feasibility(*certify.character_lp_system(V))
+    c = np.clip(res.x[:d], 0.0, None)
+    c = c / c.sum()
+    assert lp.coefficients.tobytes() == c.tobytes()
+    assert lp.t == float(res.x[d] - res.x[d + 1])
+    assert lp.lp_objective == res.objective
+    calls.clear()
+    lp = abelian_lp_certificate(table, high)
+    assert not calls
+    assert (lp.status, lp.coefficients.tolist(), lp.complex_only) == (
+        "certified", [0.5, 0.5], True)
+    assert lp.t == pytest.approx(-0.5, abs=1e-12)
+    assert lp.lp_objective <= certify.LP_CERTIFY_TOL
+    emb = lp_certificate_embedding(g, table, lp, lam)
+    assert edge_length_profile(emb, g).is_edge_isometric
 
 
 @pytest.mark.parametrize(
@@ -173,11 +213,14 @@ def test_lp_rejects_triangular_prism_as_cayley_graph():
     ],
 )
 def test_lp_failure_keeps_its_status(monkeypatch, objective, x, status):
-    # the lambda_2 class of C_6 = Cay(Z_6, {1, 5}) is two characters; the
-    # solver's answer is replaced, so each exit of the LP is reached
-    g = circulant(6, {1})
-    table, [(_, chars), _] = _end_classes(g)
-    assert len(chars) == 2
+    # the lambda_n class of the prism Cay(Z_6, {2, 3, 4}) is the pair
+    # {chi^1, chi^5}, whose real parts on S are -1/2, -1, -1/2: its uniform
+    # combination misses the bound, so the simplex runs.  The solver's answer
+    # is replaced, so each exit of the LP is reached
+    g = circulant(6, {2, 3})
+    table, [_, (_, chars)] = _end_classes(g)
+    assert sorted(chars.tolist()) == [1, 5]
+    assert np.conj(table.gen_chars[1]).real.tolist() == pytest.approx([-0.5, -1.0, -0.5])
     result = Phase1Result(objective <= 1e-9, np.array(x), objective, 0)
     monkeypatch.setattr(certify, "phase1_feasibility", lambda A, b: result)
     lp = abelian_lp_certificate(table, chars)
@@ -412,8 +455,9 @@ def test_family_scan_makes_no_dense_eigensolve(monkeypatch, capsys):
 
 
 def test_family_scan_pivots_and_evaluates_each_character_once(monkeypatch, capsys):
-    # 38 character LPs take 142 pivots in all, and each certified end
-    # evaluates its whole characters once, for its embedding
+    # every end of the family is one conjugate class whose uniform
+    # combination is constant on S, so no end reaches the simplex; each
+    # certified end evaluates its whole characters once, for its embedding
     its = []
     phase1 = certify.phase1_feasibility
 
@@ -427,7 +471,7 @@ def test_family_scan_pivots_and_evaluates_each_character_once(monkeypatch, capsy
     assert cli.main(["family", "6", "24", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert {(r["lowerVerdict"], r["upperVerdict"]) for r in report} == {("certified",) * 2}
-    assert (len(its), sum(its)) == (38, 142)
+    assert (len(its), sum(its)) == (0, 0)
     assert len(rows) == 38
     rows.clear()
     rep = check_conformal_rigidity(circulant(18, {1, 5}))

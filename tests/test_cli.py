@@ -348,6 +348,7 @@ def test_family_range_and_walk1(capsys):
     for r in rows:
         assert r["lowerVerdict"] == "certified"
         assert r["upperVerdict"] == "certified"
+        assert (r["lowerMethod"], r["upperMethod"]) == ("CharacterLP", "CharacterLP")
         assert r["walk1"] is (r["n"] % 3 == 2)
         assert r["argminIndex"] == 3
         assert r["argmaxIndex"] == 3 * (r["n"] // 2)

@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from confrigid import certify
 from confrigid.catalog import catalog
 from confrigid.certify import abelian_lp_certificate, character_lp_system
 from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian, normalize_edges
@@ -267,9 +268,21 @@ def _abelian_lp_oracle(spec, lam, table):
     return "certified", c, t, complex_only
 
 
-def test_character_lp_matches_the_row_loop():
+def test_character_lp_matches_the_row_loop(monkeypatch):
+    # an end that reaches the simplex matches the oracle bit for bit; a
+    # one-class end certified by its uniform combination, with no simplex
+    # call, is one the oracle certifies too, with the same complex_only, and
+    # its (c, t) solves the oracle's system
+    calls = []
+
+    def counting_phase1(A, b):
+        calls.append(1)
+        return phase1_feasibility(A, b)
+
+    monkeypatch.setattr(certify, "phase1_feasibility", counting_phase1)
     specs = SPECS + [circulant(N, {1, 3}).cayley_spec for N in range(4, 40)]
     statuses = set()
+    shortcuts = 0
     for spec in specs:
         table = character_spectrum(spec)
         for lam in table.eigenvalues:
@@ -279,11 +292,22 @@ def test_character_lp_matches_the_row_loop():
             A0, b0 = _lp_rows_oracle(V)
             assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes(), spec
             assert A.shape == (2 * len(spec.gens) + 1, len(idxs) + 2)
+            calls.clear()
             lp = abelian_lp_certificate(table, idxs)
             status, c, t, complex_only = _abelian_lp_oracle(spec, lam, table)
-            assert (lp.status, lp.t, lp.complex_only) == (status, t, complex_only), spec
-            assert (c is None) == (lp.coefficients is None)
-            if c is not None:
-                assert lp.coefficients.tobytes() == c.tobytes()
             statuses.add(lp.status)
+            if calls:
+                assert (lp.status, lp.t, lp.complex_only) == (status, t, complex_only), spec
+                assert (c is None) == (lp.coefficients is None)
+                if c is not None:
+                    assert lp.coefficients.tobytes() == c.tobytes()
+                continue
+            shortcuts += 1
+            assert lp.status == status == "certified", spec
+            assert lp.complex_only == complex_only, spec
+            d = len(idxs)
+            assert lp.coefficients.tolist() == [1.0 / d] * d
+            x = np.concatenate([lp.coefficients, [max(lp.t, 0.0), max(-lp.t, 0.0)]])
+            assert np.max(np.abs(A0 @ x - b0)) <= 1e-9, spec
+    assert shortcuts > 0
     assert statuses >= {"certified", "not_in_polytope"}
