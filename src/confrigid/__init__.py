@@ -11,11 +11,13 @@ by a line search along the dual certificate of the equal-length decision; no
 verdict depends on a seed.
 
 Reference code, which no check runs: `walk_regularity` (exact walk counts),
-`symmetry.group_closure`/`group_order`, `phi_psi`, `symmetrized_embedding`,
-`embeddings.chi_gamma`, `sdp.build_sdp_instance`, `sdp.sdp_feasibility`,
-`sdp.rank_reduce`, `random_weight_search` and `subgradient_ascent`.  These
-are the paper's constructions and the older searches written out; the tests
-use them as independent oracles.
+`symmetry.group_closure`, `phi_psi`, `symmetrized_embedding`,
+`sdp.build_sdp_instance`, `sdp.sdp_feasibility`, `sdp.rank_reduce`,
+`random_weight_search` and `subgradient_ascent`.  These are the paper's
+constructions and the older searches written out; the tests use them as
+independent oracles.  The tests keep their other oracles in
+`tests/oracles.py`: the per-element loop over an abelian group, `chi_gamma`
+and `group_order`.
 """
 
 from ._version import __version__
@@ -34,7 +36,7 @@ from .embeddings import (
     Embedding,
     canonical_embedding,
     edge_length_profile,
-    explicit_embedding,
+    make_embedding,
     phi_psi,
     product_embedding,
     symmetrized_embedding,
@@ -83,10 +85,10 @@ __all__ = [
     "edge_length_profile",
     "eigendecompose",
     "eigenvector_certificate",
-    "explicit_embedding",
     "find_automorphisms",
     "lambda_ends",
     "laplacian",
+    "make_embedding",
     "orbits",
     "parse_edge_list",
     "parse_graph6",

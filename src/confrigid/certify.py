@@ -96,7 +96,6 @@ class CheckOptions:
 @dataclass(frozen=True)
 class Certificate:
     kind: str
-    end: str
     eigenvalue: float
     embedding: Embedding
     payload: dict
@@ -175,7 +174,6 @@ def _verified_certificate(
     g: Graph,
     emb: Embedding,
     kind: str,
-    end: str,
     payload: dict,
     iso_tol: float,
     extra_residuals: dict | None = None,
@@ -191,7 +189,6 @@ def _verified_certificate(
         residuals.update(extra_residuals)
     return Certificate(
         kind=kind,
-        end=end,
         eigenvalue=emb.eigenvalue,
         embedding=emb,
         payload=payload,
@@ -316,7 +313,7 @@ def lp_certificate_embedding(
     # n x d x 2 -> n x 2d: the columns Re chi^j, Im chi^j, j by j
     P = np.stack((chi.real.T, chi.imag.T), axis=2).reshape(chi.shape[1], -1)
     keep = np.linalg.norm(P, axis=0) > 1e-12
-    return make_embedding(g, P[:, keep], lam, source="character-lp")
+    return make_embedding(g, P[:, keep], lam)
 
 
 def _lp_certificate(
@@ -324,7 +321,6 @@ def _lp_certificate(
     table: CharacterTable,
     lp: LpCertificateResult,
     lam: float,
-    end: str,
     iso_tol: float,
 ) -> Certificate | None:
     """The re-verified certificate of a certified LP solution; None when the
@@ -344,7 +340,7 @@ def _lp_certificate(
         "complex_only": lp.complex_only,
     }
     extra = {"lp_objective": lp.lp_objective}
-    return _verified_certificate(g, emb, "character_lp", end, payload, iso_tol, extra)
+    return _verified_certificate(g, emb, "character_lp", payload, iso_tol, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +379,15 @@ def _sdp_embedding(g: Graph, U: np.ndarray, X: np.ndarray, lam: float) -> Embedd
     if not keep.any():
         raise EigenvalueError("the Gram matrix has no positive eigenvalue")
     V = vecs[:, keep] * np.sqrt(vals[keep])
-    return make_embedding(g, U @ V, lam, source="sdp-gram")
+    return make_embedding(g, U @ V, lam)
 
 
 def _gram_certificate(
-    g: Graph, U: np.ndarray, gram: LengthDecision, lam: float, end: str, iso_tol: float
+    g: Graph, U: np.ndarray, gram: LengthDecision, lam: float, iso_tol: float
 ) -> Certificate | None:
     emb = _sdp_embedding(g, U, gram.X, lam)
     extra = {"sdp_residual": gram.spread}
-    return _verified_certificate(g, emb, "sdp_gram", end, {"X": gram.X}, iso_tol, extra)
+    return _verified_certificate(g, emb, "sdp_gram", {"X": gram.X}, iso_tol, extra)
 
 
 def _decide(g: Graph, U: np.ndarray, group: _Group, tol: float) -> LengthDecision:
@@ -415,7 +411,6 @@ def eigenvector_certificate(
     gram: LengthDecision,
     feas_tol: float = FEAS_TOL,
     iso_tol: float = ISO_TOL,
-    end: str = "lower",
 ) -> Certificate | None:
     """An eigenvector phi = U a of lam's eigenspace (basis U) whose edge
     orbits orb, under the group p, have equal mean squared lengths
@@ -465,7 +460,6 @@ def eigenvector_certificate(
         g,
         _sdp_embedding(g, U, _commutant_projection(U, p, np.outer(a, a)), lam),
         "eigenvector",
-        end,
         {"phi": U @ a, "orbit_sums": sums},
         iso_tol,
         extra_residuals={"orbit_sum_spread": spread, "sdp_residual": gram.spread},
@@ -534,7 +528,6 @@ def product_rigidity(
         return None
     return Certificate(
         kind="product",
-        end="both",
         eigenvalue=emb2.eigenvalue,
         embedding=emb2,
         payload={
@@ -645,7 +638,7 @@ def _certify_end(
             emb = canonical_embedding(g, decomposition(), lam)
         except EigenvalueError:
             return None
-        return _verified_certificate(g, emb, "canonical_isometric", end, {}, opts.iso_tol)
+        return _verified_certificate(g, emb, "canonical_isometric", {}, opts.iso_tol)
 
     def labelled(kind: str, method: str) -> EndReport | None:
         """EdgeTransitive, OneWalkRegular and CanonicalIsometric share one
@@ -665,7 +658,7 @@ def _certify_end(
 
     lp = None if table is None else abelian_lp_certificate(table, characters)
     if lp is not None:
-        cert = _lp_certificate(g, table, lp, lam, end, opts.iso_tol)
+        cert = _lp_certificate(g, table, lp, lam, opts.iso_tol)
         if found := certified(cert, "CharacterLP"):
             return found
     # decisive: nothing certifies, and the falsifier refutes.  Not on a split
@@ -693,13 +686,12 @@ def _certify_end(
     try:
         if rigid and opts.stage_enabled("symmetrized_sdp") and group.vertex_transitive():
             cert = eigenvector_certificate(
-                g, U, lam, group.perms(), group.orb(), decision,
-                opts.feas_tol, opts.iso_tol, end,
+                g, U, lam, group.perms(), group.orb(), decision, opts.feas_tol, opts.iso_tol
             )
             if found := certified(cert, "Eigenvector"):
                 return found
         if rigid and opts.stage_enabled("trivial_sdp"):  # the Gram matrix itself
-            cert = _gram_certificate(g, U, decision, lam, end, opts.iso_tol)
+            cert = _gram_certificate(g, U, decision, lam, opts.iso_tol)
             if found := certified(cert, "SdpGram"):
                 return found
     except EigenvalueError:

@@ -1,5 +1,5 @@
-"""Spectral embeddings: canonical, symmetrized, explicit; edge-isometry and
-sphericity diagnostics; orbit-sum vectors; Cayley character vectors; and
+"""Spectral embeddings: canonical, symmetrized, from given columns;
+edge-isometry and sphericity diagnostics; orbit-sum vectors; and
 Cartesian-product embeddings."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EigenvalueError, HypothesisViolatedError
-from .graphs import CayleySpec, Graph, cartesian_product
+from .graphs import Graph, cartesian_product
 from .spectra import EigenspaceDecomposition
 from .symmetry import OrbitPartition, PermutationSet, group_closure, orbits
 
@@ -24,7 +24,6 @@ class Embedding:
 
     points: np.ndarray
     eigenvalue: float
-    source: str
 
     @property
     def dim(self) -> int:
@@ -37,14 +36,9 @@ def _check_residual(resid: float, value: float, scale: float, what: str) -> None
         raise EigenvalueError(f"{what}: residual {resid:.3e}")
 
 
-def make_embedding(
-    g: Graph,
-    points: np.ndarray,
-    eigenvalue: float,
-    source: str,
-) -> Embedding:
-    """Validate eigenspace residual (to RESIDUAL_TOL), centering, and
-    nontriviality."""
+def make_embedding(g: Graph, points: np.ndarray, eigenvalue: float) -> Embedding:
+    """Embedding from eigenspace columns (or one eigenvector), validated:
+    eigenspace residual (to RESIDUAL_TOL), centering, and nontriviality."""
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
         P = P[:, None]
@@ -59,7 +53,7 @@ def make_embedding(
     )
     if np.max(np.abs(P.sum(axis=0))) > 1e-6 * max(scale, 1.0) * g.n:
         raise EigenvalueError("embedding is not centered")
-    return Embedding(points=P, eigenvalue=float(eigenvalue), source=source)
+    return Embedding(points=P, eigenvalue=float(eigenvalue))
 
 
 def canonical_embedding(g: Graph, dec: EigenspaceDecomposition, lam: float) -> Embedding:
@@ -75,12 +69,7 @@ def canonical_embedding(g: Graph, dec: EigenspaceDecomposition, lam: float) -> E
     raw = dec.raw_eigenvalues[start : start + dec.multiplicities[idx]]
     resid = float(np.max(np.abs(raw - value)))
     _check_residual(resid, value, 1.0, f"columns are not in the eigenspace of {value}")
-    return Embedding(points=dec.bases[idx], eigenvalue=value, source="canonical")
-
-
-def explicit_embedding(g: Graph, columns: np.ndarray, eigenvalue: float) -> Embedding:
-    """Embedding from user-supplied eigenspace columns."""
-    return make_embedding(g, columns, eigenvalue, source="explicit")
+    return Embedding(points=dec.bases[idx], eigenvalue=value)
 
 
 def rayleigh_eigenvalue(g: Graph, phi: np.ndarray) -> float:
@@ -106,7 +95,7 @@ def symmetrized_embedding(g: Graph, phi: np.ndarray, p: PermutationSet) -> Embed
     elements = group_closure(p)
     phi = np.asarray(phi, dtype=float)
     cols = np.stack([phi[np.array(sigma)] for sigma in elements], axis=1)
-    return make_embedding(g, cols, lam, source=f"symmetrized[{len(elements)}]")
+    return make_embedding(g, cols, lam)
 
 
 @dataclass(frozen=True)
@@ -168,9 +157,7 @@ def unit_edge_normalized(e: Embedding, g: Graph, tol: float = ISO_TOL) -> Embedd
     prof = edge_length_profile(e, g, tol)
     if not prof.is_edge_isometric:
         raise HypothesisViolatedError("embedding is not edge-isometric")
-    return Embedding(
-        points=e.points / prof.c, eigenvalue=e.eigenvalue, source=e.source
-    )
+    return Embedding(points=e.points / prof.c, eigenvalue=e.eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -208,29 +195,6 @@ def phi_psi(
         values.append(float(M[rep[0], rep[1]]))
         reps.append(rep)
     return OrbitVector(values=tuple(values), representatives=tuple(reps))
-
-
-def chi_gamma(spec: CayleySpec, k: int, cross_check_tol: float = 1e-9) -> np.ndarray:
-    """Vector (sum_g chi(g) * conj(chi(g o s)))_{s in S} for the k-th
-    character; equals |Gamma| * conj(chi(s)) by the homomorphism property.
-    Both forms are computed and cross-asserted."""
-    elems = spec.elements()
-    N = spec.size
-    if not 0 <= k < N:
-        raise ValueError(f"character index {k} out of range")
-    kvec = elems[k]
-    orders = np.array(spec.orders, dtype=float)
-    arr = np.array(elems, dtype=float)
-    chi = np.exp(2j * np.pi * (arr @ (np.array(kvec) / orders)))
-    out = np.empty(len(spec.gens), dtype=complex)
-    for t, s in enumerate(spec.gens):
-        shifted = np.array([spec.index_of(spec.add(gel, s)) for gel in elems])
-        brute = np.sum(chi * np.conj(chi[shifted]))
-        closed = N * np.conj(chi[spec.index_of(s)])
-        if abs(brute - closed) > cross_check_tol * N:
-            raise AssertionError("character sum disagrees with the closed form")
-        out[t] = closed
-    return out
 
 
 def product_embedding(
@@ -273,7 +237,7 @@ def product_embedding(
         cols = np.hstack(
             [np.kron(UG, np.ones((gH.n, 1))), np.kron(np.ones((gG.n, 1)), UH)]
         )
-        return prod, make_embedding(prod, cols, eG.eigenvalue, source="product-lambda2")
+        return prod, make_embedding(prod, cols, eG.eigenvalue)
     for prof, which in ((profG, "first"), (profH, "second")):
         if not prof.is_spherical:
             raise HypothesisViolatedError(f"{which} factor not spherical")
@@ -281,10 +245,7 @@ def product_embedding(
     rH = profH.radius / profH.c
     if abs(rG - rH) > 1e-8 * (1.0 + rG):
         raise HypothesisViolatedError(f"unit-edge radii differ: {rG} vs {rH}")
-    emb = make_embedding(
-        prod, np.kron(UG, UH), eG.eigenvalue + eH.eigenvalue, source="product-lambdamax"
-    )
-    return prod, emb
+    return prod, make_embedding(prod, np.kron(UG, UH), eG.eigenvalue + eH.eigenvalue)
 
 
 def embedding_to_csv(e: Embedding) -> str:

@@ -1,14 +1,13 @@
 """Graph representation, constructors, and weighted Laplacian assembly.
 
-Vertices are dense 0-based indices.  Group labels on Cayley graphs are
-annotations only, never keys.
+Vertices are dense 0-based indices; a Cayley graph numbers its group
+elements in mixed-radix order.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -22,12 +21,12 @@ class Graph:
 
     Edges are unordered pairs (i, j) with i < j, lexicographically sorted,
     without duplicates or loops.  Connectivity is not an invariant but is a
-    precondition of every rigidity operation.
+    precondition of every rigidity operation.  Equality compares n, edges
+    and name; cayley_spec takes no part in it.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    labels: tuple | None = None
     name: str | None = None
     cayley_spec: "CayleySpec | None" = field(default=None, compare=False)
 
@@ -167,19 +166,6 @@ class CayleySpec:
     def neg(self, g: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((-c) % o for c, o in zip(g, self.orders))
 
-    def add(self, g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % o for a, b, o in zip(g, h, self.orders))
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All group elements in mixed-radix order (last coordinate fastest)."""
-        return [tuple(g) for g in iter_product(*(range(o) for o in self.orders))]
-
-    def index_of(self, g: tuple[int, ...]) -> int:
-        idx = 0
-        for c, o in zip(g, self.orders):
-            idx = idx * o + (c % o)
-        return idx
-
 
 def _cayley_edges(spec: CayleySpec) -> tuple[tuple[int, int], ...]:
     """Sorted edges {g, g+s} of the Cayley graph, g in mixed-radix order:
@@ -203,18 +189,12 @@ def _cayley_edges(spec: CayleySpec) -> tuple[tuple[int, int], ...]:
 def cayley_abelian(spec: CayleySpec, name: str | None = None) -> Graph:
     """Cayley graph of an abelian group: vertices enumerate the group in
     mixed-radix order, with an edge {g, g+s} for every generator s."""
-    return Graph(
-        n=spec.size,
-        edges=_cayley_edges(spec),
-        labels=tuple(spec.elements()),
-        name=name,
-        cayley_spec=spec,
-    )
+    return Graph(n=spec.size, edges=_cayley_edges(spec), name=name, cayley_spec=spec)
 
 
 def circulant(N: int, S) -> Graph:
     """Circulant graph Cay(Z_N, S).  S is symmetrized internally; the
-    Graph is built once, on cayley_abelian's edges, labelled 0..N-1."""
+    Graph is built once, on cayley_abelian's edges."""
     if N < 3:
         raise ValueError("circulant needs N >= 3")
     # CayleySpec rejects the identity and an empty set
@@ -225,7 +205,6 @@ def circulant(N: int, S) -> Graph:
     return Graph(
         n=N,
         edges=_cayley_edges(spec),
-        labels=tuple(range(N)),
         name=f"circulant_{N}_{','.join(map(str, half))}",
         cayley_spec=spec,
     )
@@ -293,15 +272,20 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Edge-list text format: first line "n m", then m lines "i j"."""
+    """Edge-list text format: first line "n m", then exactly m lines "i j"
+    naming m distinct edges ("i j" and "j i" are one edge).  Blank lines
+    are skipped."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
     n, m = map(int, lines[0].split())
+    if len(lines) - 1 != m:
+        raise ValueError(f"header says {m} edges, but {len(lines) - 1} edge lines follow")
     pairs = []
-    for ln in lines[1 : m + 1]:
+    for ln in lines[1:]:
         i, j = map(int, ln.split())
         pairs.append((i, j))
-    if len(pairs) != m:
-        raise ValueError(f"expected {m} edges, got {len(pairs)}")
-    return Graph(n=n, edges=normalize_edges(n, pairs))
+    edges = normalize_edges(n, pairs)
+    if len(edges) != m:
+        raise ValueError(f"header says {m} edges, but the lines name {len(edges)} distinct edges")
+    return Graph(n=n, edges=edges)

@@ -20,7 +20,6 @@ MAX_PIVOTS = 10_000
 
 @dataclass(frozen=True)
 class Phase1Result:
-    feasible: bool
     x: np.ndarray
     objective: float
     iterations: int
@@ -29,7 +28,8 @@ class Phase1Result:
 def phase1_feasibility(A: np.ndarray, b: np.ndarray) -> Phase1Result:
     """Solve min 1^T a  s.t.  A x + a = b (rows pre-flipped so b >= 0),
     x, a >= 0, with Bland's anti-cycling rule, in at most MAX_PIVOTS
-    pivots.  Feasible iff optimum ~ 0.
+    pivots.  The system is feasible iff the optimum objective is ~ 0; the
+    caller sets the bound.
 
     Each pivot enters the first eligible column, runs the ratio test over
     the rows with a positive entering entry only, and eliminates from every
@@ -87,6 +87,4 @@ def phase1_feasibility(A: np.ndarray, b: np.ndarray) -> Phase1Result:
         if bi < n:
             x[bi] = rows[i][-1]
     objective = -rows[m][-1]
-    return Phase1Result(
-        feasible=objective <= 1e-9, x=x, objective=objective, iterations=it
-    )
+    return Phase1Result(x=x, objective=objective, iterations=it)

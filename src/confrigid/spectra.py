@@ -3,7 +3,6 @@ spectrum endpoints, and closed-form abelian Cayley spectra via characters."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,11 @@ class EigenspaceDecomposition:
     raw_eigenvalues: np.ndarray
 
     def index_of(self, lam: float) -> int:
-        """The eigenspace whose value is within group_tol of lam."""
+        """The eigenspace whose value is within group_tol of lam; NaN and
+        +-inf are near none (an infinite lam would pass the bound alone)."""
         d = np.abs(self.eigenvalues - lam)
         k = int(np.argmin(d))
-        if d[k] > self.group_tol + 1e-12 * max(1.0, abs(lam)):
+        if not (abs(lam) < np.inf and d[k] <= self.group_tol + 1e-12 * max(1.0, abs(lam))):
             raise EigenvalueError(f"no eigenvalue near {lam}")
         return k
 
@@ -165,18 +165,15 @@ class CharacterTable:
     the same mixed-radix order as the Cayley graph's vertices.  The table
     holds the element coordinates `coords` (N x r), the phase matrix
     `phases` = coords / orders, and the characters at the generators only:
-    gen_chars[k, j] = chi^k(s_j) at the spec's generators s_j, with
-    gen_idx[j] the column of s_j.  `rows(ks)` gives whole characters,
-    `real(ks)` tells which of them are real-valued without evaluating them,
-    and `chars`, the full N x N table, is built on first access; rows and
-    chars agree with gen_chars bit for bit.
+    gen_chars[k, j] = chi^k(s_j) at the spec's generators s_j.  `rows(ks)`
+    gives whole characters, agreeing with gen_chars bit for bit, and
+    `real(ks)` tells which of them are real-valued without evaluating them.
     """
 
     coords: np.ndarray
     phases: np.ndarray
     gen_chars: np.ndarray
     eigenvalues: np.ndarray
-    gen_idx: np.ndarray
 
     @property
     def size(self) -> int:
@@ -194,11 +191,6 @@ class CharacterTable:
         1 / (2 n_t) from both)."""
         return [set(row) <= {0.0, 0.5} for row in self.phases[ks].tolist()]
 
-    @functools.cached_property
-    def chars(self) -> np.ndarray:
-        """The full N x N character table, chars[k, g] = chi^k(g)."""
-        return np.exp(2j * np.pi * _phase_block(self.phases, self.coords))
-
 
 def character_spectrum(spec: CayleySpec) -> CharacterTable:
     """The characters of the group at its generators, with eigenvalues
@@ -210,11 +202,11 @@ def character_spectrum(spec: CayleySpec) -> CharacterTable:
     # phases[k] @ arr[g] = sum_t k_t * g_t / n_t
     phases = arr / np.array(spec.orders, dtype=float)
     gen_idx = np.ravel_multi_index(np.array(spec.gens).T, spec.orders)
-    # column-major, as the table's columns chars[:, gen_idx] are: numpy's
-    # row sums over the two layouts can round differently
+    # column-major, as the full table's generator columns are: numpy's row
+    # sums over the two layouts can round differently
     gen_chars = np.asfortranarray(np.exp(2j * np.pi * _phase_block(phases, arr[gen_idx])))
     eigenvalues = np.sum(1.0 - gen_chars.real, axis=1)
-    return CharacterTable(arr, phases, gen_chars, eigenvalues, gen_idx)
+    return CharacterTable(arr, phases, gen_chars, eigenvalues)
 
 
 def character_eigenspaces(

@@ -56,10 +56,6 @@ def group_closure(p: PermutationSet) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def group_order(p: PermutationSet) -> int:
-    return len(group_closure(p))
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     """Vertex and edge orbits; blocks ordered by their smallest member."""

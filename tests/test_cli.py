@@ -172,6 +172,16 @@ def test_disconnected_edges_file_is_input_error(tmp_path, capsys):
         assert "Disconnected" in err
 
 
+def test_edges_file_that_disagrees_with_its_header_is_input_error(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    for text, count in (("3 2\n0 1\n1 2\n0 2\n", "3 edge lines"),
+                        ("3 3\n0 1\n1 2\n1 2\n", "2 distinct edges")):
+        f.write_text(text)
+        code, out, err = _run(capsys, ["check", "--edges", str(f)])
+        assert (code, out) == (1, "")
+        assert count in err
+
+
 def test_cayley_generator_arity_is_input_error(capsys):
     code, _, err = _run(capsys, ["check", "--cayley", "6", "1,5"])
     assert code == 1
@@ -324,6 +334,11 @@ def test_embed_at_a_given_value(capsys):
     code, out, err = _run(capsys, ["embed", "--catalog", "petersen", "--value", "3"])
     assert code == 1 and out == ""
     assert "no eigenvalue near 3" in err
+    # nor is NaN or inf, which is near no eigenvalue (not the kernel's)
+    for value in ("nan", "inf"):
+        code, out, err = _run(capsys, ["embed", "--catalog", "petersen", "--value", value])
+        assert code == 1 and out == ""
+        assert f"no eigenvalue near {value}" in err
 
 
 def test_embed_circulant_21_traces_heptagon(capsys):

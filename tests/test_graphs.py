@@ -148,3 +148,12 @@ def test_parse_edge_list():
     assert g.edges == ((0, 1), (1, 2), (2, 3))
     with pytest.raises(ValueError):
         parse_edge_list("4 2\n0 1\n")
+    # blank lines are skipped; "1 0" names the edge "0 1"
+    assert parse_edge_list("\n3 2\n\n1 0\n\n2 1\n\n").edges == ((0, 1), (1, 2))
+    # the header's m must be the number of distinct edges: a triangle under
+    # "3 2" is not read as the path P_3, nor a repeated edge as one line
+    with pytest.raises(ValueError, match="header says 2 edges, but 3 edge lines follow"):
+        parse_edge_list("3 2\n0 1\n1 2\n0 2\n")
+    for text in ("3 3\n0 1\n1 2\n1 2\n", "3 3\n0 1\n1 2\n2 1\n"):
+        with pytest.raises(ValueError, match="header says 3 edges, but the lines name 2 distinct"):
+            parse_edge_list(text)

@@ -1,18 +1,18 @@
 """The array kernels of the abelian Cayley check path against the
-per-element loops they replaced, kept here as oracles.  Each kernel must
-agree with its loop exactly: the same edges, labels and permutations, the
+per-element loops they replaced, kept as oracles here and, for the group
+elements, in oracles.py.  Each kernel must
+agree with its loop exactly: the same edges and permutations, the
 same characters and eigenvalues bit for bit, and the same LP solution,
 objective and pivot count, and the same character LP system."""
 
-from itertools import product
-
 import numpy as np
 import pytest
+from oracles import _add, _cayley_edges_oracle, _elements, _index_of
 
 from confrigid import certify
 from confrigid.catalog import catalog
 from confrigid.certify import abelian_lp_certificate, character_lp_system
-from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian, normalize_edges
+from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian
 from confrigid.lp import PIVOT_TOL, phase1_feasibility
 from confrigid.spectra import character_spectrum, eigendecompose
 from confrigid.symmetry import cayley_translations
@@ -31,41 +31,14 @@ SPECS = [
 SPEC_IDS = ["z3xz3", "z2xz4", "z2xz2xz3", "z6", "z12", "z4xz6", "z1xz5", "z5xz5"]
 
 
-def _elements(orders):
-    return [tuple(g) for g in product(*(range(o) for o in orders))]
-
-
-def _index_of(orders, g):
-    idx = 0
-    for c, o in zip(g, orders):
-        idx = idx * o + (c % o)
-    return idx
-
-
-def _add(orders, g, h):
-    return tuple((a + b) % o for a, b, o in zip(g, h, orders))
-
-
-def _cayley_edges_oracle(spec):
-    pairs = []
-    for g in _elements(spec.orders):
-        gi = _index_of(spec.orders, g)
-        for s in spec.gens:
-            hi = _index_of(spec.orders, _add(spec.orders, g, s))
-            if gi != hi:
-                pairs.append((gi, hi))
-    return normalize_edges(spec.size, pairs)
-
-
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_cayley_abelian_matches_the_element_loop(spec):
     g = cayley_abelian(spec)
     assert g.edges == _cayley_edges_oracle(spec)
-    assert g.labels == tuple(_elements(spec.orders))
     assert all(type(c) is int for e in g.edges for c in e)
     # the CLI hands its generators over as a frozenset
     h = cayley_abelian(CayleySpec(spec.orders, frozenset(spec.gens)))
-    assert h.edges == g.edges and h.labels == g.labels
+    assert h.edges == g.edges
 
 
 def test_circulant_matches_the_element_loop():
@@ -73,7 +46,6 @@ def test_circulant_matches_the_element_loop():
         for S in ({1, 3}, {1, N // 2}, {2, N - 1, N + 3}):
             g = circulant(N, S)
             assert g.edges == _cayley_edges_oracle(g.cayley_spec), (N, S)
-            assert g.labels == tuple(range(N))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
@@ -96,7 +68,7 @@ def test_character_spectrum_matches_the_element_loop(spec):
     gen_idx = [_index_of(spec.orders, s) for s in spec.gens]
     eigenvalues = np.sum(1.0 - chars[:, gen_idx].real, axis=1)
     table = character_spectrum(spec)
-    assert table.chars.tobytes() == chars.tobytes()
+    assert table.rows(np.arange(spec.size)).tobytes() == chars.tobytes()
     assert table.eigenvalues.tobytes() == eigenvalues.tobytes()
 
 
@@ -105,9 +77,10 @@ def test_generator_columns_and_rows_match_the_full_table(spec):
     # the check reads only gen_chars and a few rows; each must be the full
     # table's slice bit for bit, single rows included
     table = character_spectrum(spec)
-    chars = table.chars
-    assert table.gen_chars.tobytes() == chars[:, table.gen_idx].tobytes()
     N = spec.size
+    chars = table.rows(np.arange(N))
+    gen_idx = [_index_of(spec.orders, s) for s in spec.gens]
+    assert table.gen_chars.tobytes() == chars[:, gen_idx].tobytes()
     subsets = [[k] for k in range(N)] + [list(range(N)), list(range(0, N, 2)), [N - 1, 0]]
     for ks in subsets:
         assert table.rows(ks).tobytes() == chars[ks].tobytes(), ks
@@ -226,7 +199,7 @@ def test_real_characters_read_from_the_index_match_their_values():
     kinds = set()
     for spec in specs:
         table = character_spectrum(spec)
-        numeric = np.max(np.abs(table.chars.imag), axis=1) <= 1e-9
+        numeric = np.max(np.abs(table.rows(np.arange(spec.size)).imag), axis=1) <= 1e-9
         real = table.real(list(range(spec.size)))
         assert np.array_equal(real, numeric), spec
         kinds.update(real)
@@ -251,7 +224,8 @@ def _abelian_lp_oracle(spec, lam, table):
     """abelian_lp_certificate with the generator columns from index_of and
     the rows from the loop: (status, coefficients, t, complex_only)."""
     idxs = _characters_near(table, lam)
-    V = np.conj(table.chars[np.ix_(idxs, [_index_of(spec.orders, s) for s in spec.gens])])
+    chars = table.rows(np.arange(spec.size))
+    V = np.conj(chars[np.ix_(idxs, [_index_of(spec.orders, s) for s in spec.gens])])
     d = len(idxs)
     res = phase1_feasibility(*_lp_rows_oracle(V))
     if res.objective > 1e-7:
@@ -264,7 +238,7 @@ def _abelian_lp_oracle(spec, lam, table):
     if np.max(np.abs(c @ V - t)) > 1e-7:
         return "degenerate", None, None, False
     support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
-    complex_only = all(np.max(np.abs(table.chars[k].imag)) > 1e-9 for k in support)
+    complex_only = all(np.max(np.abs(chars[k].imag)) > 1e-9 for k in support)
     return "certified", c, t, complex_only
 
 
@@ -285,9 +259,11 @@ def test_character_lp_matches_the_row_loop(monkeypatch):
     shortcuts = 0
     for spec in specs:
         table = character_spectrum(spec)
+        chars = table.rows(np.arange(spec.size))
+        gen_idx = [_index_of(spec.orders, s) for s in spec.gens]
         for lam in table.eigenvalues:
             idxs = _characters_near(table, lam)
-            V = np.conj(table.chars[np.ix_(idxs, table.gen_idx)])
+            V = np.conj(chars[np.ix_(idxs, gen_idx)])
             A, b = character_lp_system(V)
             A0, b0 = _lp_rows_oracle(V)
             assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes(), spec

@@ -8,6 +8,7 @@ import pytest
 from test_census import _connected_graphs
 
 from confrigid.catalog import catalog
+from confrigid.certify import LP_CERTIFY_TOL
 from confrigid.graphs import Graph, circulant, laplacian, normalize_edges
 from confrigid.lp import phase1_feasibility
 from confrigid.sdp import (
@@ -28,7 +29,7 @@ def test_phase1_feasible_system():
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
     b = np.array([1.0, 0.0])
     res = phase1_feasibility(A, b)
-    assert res.feasible
+    assert res.objective <= LP_CERTIFY_TOL
     assert np.allclose(A @ res.x, b, atol=1e-9)
     assert np.all(res.x >= -1e-12)
 
@@ -38,16 +39,16 @@ def test_phase1_infeasible_system():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
     res = phase1_feasibility(A, b)
-    assert not res.feasible
+    assert res.objective > LP_CERTIFY_TOL
     assert res.objective > 0.1
 
 
 def test_phase1_nonnegativity_binds():
     # x1 - x2 = 1 with x >= 0 is feasible; x1 + x2 = -1 is not
     res = phase1_feasibility(np.array([[1.0, -1.0]]), np.array([1.0]))
-    assert res.feasible
+    assert res.objective <= LP_CERTIFY_TOL
     res = phase1_feasibility(np.array([[1.0, 1.0]]), np.array([-1.0]))
-    assert not res.feasible
+    assert res.objective > LP_CERTIFY_TOL
 
 
 def test_phase1_random_consistent_systems():
@@ -58,7 +59,7 @@ def test_phase1_random_consistent_systems():
         x0 = rng.uniform(0.1, 1.0, size=n)
         b = A @ x0  # feasible by construction
         res = phase1_feasibility(A, b)
-        assert res.feasible
+        assert res.objective <= LP_CERTIFY_TOL
         assert np.allclose(A @ res.x, b, atol=1e-8)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confrigid.catalog import catalog
-from confrigid.errors import NotSymmetricError
+from confrigid.errors import EigenvalueError, NotSymmetricError
 from confrigid.graphs import CayleySpec, circulant, laplacian
 from confrigid.spectra import (
     _group,
@@ -34,6 +34,14 @@ def test_grouping_merges_multiplicities():
     U = dec.basis_for(4.0)
     assert U.shape == (4, 3)
     assert np.allclose(U.T @ U, np.eye(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_near_no_eigenvalue(value):
+    dec = eigendecompose(laplacian(catalog("petersen")))
+    for lookup in (dec.index_of, dec.basis_for):
+        with pytest.raises(EigenvalueError, match=f"no eigenvalue near {value}$"):
+            lookup(float(value))
 
 
 def test_nonsymmetric_rejected():
@@ -80,8 +88,7 @@ def test_characters_are_laplacian_eigenvectors():
     g = circulant(12, {1, 4})
     table = character_spectrum(g.cayley_spec)
     L = laplacian(g)
-    for k in range(g.n):
-        chi = table.chars[k]
+    for k, chi in enumerate(table.rows(np.arange(g.n))):
         assert np.max(np.abs(L @ chi - table.eigenvalues[k] * chi)) < 1e-9 * g.n
 
 

@@ -26,10 +26,10 @@ from confrigid.symmetry import (
     compose,
     find_automorphisms,
     group_closure,
-    group_order,
     orbits,
     parse_generators,
 )
+from oracles import group_order
 from test_census import CONNECTED, _connected_graphs
 from test_falsify import _gnm
 
