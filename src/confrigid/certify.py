@@ -182,7 +182,9 @@ def _verified_certificate(
     if not prof.is_edge_isometric:
         return None
     residuals = {
-        "edge_length_spread": float(prof.lengths.max() - prof.lengths.min()),
+        "edge_length_spread": float(
+            np.maximum.reduce(prof.lengths) - np.minimum.reduce(prof.lengths)
+        ),
         "edge_length": prof.c,
     }
     if extra_residuals:
@@ -250,18 +252,18 @@ def abelian_lp_certificate(
     if d == 1 or (d == 2 and not any(table.real(idxs))):
         uniform = np.full(d, 1.0 / d)
         w = uniform @ V
-        t = float(np.mean(w.real))
-        objective = float(np.max(np.abs(w - t)))
+        t = float(np.add.reduce(w.real) / len(w))
+        objective = float(np.maximum.reduce(np.abs(w - t)))
         if objective <= LP_CERTIFY_TOL:
             c = uniform
     if c is None:
         res = phase1_feasibility(*character_lp_system(V))
         objective = res.objective
         if objective <= LP_CERTIFY_TOL:
-            c = np.clip(res.x[:d], 0.0, None)
-            c = c / c.sum()
+            c = np.maximum(res.x[:d], 0.0)
+            c = c / np.add.reduce(c)
             t = float(res.x[d] - res.x[d + 1])
-            if np.max(np.abs(c @ V - t)) > 1e-7:  # substitution check
+            if np.maximum.reduce(np.abs(c @ V - t)) > 1e-7:  # substitution check
                 c = None
     if c is None:
         return LpCertificateResult(
@@ -310,9 +312,11 @@ def lp_certificate_embedding(
     pos = lp.coefficients > 0
     ks = np.asarray(lp.character_indices)[pos]
     chi = np.sqrt(lp.coefficients[pos])[:, None] * table.rows(ks)
-    # n x d x 2 -> n x 2d: the columns Re chi^j, Im chi^j, j by j
-    P = np.stack((chi.real.T, chi.imag.T), axis=2).reshape(chi.shape[1], -1)
-    keep = np.linalg.norm(P, axis=0) > 1e-12
+    # n x 2d: the columns Re chi^j, Im chi^j, j by j
+    P = np.empty((chi.shape[1], 2 * len(chi)))
+    P[:, 0::2] = chi.real.T
+    P[:, 1::2] = chi.imag.T
+    keep = np.sqrt(np.add.reduce(P * P)) > 1e-12
     return make_embedding(g, P[:, keep], lam)
 
 
@@ -375,8 +379,8 @@ def _sdp_embedding(g: Graph, U: np.ndarray, X: np.ndarray, lam: float) -> Embedd
     U V (n x k at most).  Raises EigenvalueError when X has no positive
     eigenvalue, so there is no embedding to test."""
     vals, vecs = np.linalg.eigh((X + X.T) / 2.0)
-    keep = vals > 1e-10 * max(float(vals.max()), 1e-30)
-    if not keep.any():
+    keep = vals > 1e-10 * max(float(np.maximum.reduce(vals)), 1e-30)
+    if not np.logical_or.reduce(keep):
         raise EigenvalueError("the Gram matrix has no positive eigenvalue")
     V = vecs[:, keep] * np.sqrt(vals[keep])
     return make_embedding(g, U @ V, lam)
@@ -441,7 +445,7 @@ def eigenvector_certificate(
             a = np.sqrt(mu[-1]) * W[:, 0] + np.sqrt(-mu[0]) * W[:, -1]
             a /= np.sqrt(mu[-1] - mu[0])
         else:
-            a = W[:, np.argmin(np.abs(mu))]
+            a = W[:, np.abs(mu).argmin()]
         a = a / np.sqrt(a @ G @ a)
     else:
         a = rank_one_vector(gram.X)
@@ -458,7 +462,7 @@ def eigenvector_certificate(
         return None
     return _verified_certificate(
         g,
-        _sdp_embedding(g, U, _commutant_projection(U, p, np.outer(a, a)), lam),
+        _sdp_embedding(g, U, _commutant_projection(U, p, a[:, None] * a), lam),
         "eigenvector",
         {"phi": U @ a, "orbit_sums": sums},
         iso_tol,
@@ -667,7 +671,7 @@ def _certify_end(
     lp_refuted = (
         lp is not None
         and lp.status == "not_in_polytope"
-        and np.sum(np.abs(table.eigenvalues - lam) <= default_group_tol(g.unit_laplacian))
+        and np.add.reduce(np.abs(table.eigenvalues - lam) <= default_group_tol(g.unit_laplacian))
         <= len(characters)
     )
 
@@ -698,7 +702,11 @@ def _certify_end(
         pass  # as at the LP: a merged eigenspace is no eigenspace of lam
 
     facts = decision.residuals()
-    raw = decomposition().raw_eigenvalues if table is None else np.sort(table.eigenvalues)
+    if table is None:
+        raw = decomposition().raw_eigenvalues
+    else:
+        raw = table.eigenvalues.copy()
+        raw.sort()
     # a rigid decision found equal lengths: there is no direction to follow
     if opts.stage_enabled("falsify") and decision.status != "rigid":
         # the end's own extreme raw eigenvalue, not the group mean lam
@@ -712,7 +720,7 @@ def _certify_end(
         # why this end stays undecided: how close the falsifier came
         facts = {**facts, "falsifier_best": wit.best_value, "falsifier_unit": unit}
     # a group_tol below rounding can split lam's eigenspace; say so at an open end
-    near = int(np.sum(np.abs(raw - lam) <= default_group_tol(g.unit_laplacian)))
+    near = int(np.add.reduce(np.abs(raw - lam) <= default_group_tol(g.unit_laplacian)))
     if near > U.shape[1]:
         facts = {**facts, "default_multiplicity": float(near)}
     residuals = {"lp_refuted": 1.0, **facts} if lp_refuted else facts

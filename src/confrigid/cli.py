@@ -18,7 +18,7 @@ from .catalog import catalog, catalog_names
 from .certify import STAGES, CheckOptions, RigidityReport, check_conformal_rigidity
 from .embeddings import canonical_embedding, edge_length_profile, embedding_to_csv
 from .errors import ConfrigidError
-from .graphs import CayleySpec, Graph, cayley_abelian, circulant
+from .graphs import CayleySpec, Graph, cayley_abelian, check_orders, circulant
 from .graphs import parse_edge_list, parse_graph6
 from .spectra import circulant_curve_extremes, eigendecompose
 from .symmetry import parse_generators
@@ -69,6 +69,7 @@ def build_graph(args: argparse.Namespace) -> Graph:
         return circulant(n, s)
     if args.cayley:
         orders = tuple(int(tok) for tok in args.cayley[0].split(","))
+        check_orders(orders)  # before any coordinate is reduced modulo them
         gens: set = set()
         for item in args.cayley[1:]:
             coords = [int(tok) for tok in item.split(",")]

@@ -44,14 +44,14 @@ def make_embedding(g: Graph, points: np.ndarray, eigenvalue: float) -> Embedding
         P = P[:, None]
     if P.shape[0] != g.n:
         raise ValueError("points must have one row per vertex")
-    scale = float(np.max(np.abs(P)))
+    scale = float(np.maximum.reduce(np.abs(P), axis=None))
     if scale == 0.0:
         raise ValueError("zero embedding")
-    resid = np.max(np.abs(g.unit_laplacian @ P - eigenvalue * P))
+    resid = np.maximum.reduce(np.abs(g.unit_laplacian @ P - eigenvalue * P), axis=None)
     _check_residual(
         resid, eigenvalue, max(scale, 1.0), f"columns are not in the eigenspace of {eigenvalue}"
     )
-    if np.max(np.abs(P.sum(axis=0))) > 1e-6 * max(scale, 1.0) * g.n:
+    if np.maximum.reduce(np.abs(np.add.reduce(P))) > 1e-6 * max(scale, 1.0) * g.n:
         raise EigenvalueError("embedding is not centered")
     return Embedding(points=P, eigenvalue=float(eigenvalue))
 
@@ -65,9 +65,9 @@ def canonical_embedding(g: Graph, dec: EigenspaceDecomposition, lam: float) -> E
     if idx == 0:  # the kernel, a group of its own however small lambda_2 is
         raise EigenvalueError("canonical embedding needs a positive eigenvalue")
     value = float(dec.eigenvalues[idx])
-    start = int(dec.multiplicities[:idx].sum())
+    start = int(np.add.reduce(dec.multiplicities[:idx]))
     raw = dec.raw_eigenvalues[start : start + dec.multiplicities[idx]]
-    resid = float(np.max(np.abs(raw - value)))
+    resid = float(np.maximum.reduce(np.abs(raw - value)))
     _check_residual(resid, value, 1.0, f"columns are not in the eigenspace of {value}")
     return Embedding(points=dec.bases[idx], eigenvalue=value)
 
@@ -140,13 +140,12 @@ def edge_length_profile(
     """
     P = e.points
     ends = g.edge_array
-    lengths = np.linalg.norm(P[ends[:, 0]] - P[ends[:, 1]], axis=1)
+    diff = P[ends[:, 0]] - P[ends[:, 1]]
+    lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
     if len(lengths):
-        iso = bool(
-            lengths.max() - lengths.min() <= tol * (1.0 + lengths.max())
-            and lengths.min() > tol
-        )
-        c = float(lengths.mean())
+        hi, lo = np.maximum.reduce(lengths), np.minimum.reduce(lengths)
+        iso = bool(hi - lo <= tol * (1.0 + hi) and lo > tol)
+        c = float(np.add.reduce(lengths) / len(lengths))
     else:
         iso, c = False, 0.0
     return EdgeLengthProfile(points=P, lengths=lengths, is_edge_isometric=iso, c=c, tol=tol)

@@ -131,14 +131,17 @@ def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResu
     _check_end(end)
     if end == "upper":
         d = -d
-    top = float(np.max(-d))
+    top = float(np.maximum.reduce(-d))
     steps = DIRECTION_STEPS / top if top > 0 else ()
     theta = unit * (1.0 + IMPROVE_MARGIN if end == "lower" else 1.0 - IMPROVE_MARGIN)
     base = _shifted(g.unit_laplacian, end, theta)
     # the shifted matrix holds +L(w) at the lower end and -L(w) at the upper
     L_d = _scatter_laplacian(g, d if end == "lower" else -d)
+    screen = np.empty(base.shape)  # base + t L_d, step by step in one buffer
     for j, t in enumerate(steps, start=1):
-        if _positive_definite(base + t * L_d):
+        np.multiply(L_d, t, out=screen)
+        screen += base
+        if _positive_definite(screen):
             # clipping only removes rounding below zero at the boundary step
             w = np.maximum(1.0 + t * d, 0.0)
             val = _value(g, w, end)

@@ -62,7 +62,12 @@ class Graph:
         each degree is summed in edge order."""
         n = self.n
         i, j = self.edge_array.T
-        idx = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)], axis=1).ravel()
+        idx = np.empty((self.m, 4), dtype=int)
+        idx[:, 0] = i * n + j
+        idx[:, 1] = j * n + i
+        idx[:, 2] = i * (n + 1)
+        idx[:, 3] = j * (n + 1)
+        idx = idx.ravel()
         idx.setflags(write=False)
         return idx
 
@@ -79,7 +84,7 @@ class Graph:
 
     def is_regular(self) -> bool:
         deg = self.degrees()
-        return bool(np.all(deg == deg[0]))
+        return bool(np.logical_and.reduce(deg == deg[0]))
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=int)
@@ -136,8 +141,7 @@ class CayleySpec:
     gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.orders or any(o < 1 for o in self.orders):
-            raise ValueError("orders must be positive")
+        check_orders(self.orders)
         if not self.gens:
             raise GeneratorError("empty generating set")
         # each generator reduced mod the orders, repeats dropped, first
@@ -167,21 +171,28 @@ class CayleySpec:
         return tuple((-c) % o for c, o in zip(g, self.orders))
 
 
+def check_orders(orders: tuple[int, ...]) -> None:
+    """Reject a group with no factor or a factor of order below 1, before
+    anything is reduced modulo the orders."""
+    if not orders or any(o < 1 for o in orders):
+        raise ValueError("orders must be positive")
+
+
 def _cayley_edges(spec: CayleySpec) -> tuple[tuple[int, int], ...]:
     """Sorted edges {g, g+s} of the Cayley graph, g in mixed-radix order:
     one wrapped ravel_multi_index of the element grid shifted by every
     generator at once, then lexicographic order with duplicates (each edge
     twice, an involution's once per end) removed by sort-and-diff."""
     N = spec.size
-    grid = np.indices(spec.orders).reshape(len(spec.orders), 1, N)
+    grid = np.array(np.unravel_index(np.arange(N), spec.orders)).reshape(len(spec.orders), 1, N)
     shift = np.array(spec.gens).T[:, :, None]  # r x |S| x 1
     head = np.ravel_multi_index(grid + shift, spec.orders, mode="wrap").ravel()
-    tail = np.tile(np.arange(N), len(spec.gens))
+    tail = np.arange(N * len(spec.gens)) % N
     key = np.minimum(tail, head) * N + np.maximum(tail, head)
     # argsort, not np.sort or np.unique: the check path already runs it,
     # while either of those maps more of numpy into memory on first call
-    key = key[np.argsort(key)]
-    key = key[np.concatenate(([True], np.diff(key) != 0))]
+    key = key[key.argsort()]
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     lo, hi = divmod(key, N)
     return tuple(zip(lo.tolist(), hi.tolist()))
 
@@ -274,18 +285,27 @@ def emit_graph6(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Edge-list text format: first line "n m", then exactly m lines "i j"
     naming m distinct edges ("i j" and "j i" are one edge).  Blank lines
-    are skipped."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    are skipped, but count in the line numbers that errors name."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    n, m = map(int, lines[0].split())
+    n, m = _int_pair(*lines[0], 'the header "n m"')
     if len(lines) - 1 != m:
         raise ValueError(f"header says {m} edges, but {len(lines) - 1} edge lines follow")
-    pairs = []
-    for ln in lines[1:]:
-        i, j = map(int, ln.split())
-        pairs.append((i, j))
+    pairs = [_int_pair(k, ln, 'an edge line "i j"') for k, ln in lines[1:]]
     edges = normalize_edges(n, pairs)
     if len(edges) != m:
         raise ValueError(f"header says {m} edges, but the lines name {len(edges)} distinct edges")
     return Graph(n=n, edges=edges)
+
+
+def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
+    """The two integers of one edge-list line; a ValueError naming the line
+    when it holds anything else."""
+    tokens = line.split()
+    if len(tokens) == 2:
+        try:
+            return int(tokens[0]), int(tokens[1])
+        except ValueError:
+            pass
+    raise ValueError(f"line {lineno}: {what} must be two integers, got {line.strip()!r}")

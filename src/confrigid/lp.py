@@ -50,8 +50,8 @@ def phase1_feasibility(A: np.ndarray, b: np.ndarray) -> Phase1Result:
     T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
     # objective row: minimize sum of artificials -> reduced costs
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
+    T[m, :n] = -np.add.reduce(A)
+    T[m, -1] = -np.add.reduce(b)
     rows = T.tolist()
     basis = list(range(n, n + m))
 

@@ -179,7 +179,7 @@ class LengthDecision:
     @property
     def spread(self) -> float:
         """max |c_r - c_1| over the blocks r: the equal-length residual."""
-        return float(np.max(np.abs(self.c - self.c[0])))
+        return float(np.maximum.reduce(np.abs(self.c - self.c[0])))
 
     def residuals(self) -> dict[str, float]:
         """What an end reports when this decision certified nothing: the
@@ -241,14 +241,14 @@ def length_decision(
         def mean(x: np.ndarray) -> np.ndarray:  # every row is its own block
             return x
 
-    sq = np.sum(B * B, axis=1)
+    sq = np.add.reduce(B * B, axis=1)
     X = np.eye(k) / k
     lengths = mean(sq) / k
-    atoms, A, w = X.reshape(1, -1), lengths[None], np.ones(1)  # the corral
     it = 0
     while True:
-        c = lengths - lengths.mean()
-        gap = float(np.linalg.norm(c) / np.linalg.norm(lengths))
+        c = lengths - np.add.reduce(lengths) / len(lengths)
+        cc = c @ c
+        gap = float(np.sqrt(cc) / np.sqrt(lengths @ lengths))
         if gap <= tol:
             return LengthDecision("rigid", X, c, np.nan, gap, it)
         S = (B.T * c) @ B
@@ -259,30 +259,33 @@ def length_decision(
         if vals[0] > bound:
             return LengthDecision("not_rigid", X, c, float(vals[0]), gap, it)
         # the bottom eigenvalue's whole eigenspace, split only by rounding
-        j = int(np.count_nonzero(vals - vals[0] <= bound))
+        j = int(np.add.reduce(vals - vals[0] <= bound))
         V = vecs[:, :j]
-        atom = mean(np.sum((B @ V) ** 2, axis=1)) / j
+        atom = mean(np.add.reduce((B @ V) ** 2, axis=1)) / j
         # <c, atom - mean> = lambda_min < |c|^2 unless rounding hides the step
-        descent = float(c @ c) - float(c @ (atom - atom.mean()))
+        descent = float(cc) - float(c @ (atom - np.add.reduce(atom) / len(atom)))
         if it == max_iter or descent <= 0.0:
             return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
-        atoms = np.vstack([atoms, (V @ V.T).reshape(1, -1) / j])
-        A = np.vstack([A, atom])
-        w = np.append(w, 0.0)
+        if it == 0:  # the corral, first needed here: the atom I / k alone
+            atoms, A, w = X.reshape(1, -1), lengths[None], np.ones(1)
+        atoms = np.concatenate((atoms, (V @ V.T).reshape(1, -1) / j))
+        A = np.concatenate((A, atom[None]))
+        w = np.concatenate((w, [0.0]))
         while True:  # minor cycle: the corral's affine minimum-norm point
-            Ac = A - A.mean(axis=1, keepdims=True)
-            K = np.pad(Ac @ Ac.T, ((0, 1), (0, 1)), constant_values=1.0)
+            Ac = A - np.add.reduce(A, axis=1, keepdims=True) / A.shape[1]
+            K = np.ones((len(A) + 1, len(A) + 1))
+            K[:-1, :-1] = Ac @ Ac.T
             K[-1, -1] = 0.0
             try:
                 y = np.linalg.solve(K, np.eye(len(K))[-1])[:-1]
             except np.linalg.LinAlgError:  # a singular corral: rounding, as above
                 return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
-            if np.all(y > 0.0):
+            if np.logical_and.reduce(y > 0.0):
                 w = y
                 break
-            out = np.flatnonzero(y <= 0.0)  # walk to the boundary toward y
+            out = (y <= 0.0).nonzero()[0]  # walk to the boundary toward y
             ratio = w[out] / (w[out] - y[out])
-            w = w + ratio.min() * (y - w)
+            w = w + np.minimum.reduce(ratio) * (y - w)
             keep = w > 0.0
             keep[out[ratio.argmin()]] = False  # the atom the walk reached
             atoms, A, w = atoms[keep], A[keep], w[keep]

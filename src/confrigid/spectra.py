@@ -20,7 +20,7 @@ def default_group_tol(M: np.ndarray, scale: float | None = None) -> float:
     """1e-8 * max(1, max|M|) * n; scale is max(1, max|M|) when the caller
     has it, which saves a pass over M."""
     if scale is None:
-        scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
+        scale = max(1.0, float(np.maximum.reduce(np.abs(M), axis=None))) if M.size else 1.0
     return 1e-8 * scale * M.shape[0]
 
 
@@ -45,7 +45,7 @@ class EigenspaceDecomposition:
         """The eigenspace whose value is within group_tol of lam; NaN and
         +-inf are near none (an infinite lam would pass the bound alone)."""
         d = np.abs(self.eigenvalues - lam)
-        k = int(np.argmin(d))
+        k = int(d.argmin())
         if not (abs(lam) < np.inf and d[k] <= self.group_tol + 1e-12 * max(1.0, abs(lam))):
             raise EigenvalueError(f"no eigenvalue near {lam}")
         return k
@@ -87,12 +87,12 @@ def _group(vals: np.ndarray, group_tol: float) -> tuple[np.ndarray, np.ndarray]:
             bounds.append(i)
     bounds.append(len(raw))
     cuts = np.array(bounds)
-    mults = np.diff(cuts)
+    mults = cuts[1:] - cuts[:-1]
     starts = cuts[:-1]
     means = vals[starts]
     pair = mults == 2
     means[pair] = (vals[starts[pair]] + vals[starts[pair] + 1]) / 2
-    for k in np.flatnonzero(mults > 2).tolist():
+    for k in (mults > 2).nonzero()[0].tolist():
         a, b = bounds[k], bounds[k + 1]
         means[k] = np.add.reduce(vals[a:b]) / (b - a)
     return cuts, means
@@ -107,24 +107,27 @@ def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceD
     M must be finite and symmetric to within 1e-12 * max(1, max|M|), tested
     in one pass over M - M.T; that scale is computed once and also sets the
     default group_tol.  A NaN or infinite entry makes max|M| non-finite and
-    raises NotSymmetricError."""
+    raises NotSymmetricError.  An exactly symmetric M (a Laplacian always
+    is) goes to eigh as it is, since (M + M.T) / 2 is then M bit for bit;
+    a nonzero asymmetry within the bound is averaged out."""
     M = np.asarray(M, dtype=float)
-    top = float(np.max(np.abs(M))) if M.size else 0.0
+    top = float(np.maximum.reduce(np.abs(M), axis=None)) if M.size else 0.0
     if not top < np.inf:
         bad = np.argwhere(~np.isfinite(M)).tolist()
         more = " ..." if len(bad) > 8 else ""
         raise NotSymmetricError(f"matrix has non-finite entries at {bad[:8]}{more}")
     scale = max(1.0, top)
-    if M.size and not np.max(np.abs(M - M.T)) <= 1e-12 * scale:
+    asymmetry = np.maximum.reduce(np.abs(M - M.T), axis=None) if M.size else 0.0
+    if not asymmetry <= 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric")
     group_tol = resolve_group_tol(M, group_tol, scale)
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+    vals, vecs = np.linalg.eigh(M if asymmetry == 0.0 else (M + M.T) / 2.0)
     # eigh's columns are orthonormal, so each group's slice is a basis
     cuts, eigenvalues = _group(vals, group_tol)
     bases = [vecs[:, a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
     return EigenspaceDecomposition(
         eigenvalues=eigenvalues,
-        multiplicities=np.diff(cuts),
+        multiplicities=cuts[1:] - cuts[:-1],
         bases=bases,
         group_tol=group_tol,
         raw_eigenvalues=vals,
@@ -195,9 +198,9 @@ class CharacterTable:
 def character_spectrum(spec: CayleySpec) -> CharacterTable:
     """The characters of the group at its generators, with eigenvalues
     lambda_k = sum over the full symmetric S of (1 - Re chi^k(s)).
-    Element coordinates come from one np.indices grid, generator columns
+    Element coordinates come from one unravel of 0..N-1, generator columns
     from one ravel of the generators; no N x N table is built."""
-    grid = np.indices(spec.orders).reshape(len(spec.orders), -1)
+    grid = np.array(np.unravel_index(np.arange(spec.size), spec.orders))
     arr = grid.T.astype(float)  # N x r, mixed-radix order
     # phases[k] @ arr[g] = sum_t k_t * g_t / n_t
     phases = arr / np.array(spec.orders, dtype=float)
@@ -205,7 +208,7 @@ def character_spectrum(spec: CayleySpec) -> CharacterTable:
     # column-major, as the full table's generator columns are: numpy's row
     # sums over the two layouts can round differently
     gen_chars = np.asfortranarray(np.exp(2j * np.pi * _phase_block(phases, arr[gen_idx])))
-    eigenvalues = np.sum(1.0 - gen_chars.real, axis=1)
+    eigenvalues = np.add.reduce(1.0 - gen_chars.real, axis=1)
     return CharacterTable(arr, phases, gen_chars, eigenvalues)
 
 
@@ -217,7 +220,7 @@ def character_eigenspaces(
     rule and group_tol, same means): (means, order, cuts), with order the
     character indices sorted by eigenvalue and order[cuts[i]:cuts[i + 1]]
     the characters of means[i].  No dense eigensolve is made."""
-    order = np.argsort(table.eigenvalues)
+    order = table.eigenvalues.argsort()
     cuts, means = _group(table.eigenvalues[order], group_tol)
     return means, order, cuts
 
@@ -230,7 +233,8 @@ def character_walk1(table: CharacterTable, order: np.ndarray, cuts: np.ndarray) 
     walk1 holds iff for every K the edge entries agree within WALK1_TOL, the
     test `canonical_walk1_check` makes on the dense projectors."""
     sums = np.add.reduceat(table.gen_chars.real[order], cuts[:-1], axis=0)
-    return bool(np.all(sums.max(axis=1) - sums.min(axis=1) <= WALK1_TOL * table.size))
+    spread = np.maximum.reduce(sums, axis=1) - np.minimum.reduce(sums, axis=1)
+    return bool(np.logical_and.reduce(spread <= WALK1_TOL * table.size))
 
 
 def circulant_curve_extremes(n: int) -> tuple[int, int]:
@@ -248,11 +252,11 @@ def circulant_curve_extremes(n: int) -> tuple[int, int]:
     for s in (1, n - 1, N - 1, N - (n - 1)):
         lam += 1.0 - np.cos(2 * np.pi * k * s / N)
     off3 = lam[k % 3 != 0]
-    if np.any(off3 < 2 - 1e-9) or np.any(off3 > 6 + 1e-9):
+    if np.logical_or.reduce((off3 < 2 - 1e-9) | (off3 > 6 + 1e-9)):
         raise AssertionError("off-lattice eigenvalue outside [2, 6]")
     nz = k[1:]
-    argmin = int(nz[np.argmin(lam[1:])])
-    argmax = int(np.argmin(-lam))
+    argmin = int(nz[lam[1:].argmin()])
+    argmax = int((-lam).argmin())
     expect = (3, 3 * (n // 2))
     # ties (odd n has a symmetric pair at the top) resolve to the smaller index
     if abs(lam[argmin] - lam[expect[0]]) > 1e-9 or abs(lam[argmax] - lam[expect[1]]) > 1e-9:

@@ -113,10 +113,10 @@ def orbits(g: Graph, p: PermutationSet) -> OrbitPartition:
     # edges are sorted, so their keys i * n + j are too
     keys = e[:, 0] * g.n + e[:, 1]
     img = P[:, e]  # generators x edges x 2
-    a, b = img.min(axis=2).ravel(), img.max(axis=2).ravel()
+    a, b = np.minimum.reduce(img, axis=2).ravel(), np.maximum.reduce(img, axis=2).ravel()
     # a key past the last edge's searches to m: clip, then compare
-    t = np.minimum(np.searchsorted(keys, a * g.n + b), g.m - 1)
-    bad = np.flatnonzero(keys[t] != a * g.n + b)
+    t = np.minimum(keys.searchsorted(a * g.n + b), g.m - 1)
+    bad = (keys[t] != a * g.n + b).nonzero()[0]
     if len(bad):
         # generators in order, each over the edges in order: the first one
         k = bad[0]
@@ -143,7 +143,7 @@ def cayley_orbits(g: Graph) -> OrbitPartition:
     orders them by their smallest member.  One argsort of the unique keys
     class * m + edge lists each block ascending."""
     spec = g.cayley_spec
-    coords = np.indices(spec.orders).reshape(len(spec.orders), -1)
+    coords = np.array(np.unravel_index(np.arange(g.n), spec.orders))
     orders = np.array(spec.orders)[:, None]
     e = g.edge_array
     diff = (coords[:, e[:, 1]] - coords[:, e[:, 0]]) % orders
@@ -151,9 +151,9 @@ def cayley_orbits(g: Graph) -> OrbitPartition:
         np.ravel_multi_index(diff, spec.orders),
         np.ravel_multi_index(-diff % orders, spec.orders),
     )
-    order = np.argsort(cls * g.m + np.arange(g.m))
+    order = (cls * g.m + np.arange(g.m)).argsort()
     ranked = cls[order]
-    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    cuts = ((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()
     edges = order.tolist()
     return OrbitPartition(
         vertex_orbits=(tuple(range(g.n)),),
@@ -179,25 +179,26 @@ def _refine_colors(g: Graph) -> np.ndarray:
     signatures."""
     n = g.n
     deg = g.degrees()
-    if deg.min() == deg.max():
+    top = np.maximum.reduce(deg)
+    if np.minimum.reduce(deg) == top:
         return np.zeros(n, dtype=np.intp)
     e = g.edge_array
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])
     key = src * n
-    row = np.sort(src)
-    slot = 1 + np.arange(len(src)) - (np.cumsum(deg) - deg)[row]
-    sigs = np.full((n, 1 + int(deg.max())), -1)
-    _, colors = np.unique(deg, return_inverse=True)
+    row = np.arange(n).repeat(deg)  # src sorted: vertex v deg[v] times
+    slot = 1 + np.arange(len(src)) - (deg.cumsum() - deg)[row]
+    sigs = np.full((n, 1 + int(top)), -1)
+    colors = ((np.bincount(deg) > 0).cumsum() - 1)[deg]  # the rank of each degree
     while True:
         far = colors[dst]
         sigs[:, 0] = colors
-        sigs[row, slot] = far[np.argsort(key + far)]
+        sigs[row, slot] = far[(key + far).argsort()]
         rank = np.lexsort(sigs.T[::-1])
         ordered = sigs[rank]
         new = np.zeros(n, dtype=colors.dtype)
-        new[rank[1:]] = (ordered[1:] != ordered[:-1]).any(axis=1).cumsum()
-        if new[rank[-1]] == n - 1 or (new == colors).all():
+        new[rank[1:]] = np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1).cumsum()
+        if new[rank[-1]] == n - 1 or np.logical_and.reduce(new == colors):
             return new  # a discrete partition is stable
         colors = new
 

@@ -94,7 +94,7 @@ def _constant_blocks(entries: np.ndarray, cuts: list[int]) -> bool:
     """Whether every block of rows entries[cuts[i]:cuts[i + 1]] spans at
     most WALK1_TOL in every column."""
     spread = np.maximum.reduceat(entries, cuts) - np.minimum.reduceat(entries, cuts)
-    return not np.any(spread > WALK1_TOL)
+    return not np.logical_or.reduce(spread > WALK1_TOL, axis=None)
 
 
 def _batch_walk1(pairs: np.ndarray, cuts: list[int], bases: list[np.ndarray]) -> bool:
@@ -105,7 +105,7 @@ def _batch_walk1(pairs: np.ndarray, cuts: list[int], bases: list[np.ndarray]) ->
     many rows a dense graph has; they agree with sums taken column by
     column up to the last bits, far inside WALK1_TOL."""
     U = np.concatenate(bases, axis=1)
-    indicator = np.repeat(np.eye(len(bases)), [B.shape[1] for B in bases], axis=0)
+    indicator = np.eye(len(bases)).repeat([B.shape[1] for B in bases], axis=0)
     prod = U[pairs[:, 0]]
     prod *= U[pairs[:, 1]]
     return _constant_blocks(prod @ indicator, cuts)

@@ -182,6 +182,22 @@ def test_edges_file_that_disagrees_with_its_header_is_input_error(tmp_path, caps
         assert count in err
 
 
+def test_edges_file_with_a_malformed_line_names_the_line(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("3 2\n0 1\n\n1 2 0\n")
+    code, out, err = _run(capsys, ["check", "--edges", str(f)])
+    assert (code, out) == (1, "")
+    assert "line 4: an edge line" in err and "'1 2 0'" in err
+    assert "unpack" not in err
+
+
+@pytest.mark.parametrize("argv", [["0", "1"], ["3,0", "1,0"]])
+def test_cayley_order_zero_is_input_error(capsys, argv):
+    code, out, err = _run(capsys, ["check", "--cayley", *argv])
+    assert (code, out) == (1, "")
+    assert err == "error [ValueError]: orders must be positive\n"
+
+
 def test_cayley_generator_arity_is_input_error(capsys):
     code, _, err = _run(capsys, ["check", "--cayley", "6", "1,5"])
     assert code == 1

@@ -157,3 +157,12 @@ def test_parse_edge_list():
     for text in ("3 3\n0 1\n1 2\n1 2\n", "3 3\n0 1\n1 2\n2 1\n"):
         with pytest.raises(ValueError, match="header says 3 edges, but the lines name 2 distinct"):
             parse_edge_list(text)
+    # a malformed line is named by its number, blank lines counted, and quoted
+    for text, message in (
+        ("3\n0 1\n", "line 1: the header \"n m\" must be two integers, got '3'"),
+        ("\n3 2\n\n0 1 5\n1 2\n", "line 4: an edge line \"i j\" must be two integers, got '0 1 5'"),
+        ("3 2\n0 1\n1 x\n", "line 3: an edge line \"i j\" must be two integers, got '1 x'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
