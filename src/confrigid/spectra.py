@@ -107,9 +107,9 @@ def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceD
     M must be finite and symmetric to within 1e-12 * max(1, max|M|), tested
     in one pass over M - M.T; that scale is computed once and also sets the
     default group_tol.  A NaN or infinite entry makes max|M| non-finite and
-    raises NotSymmetricError.  An exactly symmetric M (a Laplacian always
-    is) goes to eigh as it is, since (M + M.T) / 2 is then M bit for bit;
-    a nonzero asymmetry within the bound is averaged out."""
+    raises NotSymmetricError.  M goes to eigh as it is, and eigh reads
+    only its lower triangle, so an asymmetry within the bound is resolved
+    in favour of that triangle."""
     M = np.asarray(M, dtype=float)
     top = float(np.maximum.reduce(np.abs(M), axis=None)) if M.size else 0.0
     if not top < np.inf:
@@ -121,7 +121,7 @@ def eigendecompose(M: np.ndarray, group_tol: float | None = None) -> EigenspaceD
     if not asymmetry <= 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric")
     group_tol = resolve_group_tol(M, group_tol, scale)
-    vals, vecs = np.linalg.eigh(M if asymmetry == 0.0 else (M + M.T) / 2.0)
+    vals, vecs = np.linalg.eigh(M)
     # eigh's columns are orthonormal, so each group's slice is a basis
     cuts, eigenvalues = _group(vals, group_tol)
     bases = [vecs[:, a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]

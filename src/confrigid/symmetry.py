@@ -405,7 +405,7 @@ def cayley_translations(spec: CayleySpec) -> PermutationSet:
     Generator t maps element g to g + e_t: one wrapped ravel of the element
     grid with coordinate t advanced."""
     r = len(spec.orders)
-    grid = np.indices(spec.orders).reshape(r, -1)
+    grid = np.array(np.unravel_index(np.arange(spec.size), spec.orders))
     units = np.eye(r, dtype=int)[:, :, None]  # units[:, t] is e_t as a column
     gens = tuple(
         tuple(np.ravel_multi_index(grid + units[:, t], spec.orders, mode="wrap").tolist())

@@ -19,7 +19,7 @@ from test_falsify import _gnm
 import confrigid
 from confrigid import cli
 from confrigid.catalog import catalog
-from confrigid.certify import check_conformal_rigidity
+from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.graphs import Graph, cartesian_product, circulant
 
 SRC = str(Path(confrigid.__file__).resolve().parent.parent)
@@ -33,7 +33,7 @@ import json
 import sys
 from confrigid import cli
 from confrigid.catalog import catalog
-from confrigid.certify import check_conformal_rigidity
+from confrigid.certify import CheckOptions, check_conformal_rigidity
 from confrigid.graphs import circulant
 
 for g in (circulant(18, {1, 5}), catalog("petersen")):
@@ -63,8 +63,8 @@ NUMPY_PYTHON_ALLOWED = frozenset({"eigh", "eigvalsh", "cholesky", "solve", "ones
 def test_check_enters_numpy_only_through_solvers_and_constructors():
     """A check reaches numpy's Python layer only through the solvers and
     the constructors: every other reduction, sort or fill goes through a
-    ufunc or an ndarray method in C.  A one-shot check runs cold, where a
-    Python-level wrapper costs several times its warm time."""
+    ufunc or an ndarray method in C.  The benchmark times every check
+    cold, where a Python-level wrapper costs several times its hot time."""
     numpy_dir = os.path.dirname(np.__file__) + os.sep
     package_dir = os.path.dirname(confrigid.__file__) + os.sep
 
@@ -76,6 +76,9 @@ def test_check_enters_numpy_only_through_solvers_and_constructors():
                                           "complete_bipartite_4_5", "cycle_48")]
     graphs += [plain(circulant(18, {1, 5})),
                plain(cartesian_product(catalog("petersen"), catalog("complete_2")))]
+    # a Cayley spec whose upper end, without the character LP, reaches the
+    # Eigenvector stage and so the spec's translation generators
+    eigenvector_end = (circulant(12, {1, 2}), CheckOptions(skip_stages=frozenset({"character_lp"})))
 
     sites = collections.Counter()
 
@@ -99,6 +102,7 @@ def test_check_enters_numpy_only_through_solvers_and_constructors():
     try:
         for g in graphs:
             check_conformal_rigidity(g)
+        assert check_conformal_rigidity(*eigenvector_end).upper.method == "Eigenvector"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["family", "6", "8", "--json"]) == 0
     finally:
