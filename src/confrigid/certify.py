@@ -11,10 +11,9 @@ by two Cholesky factorizations.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .spectra import (
     resolve_group_tol,
 )
 from .symmetry import (
-    SEARCH_MAX_N,
     OrbitPartition,
     PermutationSet,
     cayley_orbits,
@@ -91,6 +89,10 @@ class CheckOptions:
 
     def stage_enabled(self, name: str) -> bool:
         return name not in self.skip_stages
+
+
+# the options of a check given none: frozen, so one instance serves every call
+_DEFAULT_OPTIONS = CheckOptions()
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ def abelian_lp_certificate(
     d = len(idxs)
     c = None
     if d == 1 or (d == 2 and not any(table.real(idxs))):
-        uniform = np.full(d, 1.0 / d)
+        uniform = np.empty(d)
+        uniform.fill(1.0 / d)
         w = uniform @ V
         t = float(np.add.reduce(w.real) / len(w))
         objective = float(np.maximum.reduce(np.abs(w - t)))
@@ -361,14 +364,13 @@ def _commutant_projection(
     it keeps X psd and keeps every orbit functional and the trace.
     kron(R, R) is formed by broadcasting: entry (i k + j, a k + b) is the
     one product R[i, a] R[j, b], as np.kron computes it, at a fraction of
-    its call overhead."""
+    its call overhead.  All generators go through each product at once,
+    and H = sum_g D_g^T D_g is summed in generator order."""
     k = U.shape[1]
-    H = np.zeros((k * k, k * k))
-    for sigma in p.gens:
-        R = U.T @ U[np.array(sigma)]
-        D = (R[:, None, :, None] * R[None, :, None, :]).reshape(k * k, k * k)
-        D -= np.eye(k * k)
-        H += D.T @ D
+    R = U.T @ U[np.array(p.gens, dtype=int).reshape(-1, len(U))]  # gens x k x k
+    D = (R[:, :, None, :, None] * R[:, None, :, None, :]).reshape(-1, k * k, k * k)
+    D.reshape(-1, k**4)[:, :: k * k + 1] -= 1.0  # kron(R, R) - I
+    H = np.add.reduce(D.transpose(0, 2, 1) @ D, axis=0, initial=0.0)
     vals, vecs = np.linalg.eigh(H)
     N = vecs[:, vals <= 1e-9 * max(1.0, float(vals[-1]))]
     return (N @ (N.T @ X.reshape(-1))).reshape(k, k)
@@ -487,7 +489,7 @@ def product_rigidity(
     factor cannot be certified."""
     from .embeddings import product_embedding
 
-    options = options or CheckOptions()
+    options = options or _DEFAULT_OPTIONS
     repG = check_conformal_rigidity(gG, options)
     # a repeated factor is checked once (equal graphs may differ in spec)
     same = gH == gG and gH.cayley_spec == gG.cayley_spec
@@ -558,8 +560,9 @@ class _Group:
 
     Supplied generators and a Cayley spec's orbits are taken up front, so a
     non-automorphism raises even when no end reads the group.  Otherwise
-    the search runs the first time an end reads the orbits, and never above
-    SEARCH_MAX_N.  A Cayley spec's translations are built only when the
+    the search runs the first time an end reads the orbits, at any order:
+    its node budget, not n, bounds it, and `exhausted` reports a search
+    that ran out.  A Cayley spec's translations are built only when the
     symmetrized SDP asks for the generators.  seconds is the time spent
     building, wherever it ran."""
 
@@ -570,9 +573,7 @@ class _Group:
         self.exhausted: bool | None = None  # None when no search ran
         self.seconds = 0.0
         # whether the first read of the orbits runs the search
-        self._search = (
-            generators is None and g.cayley_spec is None and g.n <= SEARCH_MAX_N
-        )
+        self._search = generators is None and g.cayley_spec is None
         if generators is not None or g.cayley_spec is not None:
             t0 = time.perf_counter()
             if generators is not None:
@@ -581,7 +582,7 @@ class _Group:
                 self.partition = cayley_orbits(g)
             self.seconds = time.perf_counter() - t0
 
-    def orb(self) -> OrbitPartition | None:
+    def orb(self) -> OrbitPartition:
         if self._search:
             self._search = False
             t0 = time.perf_counter()
@@ -591,16 +592,29 @@ class _Group:
             self.seconds += time.perf_counter() - t0
         return self.partition
 
-    def perms(self) -> PermutationSet | None:
-        if self.orb() is not None and self._perms is None:
+    def perms(self) -> PermutationSet:
+        self.orb()  # a search finds the generators with the orbits
+        if self._perms is None:  # a Cayley spec's orbits come without them
             t0 = time.perf_counter()
             self._perms = cayley_translations(self._g.cayley_spec)
             self.seconds += time.perf_counter() - t0
         return self._perms
 
     def vertex_transitive(self) -> bool:
-        orb = self.orb()
-        return orb is not None and orb.num_vertex_orbits == 1
+        return self.orb().num_vertex_orbits == 1
+
+
+def _once(build: Callable[[], object]) -> Callable[[], object]:
+    """build() on the first call, and the same result on every later one: a
+    plain closure, several times cheaper to make than functools.cache."""
+    memo = []
+
+    def get():
+        if not memo:
+            memo.append(build())
+        return memo[0]
+
+    return get
 
 
 def _falsify_end(
@@ -636,27 +650,29 @@ def _certify_end(
     def certified(cert: Certificate | None, method: str) -> EndReport | None:
         return cert and EndReport(end, "certified", method, cert, None, cert.residuals)
 
-    @functools.cache
-    def canonical() -> Certificate | None:
+    def canonical_test() -> Certificate | None:
         try:
             emb = canonical_embedding(g, decomposition(), lam)
         except EigenvalueError:
             return None
         return _verified_certificate(g, emb, "canonical_isometric", {}, opts.iso_tol)
 
+    canonical = _once(canonical_test)
+
     def labelled(kind: str, method: str) -> EndReport | None:
         """EdgeTransitive, OneWalkRegular and CanonicalIsometric share one
         test of the canonical embedding; only the label differs."""
         cert = canonical()
-        return certified(cert and replace(cert, kind=kind), method)
+        return cert and certified(
+            Certificate(kind, cert.eigenvalue, cert.embedding, cert.payload, cert.residuals), method
+        )
 
     # with no table the canonical test goes first, so only an end it passes
     # reads the group; a table's spec orbits are already at hand.  The
     # projector U U^T commutes with every automorphism, so an edge-transitive
     # group makes the canonical embedding edge-isometric
     if opts.stage_enabled("edge_transitive") and (table is not None or canonical()):
-        orb = group.orb()
-        if orb is not None and orb.num_edge_orbits == 1:
+        if group.orb().num_edge_orbits == 1:
             if found := labelled("edge_transitive", "EdgeTransitive"):
                 return found
 
@@ -757,7 +773,7 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     test, or an end the LP does not certify.  Both ends must certify for
     the headline verdict.
     """
-    opts = options or CheckOptions()
+    opts = options or _DEFAULT_OPTIONS
     if not g.is_connected():
         raise DisconnectedError("conformal rigidity is defined for connected graphs")
     if g.n < 2:
@@ -765,9 +781,7 @@ def check_conformal_rigidity(g: Graph, options: CheckOptions | None = None) -> R
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    decomposition = functools.cache(
-        lambda: eigendecompose(g.unit_laplacian, group_tol=opts.group_tol)
-    )
+    decomposition = _once(lambda: eigendecompose(g.unit_laplacian, group_tol=opts.group_tol))
     table = lower_chars = upper_chars = None
     if opts.stage_enabled("character_lp") and g.cayley_spec is not None:
         table = character_spectrum(g.cayley_spec)  # shared by both ends

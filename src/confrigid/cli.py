@@ -169,9 +169,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     if not (6 <= lo <= hi <= 64):
         raise ValueError("family range must lie within 6..64")
     rows = []
+    opts = None
     for n in range(lo, hi + 1):
         g = circulant(3 * n, {1, n - 1})
-        opts = build_options(args, g)
+        # the family takes no --gens, so one set of options serves every n
+        opts = opts or build_options(args, g)
         rep = check_conformal_rigidity(g, opts)
         kmin, kmax = circulant_curve_extremes(n)
         rows.append({

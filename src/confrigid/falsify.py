@@ -147,7 +147,8 @@ def line_search(g: Graph, end: str, d: np.ndarray, unit: float) -> FalsifierResu
             val = _value(g, w, end)
             if _is_improvement(end, val, unit):
                 return FalsifierResult(end=end, best_w=w, best_value=val, improved=True, trials=j)
-    best, best_w = unit, np.ones(g.m)
+    best, best_w = unit, np.empty(g.m)
+    best_w.fill(1.0)
     j = 0
     for j, t in enumerate(steps, start=1):
         w = np.maximum(1.0 + t * d, 0.0)

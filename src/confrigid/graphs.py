@@ -54,24 +54,6 @@ class Graph:
         return e
 
     @functools.cached_property
-    def laplacian_index(self) -> np.ndarray:
-        """Read-only flat index of length 4m into an n x n Laplacian: for
-        each edge (i, j) in order, the entries (i, j), (j, i), (i, i) and
-        (j, j).  `laplacian` scatters the signed weights onto it with one
-        bincount; the diagonal entries come in edge_array.ravel() order, so
-        each degree is summed in edge order."""
-        n = self.n
-        i, j = self.edge_array.T
-        idx = np.empty((self.m, 4), dtype=int)
-        idx[:, 0] = i * n + j
-        idx[:, 1] = j * n + i
-        idx[:, 2] = i * (n + 1)
-        idx[:, 3] = j * (n + 1)
-        idx = idx.ravel()
-        idx.setflags(write=False)
-        return idx
-
-    @functools.cached_property
     def unit_laplacian(self) -> np.ndarray:
         """The unit-weight Laplacian laplacian(self) as a read-only n x n
         array, built once."""
@@ -235,9 +217,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(n=n, edges=normalize_edges(n, pairs))
 
 
-_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])  # per edge: (i, j), (j, i), (i, i), (j, j)
-
-
 def laplacian(g: Graph, w=None) -> np.ndarray:
     """Weighted Laplacian L(w) = D(w) - A(w); unit weights when w is None.
 
@@ -245,13 +224,13 @@ def laplacian(g: Graph, w=None) -> np.ndarray:
     construction.  Weight-zero edges stay in the edge list; they vanish only
     at the Laplacian level.  Weights must be finite and nonnegative.
 
-    One bincount scatters -w_e, -w_e, w_e, w_e onto g.laplacian_index.
-    That is bit for bit what a per-edge loop gives: each off-diagonal bin
-    gets one term, 0.0 + -w_e (a zero weight stays +0.0), and each diagonal
-    bin sums its vertex's weights in edge order.
+    The off-diagonal entries are written as 0.0 - w_e (a zero weight gives
+    +0.0), and one bincount sums each vertex's weights in edge order: bit
+    for bit what a per-edge loop gives.
     """
     if w is None:
-        w = np.ones(g.m)
+        w = np.empty(g.m)
+        w.fill(1.0)
     w = np.asarray(w, dtype=float)
     if w.shape != (g.m,):
         raise WeightError(f"expected {g.m} weights, got shape {w.shape}")
@@ -265,10 +244,13 @@ def laplacian(g: Graph, w=None) -> np.ndarray:
 
 def _scatter_laplacian(g: Graph, w: np.ndarray) -> np.ndarray:
     """D(w) - A(w) for any float vector w of one value per edge, signed
-    ones included, with no check: the bincount behind `laplacian`."""
-    # bincount of no indices is an integer array, whatever the weights
-    L = np.bincount(g.laplacian_index, (w[:, None] * _SIGNS).ravel(), g.n * g.n)
-    return L.astype(float, copy=False).reshape(g.n, g.n)
+    ones included, with no check: the scatter behind `laplacian`."""
+    n, e = g.n, g.edge_array
+    L = np.zeros((n, n))
+    L[e[:, 0], e[:, 1]] = L[e[:, 1], e[:, 0]] = 0.0 - w
+    # the edges' ends in edge order, each weight once per end
+    L.reshape(-1)[:: n + 1] = np.bincount(e.reshape(-1), w.repeat(2), n)
+    return L
 
 
 def parse_graph6(text: str) -> Graph:

@@ -242,7 +242,8 @@ def length_decision(
             return x
 
     sq = np.add.reduce(B * B, axis=1)
-    X = np.eye(k) / k
+    X = np.zeros((k, k))
+    X.reshape(-1)[:: k + 1] = 1.0 / k
     lengths = mean(sq) / k
     it = 0
     while True:
@@ -253,7 +254,7 @@ def length_decision(
             return LengthDecision("rigid", X, c, np.nan, gap, it)
         S = (B.T * c) @ B
         # a 1 x 1 S(c) is its own eigenvalue, with eigenvector 1: no solve
-        vals, vecs = np.linalg.eigh(S) if k > 1 else (S[0], np.ones((1, 1)))
+        vals, vecs = np.linalg.eigh(S) if k > 1 else (S[0], np.array([[1.0]]))
         # sum |c_e| |b_e|^2 bounds |S(c)|, so rounding cannot pass this test
         bound = DUAL_TOL * float(np.abs(c) @ sq)
         if vals[0] > bound:
@@ -267,17 +268,20 @@ def length_decision(
         if it == max_iter or descent <= 0.0:
             return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
         if it == 0:  # the corral, first needed here: the atom I / k alone
-            atoms, A, w = X.reshape(1, -1), lengths[None], np.ones(1)
+            atoms, A, w = X.reshape(1, -1), lengths[None], np.array([1.0])
         atoms = np.concatenate((atoms, (V @ V.T).reshape(1, -1) / j))
         A = np.concatenate((A, atom[None]))
         w = np.concatenate((w, [0.0]))
         while True:  # minor cycle: the corral's affine minimum-norm point
             Ac = A - np.add.reduce(A, axis=1, keepdims=True) / A.shape[1]
-            K = np.ones((len(A) + 1, len(A) + 1))
+            K = np.empty((len(A) + 1, len(A) + 1))
+            K.fill(1.0)
             K[:-1, :-1] = Ac @ Ac.T
             K[-1, -1] = 0.0
+            e = np.zeros(len(K))  # the last unit vector
+            e[-1] = 1.0
             try:
-                y = np.linalg.solve(K, np.eye(len(K))[-1])[:-1]
+                y = np.linalg.solve(K, e)[:-1]
             except np.linalg.LinAlgError:  # a singular corral: rounding, as above
                 return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
             if np.logical_and.reduce(y > 0.0):

@@ -9,10 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphTooLargeError, GroupTooLargeError, NotAutomorphismError
+from .errors import GroupTooLargeError, NotAutomorphismError
 from .graphs import CayleySpec, Graph
 
-SEARCH_MAX_N = 512  # order cap of the search; the check skips it above
 GROUP_CAP = 10**6  # most elements group_closure lists
 
 
@@ -188,7 +187,8 @@ def _refine_colors(g: Graph) -> np.ndarray:
     key = src * n
     row = np.arange(n).repeat(deg)  # src sorted: vertex v deg[v] times
     slot = 1 + np.arange(len(src)) - (deg.cumsum() - deg)[row]
-    sigs = np.full((n, 1 + int(top)), -1)
+    sigs = np.empty((n, 1 + int(top)), dtype=int)
+    sigs.fill(-1)
     colors = ((np.bincount(deg) > 0).cumsum() - 1)[deg]  # the rank of each degree
     while True:
         far = colors[dst]
@@ -222,7 +222,9 @@ def _search_adjacency(g: Graph) -> tuple[list[int], list[list[int]]]:
             nbr[i].append(j)
             nbr[j].append(i)
         return adj, nbr
-    free = ~np.eye(n, dtype=bool)
+    free = np.empty((n, n), dtype=bool)
+    free.fill(True)
+    free.reshape(-1)[:: n + 1] = False
     free[e[:, 0], e[:, 1]] = free[e[:, 1], e[:, 0]] = False
     rows = np.packbits(free, axis=1, bitorder="little").tobytes()
     w = len(rows) // n
@@ -267,10 +269,8 @@ def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
     the same automorphisms and the same equitable colouring, so
     _refine_colors(g) serves both; the tree, and so the generators, then
     differ from a search on G's own edges, but the group they generate
-    does not.  Graphs above SEARCH_MAX_N vertices raise
-    GraphTooLargeError."""
-    if g.n > SEARCH_MAX_N:
-        raise GraphTooLargeError(f"automorphism search capped at n = {SEARCH_MAX_N}")
+    does not.  The search runs at any order: it keeps its path on an
+    explicit stack, and only `limit` bounds its work."""
     n = g.n
     colors = _refine_colors(g)
     class_size = np.bincount(colors)
@@ -331,30 +331,47 @@ def find_automorphisms(g: Graph, limit: int = 500_000) -> PermutationSet:
         adjacent to the images of all its prefix neighbours (`mask`) that
         have no other used neighbour: the prefix is exactly `used`, so that
         is a popcount equal to the number of those neighbours.  Each is
-        tested just before its search, in ascending order."""
+        tested just before its search, in ascending order.  The search
+        holds its path on an explicit stack, one [image, untried
+        candidates, prefix count] entry per open level, so its depth is
+        not bounded by Python's recursion limit."""
         nonlocal nodes, exhausted, used
-        if nodes >= limit:
-            exhausted = True
-            return False
-        nodes += 1
-        image[level] = c
-        level += 1
-        if level == n:
-            return True
-        used |= 1 << c
-        mask = level_class[level] & ~used
-        nbrs = prefix_nbrs[level]
-        for j in nbrs:
-            mask &= adj[image[j]]
-        k = len(nbrs)
-        while mask:
-            low = mask & -mask
-            d = low.bit_length() - 1
-            if (adj[d] & used).bit_count() == k and extend(level, d):
+        start = used
+        stack: list[list[int]] = []
+        while True:
+            if nodes >= limit:  # out of budget: every open level fails
+                exhausted = True
+                used = start
+                return False
+            nodes += 1
+            image[level] = c
+            level += 1
+            if level == n:
+                used = start
+                return True
+            used |= 1 << c
+            mask = level_class[level] & ~used
+            nbrs = prefix_nbrs[level]
+            for j in nbrs:
+                mask &= adj[image[j]]
+            stack.append([c, mask, len(nbrs)])
+            while stack:  # the next candidate of the deepest open level
+                placed, mask, k = stack[-1]
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    c = low.bit_length() - 1
+                    if (adj[c] & used).bit_count() == k:
+                        break
+                else:  # none left: the level fails, and its parent moves on
+                    stack.pop()
+                    used ^= 1 << placed
+                    level -= 1
+                    continue
+                stack[-1][1] = mask
                 break
-            mask ^= low
-        used ^= 1 << c
-        return mask != 0
+            else:
+                return False
 
     for level in range(n - 1, -1, -1):
         v = order[level]
@@ -406,7 +423,8 @@ def cayley_translations(spec: CayleySpec) -> PermutationSet:
     grid with coordinate t advanced."""
     r = len(spec.orders)
     grid = np.array(np.unravel_index(np.arange(spec.size), spec.orders))
-    units = np.eye(r, dtype=int)[:, :, None]  # units[:, t] is e_t as a column
+    units = np.zeros((r, r, 1), dtype=int)  # units[:, t] is e_t as a column
+    units.reshape(-1)[:: r + 1] = 1
     gens = tuple(
         tuple(np.ravel_multi_index(grid + units[:, t], spec.orders, mode="wrap").tolist())
         for t in range(r)

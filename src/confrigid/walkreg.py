@@ -105,7 +105,9 @@ def _batch_walk1(pairs: np.ndarray, cuts: list[int], bases: list[np.ndarray]) ->
     many rows a dense graph has; they agree with sums taken column by
     column up to the last bits, far inside WALK1_TOL."""
     U = np.concatenate(bases, axis=1)
-    indicator = np.eye(len(bases)).repeat([B.shape[1] for B in bases], axis=0)
+    eye = np.zeros((len(bases), len(bases)))
+    eye.reshape(-1)[:: len(bases) + 1] = 1.0
+    indicator = eye.repeat([B.shape[1] for B in bases], axis=0)
     prod = U[pairs[:, 0]]
     prod *= U[pairs[:, 1]]
     return _constant_blocks(prod @ indicator, cuts)

@@ -31,7 +31,6 @@ from confrigid.certify import (
 from confrigid.embeddings import ISO_TOL, edge_length_profile
 from confrigid.errors import (
     DisconnectedError,
-    GraphTooLargeError,
     HypothesisViolatedError,
     NotVertexTransitiveError,
 )
@@ -865,18 +864,17 @@ def test_character_table_built_once_per_check(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [512, 513])
-def test_check_searches_automorphisms_up_to_the_search_cap(n):
+def test_check_searches_automorphisms_at_any_order(n):
+    # no order caps the search: cycle_513 is labelled as cycle_512 is, and
+    # hypercube_10 (n = 1024, one search level per vertex) is searched in
+    # full without running out of Python's recursion limit
     g = catalog(f"cycle_{n}")
     rep = check_conformal_rigidity(g)
-    if n == 512:
-        assert rep.edge_orbits == 1
-        assert (rep.lower.method, rep.upper.method) == ("EdgeTransitive",) * 2
-    else:
-        with pytest.raises(GraphTooLargeError):
-            find_automorphisms(g)
-        assert rep.edge_orbits is None
-        assert rep.search_exhausted is None
-        assert (rep.lower.method, rep.upper.method) == ("OneWalkRegular",) * 2
+    assert rep.edge_orbits == 1
+    assert rep.search_exhausted is False
+    assert (rep.lower.method, rep.upper.method) == ("EdgeTransitive",) * 2
+    if n == 513:
+        assert not find_automorphisms(catalog("hypercube_10")).exhausted
 
 
 def test_report_says_whether_the_search_ran_out(monkeypatch):

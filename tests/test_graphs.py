@@ -9,6 +9,7 @@ from confrigid.errors import GeneratorError, WeightError
 from confrigid.graphs import (
     CayleySpec,
     Graph,
+    _scatter_laplacian,
     cartesian_product,
     cayley_abelian,
     circulant,
@@ -113,16 +114,26 @@ def test_laplacian_rows_sum_to_zero():
     w = np.arange(1, g.m + 1, dtype=float)
     Lw = laplacian(g, w)
     assert np.allclose(Lw.sum(axis=1), 0.0)
+
+    def per_edge(w):
+        ref = np.zeros((g.n, g.n))
+        for (i, j), we in zip(g.edges, w):
+            ref[i, j] -= we
+            ref[j, i] -= we
+            ref[i, i] += we
+            ref[j, j] += we
+        return ref
+
     # bit for bit what a per-edge loop gives, zero weights included
     w = np.random.default_rng(0).exponential(size=g.m)
     w[::3] = 0.0
-    ref = np.zeros((g.n, g.n))
-    for (i, j), we in zip(g.edges, w):
-        ref[i, j] -= we
-        ref[j, i] -= we
-        ref[i, i] += we
-        ref[j, j] += we
-    assert laplacian(g, w).tobytes() == ref.tobytes()
+    assert laplacian(g, w).tobytes() == per_edge(w).tobytes()
+    # and so is the falsifier's signed scatter of a centred direction, with
+    # negative entries and exact zeros
+    d = w - np.add.reduce(w) / g.m
+    d[1::4] = 0.0
+    assert (d < 0).any() and (d > 0).any()
+    assert _scatter_laplacian(g, d).tobytes() == per_edge(d).tobytes()
     # one weight per edge: a stack of rows is no weight vector
     with pytest.raises(WeightError, match="expected"):
         laplacian(g, np.stack([w, np.ones(g.m)]))

@@ -1,12 +1,16 @@
-"""What a check takes from numpy.  It imports no numpy submodule it does
-not need: numpy.ma, pulled in by the first np.unique call on numpy 2.4,
-adds about 1 MB to a process's peak memory, and the first guard catches
-such an import without measuring memory.  And it calls numpy's
-Python-level code only for the linalg solvers and the array constructors
-(the second guard)."""
+"""What a check takes from numpy and the standard library.  It imports no
+numpy submodule it does not need: numpy.ma, pulled in by the first
+np.unique call on numpy 2.4, adds about 1 MB to a process's peak memory,
+and the first guard catches such an import without measuring memory.  It
+calls numpy's Python-level code only for the linalg solvers (the second
+guard), and no Python-level code of functools or dataclasses but the
+first read of a cached property (the third).  And a check given no
+options builds none (the fourth)."""
 
 import collections
 import contextlib
+import dataclasses
+import functools
 import io
 import os
 import subprocess
@@ -56,17 +60,16 @@ def test_check_does_not_import_numpy_ma():
 
 
 # numpy's Python-level functions a check may call directly: the linalg
-# solvers and the array constructors
-NUMPY_PYTHON_ALLOWED = frozenset({"eigh", "eigvalsh", "cholesky", "solve", "ones", "full", "eye"})
+# solvers
+NUMPY_PYTHON_ALLOWED = frozenset({"eigh", "eigvalsh", "cholesky", "solve"})
 
 
-def test_check_enters_numpy_only_through_solvers_and_constructors():
-    """A check reaches numpy's Python layer only through the solvers and
-    the constructors: every other reduction, sort or fill goes through a
-    ufunc or an ndarray method in C.  The benchmark times every check
-    cold, where a Python-level wrapper costs several times its hot time."""
-    numpy_dir = os.path.dirname(np.__file__) + os.sep
-    package_dir = os.path.dirname(confrigid.__file__) + os.sep
+def _profile_check_path(hook):
+    """Run checks on the paths the benchmark's workloads take, with `hook`
+    as the profile function: plain graphs through the search, the
+    falsifier and the Eigenvector stage, Cayley specs through the
+    character LP and the Eigenvector stage, and the family scan through
+    cli.main."""
 
     def plain(g):
         return Graph(g.n, g.edges, name=g.name)
@@ -80,23 +83,6 @@ def test_check_enters_numpy_only_through_solvers_and_constructors():
     # Eigenvector stage and so the spec's translation generators
     eigenvector_end = (circulant(12, {1, 2}), CheckOptions(skip_stages=frozenset({"character_lp"})))
 
-    sites = collections.Counter()
-
-    def hook(frame, event, arg):
-        if event != "call":
-            return
-        code = frame.f_code
-        caller = frame.f_back
-        if (not code.co_filename.startswith(numpy_dir) or caller is None
-                or not caller.f_code.co_filename.startswith(package_dir)):
-            return
-        name = code.co_name
-        if (name in NUMPY_PYTHON_ALLOWED or name.endswith("_dispatcher")
-                or os.path.basename(code.co_filename) == "multiarray.py"):
-            return
-        where = os.path.relpath(caller.f_code.co_filename, package_dir)
-        sites[f"{where}:{caller.f_lineno} {caller.f_code.co_name} -> np {name}"] += 1
-
     old = sys.getprofile()
     sys.setprofile(hook)
     try:
@@ -107,5 +93,87 @@ def test_check_enters_numpy_only_through_solvers_and_constructors():
             assert cli.main(["family", "6", "8", "--json"]) == 0
     finally:
         sys.setprofile(old)
-    assert not sites, "numpy Python-level calls on the check path:\n" + "\n".join(
+
+
+def _calls_from_package(library_files, allowed):
+    """A profile hook and the Counter it fills: one entry per call site in
+    the package whose callee's code lies in `library_files` (a path prefix
+    or a tuple of them) and is not `allowed(code)`."""
+    package_dir = os.path.dirname(confrigid.__file__) + os.sep
+    sites = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        caller = frame.f_back
+        if (not code.co_filename.startswith(library_files) or caller is None
+                or not caller.f_code.co_filename.startswith(package_dir)
+                or allowed(code)):
+            return
+        where = os.path.relpath(caller.f_code.co_filename, package_dir)
+        lib = os.path.basename(code.co_filename)
+        sites[f"{where}:{caller.f_lineno} {caller.f_code.co_name} -> {lib} {code.co_name}"] += 1
+
+    return hook, sites
+
+
+def _report(what, sites):
+    return f"{what} Python-level calls on the check path:\n" + "\n".join(
         f"  {site} ({count}x)" for site, count in sorted(sites.items()))
+
+
+def test_check_enters_numpy_only_through_solvers():
+    """A check reaches numpy's Python layer only through the linalg
+    solvers: every other reduction, sort or fill goes through a ufunc, an
+    ndarray method or a C constructor (np.empty or np.zeros, then .fill or
+    a diagonal slice).  The benchmark times every check cold, where a
+    Python-level wrapper costs several times its hot time."""
+
+    def allowed(code):
+        return (code.co_name in NUMPY_PYTHON_ALLOWED or code.co_name.endswith("_dispatcher")
+                or os.path.basename(code.co_filename) == "multiarray.py")
+
+    hook, sites = _calls_from_package(os.path.dirname(np.__file__) + os.sep, allowed)
+    _profile_check_path(hook)
+    assert not sites, _report("numpy", sites)
+
+
+def test_check_calls_no_functools_or_dataclasses_code():
+    """functools.cache builds its wrapper in Python, several times the cost
+    of a closure when cold, and dataclasses.replace walks the fields in
+    Python: a check memoises with a plain closure and builds a relabelled
+    certificate directly.  The one exception is cached_property.__get__,
+    the first read of Graph.edge_array and Graph.unit_laplacian."""
+    files = (functools.__file__, dataclasses.__file__)
+
+    def allowed(code):
+        return code.co_filename == functools.__file__ and code.co_name == "__get__"
+
+    hook, sites = _calls_from_package(files, allowed)
+    _profile_check_path(hook)
+    assert not sites, _report("functools / dataclasses", sites)
+
+
+def test_check_builds_options_only_when_given_some(monkeypatch):
+    """CheckOptions validates itself in __post_init__: a check given no
+    options shares one default instance, and a CLI run builds one set of
+    options however many graphs it checks."""
+    calls = []
+    post_init = CheckOptions.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CheckOptions, "__post_init__", spy)
+    check_conformal_rigidity(catalog("petersen"))
+    check_conformal_rigidity(circulant(18, {1, 5}))
+    assert calls == []
+    for argv in (["check", "--catalog", "petersen", "--json"],
+                 ["family", "6", "8", "--json"],
+                 ["embed", "--catalog", "petersen", "--json"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == 1, argv
