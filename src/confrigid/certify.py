@@ -33,8 +33,7 @@ from .errors import (
 )
 from .falsify import FalsifierResult, line_search, reverify
 from .graphs import Graph
-from .lp import phase1_feasibility
-from .sdp import FEAS_TOL, LengthDecision, length_decision, rank_one_vector
+from .sdp import DUAL_TOL, FEAS_TOL, LengthDecision, length_decision, min_norm_point, rank_one_vector
 from .spectra import (
     CharacterTable,
     EigenspaceDecomposition,
@@ -205,14 +204,14 @@ def _verified_certificate(
 # ---------------------------------------------------------------------------
 
 
-# the bound on the character LP's objective and on the one-class residual
-# under which an end is certified
+# the character stage's tolerance on the relative spread |c| / |l| of the
+# edge lengths its combination gives, and on its residual lp_objective
 LP_CERTIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LpCertificateResult:
-    status: str  # "certified" | "not_in_polytope" | "degenerate"
+    status: str  # "certified" | "not_in_polytope" | "undecided"
     coefficients: np.ndarray | None
     character_indices: tuple[int, ...]
     t: float | None
@@ -228,54 +227,64 @@ def abelian_lp_certificate(
     sum_j c_j * chi^j_Gamma = t * 1.
 
     characters are the indices of the eigenspace's characters in table, as
-    `character_eigenspaces` groups them (any order; the LP takes them
+    `character_eigenspaces` groups them (any order; they are taken
     ascending).
 
-    When the characters form one conjugate class ({chi} or {chi, conj chi},
-    neither real) the only candidate is the uniform c = 1/d: on a pair the
-    imaginary rows force c_1 = c_2 unless Im chi vanishes on S, and then
-    every c gives the same values.  Its values at the generators are one
-    d x |S| product, t is the mean of their real parts, and the end is
-    certified when every value lies within LP_CERTIFY_TOL of t; the
-    residual is reported as lp_objective.  Every other eigenspace, and a
-    class that misses the bound, goes to the phase-1 simplex.
+    The embedding of c has squared length sum_j c_j l_j(s) on the edges
+    {g, g + s}, with l_j(s) = 1 - Re chi_j(s) (up to a factor 2), so the
+    question is whether some convex combination of the atoms l_j has equal
+    entries: `min_norm_point` decides it, with the atom of least <c, l_j>
+    as its oracle, from the uniform combination c = 1/d, which settles
+    almost every class at once.  Only real parts enter: a class is closed
+    under conjugation and conjugates have the same l_j, so c averaged over
+    each pair {chi, conj chi} gives the same lengths and sum_j c_j chi_j
+    real; a run that leaves the uniform start is averaged so, and its
+    weights of 1e-10 or less (rounding on atoms the point does not need)
+    are dropped and the rest rescaled.  t is the mean real part of
+    sum_j c_j conj chi_j(s) over the generators and lp_objective the
+    largest |sum_j c_j conj chi_j(s) - t|, at the point the run reached.
 
-    Certified implies an edge-isometric embedding on that eigenspace exists;
-    not_in_polytope (LP objective above 1e-7) implies none exists, hence at
-    lambda_2 or lambda_n the graph is not rigid at that end; degenerate is
-    an objective in (LP_CERTIFY_TOL, 1e-7] or a solution that fails the
-    substitution check.
+    Certified (the run stops rigid, |c| / |l| <= LP_CERTIFY_TOL, and
+    lp_objective <= LP_CERTIFY_TOL) implies an edge-isometric embedding on
+    that eigenspace exists; not_in_polytope (every l_j beyond rounding on
+    the far side of the hyperplane c) implies none exists, hence at
+    lambda_2 or lambda_n the graph is not rigid at that end; undecided is
+    a run that rounding stalled or that reached its cap, or a rigid stop
+    whose values are not real.
     """
     idxs = sorted(int(k) for k in characters)
     # chi_Gamma / |Gamma| has entry s equal to conj(chi(s))
     V = np.conj(table.gen_chars[idxs])  # d x |S|
     d = len(idxs)
-    c = None
-    if d == 1 or (d == 2 and not any(table.real(idxs))):
-        uniform = np.empty(d)
-        uniform.fill(1.0 / d)
-        w = uniform @ V
-        t = float(np.add.reduce(w.real) / len(w))
-        objective = float(np.maximum.reduce(np.abs(w - t)))
-        if objective <= LP_CERTIFY_TOL:
-            c = uniform
-    if c is None:
-        res = phase1_feasibility(*character_lp_system(V))
-        objective = res.objective
-        if objective <= LP_CERTIFY_TOL:
-            c = np.maximum(res.x[:d], 0.0)
-            c = c / np.add.reduce(c)
-            t = float(res.x[d] - res.x[d + 1])
-            if np.maximum.reduce(np.abs(c @ V - t)) > 1e-7:  # substitution check
-                c = None
-    if c is None:
-        return LpCertificateResult(
-            status="not_in_polytope" if objective > 1e-7 else "degenerate",
-            coefficients=None,
-            character_indices=tuple(idxs),
-            t=None,
-            lp_objective=objective,
-        )
+
+    def least_atom(c: np.ndarray) -> tuple:
+        L = 1.0 - V.real  # the atoms: each character's edge lengths
+        values = L @ c
+        j = int(values.argmin())
+        atom = np.zeros(d)
+        atom[j] = 1.0
+        # every l_j(s) lies in [0, 2], so 2 sum |c| bounds |<c, l_j>|
+        return float(values[j]), DUAL_TOL * 2.0 * float(np.add.reduce(np.abs(c))), atom, L[j]
+
+    uniform = np.empty(d)
+    uniform.fill(1.0 / d)
+    w = uniform @ V
+    res = min_norm_point(uniform, 1.0 - w.real, least_atom, LP_CERTIFY_TOL)
+    c = res.X
+    if res.iterations:
+        # Re sum_s chi_j chi_j'(s) = |S| exactly when chi_j' = conj chi_j on S,
+        # which generates the group; otherwise it is |S| - lambda_2 or less
+        c = (c + c[(V @ V.T).real.argmax(axis=0)]) / 2.0
+        c[c <= 1e-10] = 0.0  # rounding-level weights: atoms the point does not need
+        c = c / np.add.reduce(c)
+        w = c @ V
+    t = float(np.add.reduce(w.real) / len(w))
+    objective = float(np.maximum.reduce(np.abs(w - t)))
+    # sum_j c_j chi_j is real only on a class closed under conjugation, and
+    # a group_tol below rounding can split one
+    if res.status != "rigid" or objective > LP_CERTIFY_TOL:
+        status = "not_in_polytope" if res.status == "not_rigid" else "undecided"
+        return LpCertificateResult(status, None, tuple(idxs), None, objective)
     # does a single real eigenvector achieve it, or only a complex combination?
     support = [k for k, ck in zip(idxs, c) if ck > 1e-10]
     return LpCertificateResult(
@@ -286,23 +295,6 @@ def abelian_lp_certificate(
         lp_objective=objective,
         complex_only=not any(table.real(support)),
     )
-
-
-def character_lp_system(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The character LP A x = b, x >= 0, for the d x |S| generator values V
-    of d characters.  The variables are c_1..c_d, t_plus and t_minus; each
-    generator s gives the rows Re(c V[:, s]) - t = 0 and Im(c V[:, s]) = 0,
-    in that order, and the last row is sum c = 1: (2|S| + 1) x (d + 2)."""
-    d, s = V.shape
-    A = np.zeros((2 * s + 1, d + 2))
-    A[0 : 2 * s : 2, :d] = V.real.T
-    A[0 : 2 * s : 2, d] = -1.0
-    A[0 : 2 * s : 2, d + 1] = 1.0
-    A[1 : 2 * s : 2, :d] = V.imag.T
-    A[-1, :d] = 1.0
-    b = np.zeros(2 * s + 1)
-    b[-1] = 1.0
-    return A, b
 
 
 def lp_certificate_embedding(
@@ -718,6 +710,8 @@ def _certify_end(
         pass  # as at the LP: a merged eigenspace is no eigenspace of lam
 
     facts = decision.residuals()
+    if lp is not None:  # how far the character stage got
+        facts = {"lp_objective": lp.lp_objective, **facts}
     if table is None:
         raw = decomposition().raw_eigenvalues
     else:

@@ -1,11 +1,17 @@
 """Dense phase-1 simplex (Bland's rule) for small equality-form feasibility
 problems: find x >= 0 with A x = b, by minimizing the sum of artificial
-variables.  Dimensions here are tiny: the character LP over d characters of
-an eigenvalue and a generating set S is (2|S| + 1) x (d + 2).  At that size
-a numpy call costs more than the arithmetic it does, so the tableau is set
-up with numpy and pivoted on Python floats: one IEEE-754 double operation
-for each of numpy's, in the same order, so the pivots and every bit of the
-result are those of the array version."""
+variables.  Reference code that no check calls: the character stage decides
+its polytope with `sdp.min_norm_point`, and the tests solve the character
+LP over d characters of an eigenvalue and a generating set S, a
+(2|S| + 1) x (d + 2) system, with this simplex as the reference.  The
+benchmark's tracer still names `phase1_feasibility`, so it stays until the
+benchmark drops it.  On dense classes it is unreliable: on the complete
+graph K_56 as a circulant it stops at objective 1 after 2,573 pivots, and on
+K_48 its x misses the system by 0.68 although its objective is below 1e-9.  At these sizes a numpy
+call costs more than the arithmetic it does, so the tableau is set up with
+numpy and pivoted on Python floats: one IEEE-754 double operation for each
+of numpy's, in the same order, so the pivots and every bit of the result
+are those of the array version."""
 
 from __future__ import annotations
 

@@ -1,13 +1,15 @@
 """One equal-length Gram matrix per eigenspace: the primal-dual decision on
 the mean squared lengths of edge blocks (Wolfe's minimum-norm point over
 the spectraplex), and `rank_one_vector`, which reads a rank-one Gram matrix
-as a vector.  The explicit instance (`build_sdp_instance`), its Dykstra
+as a vector.  The minimum-norm point itself (`min_norm_point`) takes its
+atoms from an oracle, so the character stage decides its polytope with it
+too.  The explicit instance (`build_sdp_instance`), its Dykstra
 solver `sdp_feasibility` and Barvinok-Pataki rank reduction (`rank_reduce`)
 are test oracles that no check calls."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +20,11 @@ from .symmetry import OrbitPartition, PermutationSet
 
 RANK_CUTOFF = 1e-7
 
-# A guard: atoms `length_decision` adds before it reports "undecided".
+# A guard: atoms `min_norm_point` adds before it reports "undecided".
 DECISION_ITERATIONS = 500
-# `length_decision` reports "not_rigid" when lambda_min(S(c)) exceeds this
-# multiple of sum_e |c_e| |b_e|^2, a bound on |S(c)|: far above rounding.
+# `min_norm_point` reports "not_rigid" when the least <c, l> over its atoms
+# exceeds this multiple of a bound on |<c, l>| (sum_e |c_e| |b_e|^2 for
+# `length_decision`, a bound on |S(c)|): far above rounding.
 DUAL_TOL = 1e-10
 FEAS_TOL = 1e-8
 
@@ -160,13 +163,15 @@ def sdp_feasibility(
 
 @dataclass(frozen=True)
 class LengthDecision:
-    """Outcome of `length_decision`.
+    """Outcome of `min_norm_point`, as `length_decision` reads it.
 
     status is "rigid" when X gives every edge block the same mean squared
     length to within the tolerance, "not_rigid" when S(c) is positive
     definite, "undecided" at the iteration cap or where rounding stalls.
     c is the centred block means of the squared edge lengths of X, one
     entry per edge, dual_min_eig is lambda_min(S(c)) and gap is |c| / |l|.
+    For the character stage X is the weights over the characters, c the
+    centred edge lengths they give and dual_min_eig the least <c, l_j>.
     """
 
     status: str  # "rigid" | "not_rigid" | "undecided"
@@ -202,17 +207,11 @@ def length_decision(
 
     Exactly one of two things holds: such an X exists, or some centred c,
     constant on the blocks, has S(c) = B^T diag(c) B positive definite (the
-    separating hyperplane).  Wolfe's algorithm finds the minimum-norm point
-    of the centred block means c(X).  The gradient of |c(X)|^2 is S(c); its
-    linear minimizer over the spectraplex, the atom V V^T / j on the bottom
-    eigenspace V of S(c) (j columns), joins a corral that starts at I / k.
-    The minor cycle weights the corral at the affine minimum-norm point of
-    its centred length vectors (one (s+1) x (s+1) solve), walking to the
-    boundary and dropping an atom while a weight is not positive; X is the
-    weighted sum of the atoms.  The run stops at "rigid" when |c| <= tol |l|,
-    at "not_rigid" when lambda_min(S(c)) > 0 beyond rounding (DUAL_TOL), and
-    at "undecided" at the max_iter guard or where rounding stalls the run (no
-    descent left, or a singular corral), with the X and c it reached.
+    separating hyperplane).  `min_norm_point` finds the minimum-norm point
+    of the centred block means c(X), from the atom I / k.  The gradient of
+    |c(X)|^2 is S(c), and its linear minimizer over the spectraplex is the
+    atom V V^T / j on the bottom eigenspace V of S(c) (j columns), whose
+    value is lambda_min(S(c)).
     At k = 1, S(c) is the 1 x 1 matrix c . sum B^2, reported as dual_min_eig:
     |c|^2 only up to rounding, since c sums to zero only up to rounding.
     A 1 x 1 matrix is its own eigenvalue, so no eigensolve runs, and
@@ -241,36 +240,77 @@ def length_decision(
         def mean(x: np.ndarray) -> np.ndarray:  # every row is its own block
             return x
 
-    sq = np.add.reduce(B * B, axis=1)
-    X = np.zeros((k, k))
-    X.reshape(-1)[:: k + 1] = 1.0 / k
-    lengths = mean(sq) / k
-    it = 0
-    while True:
-        c = lengths - np.add.reduce(lengths) / len(lengths)
-        cc = c @ c
-        gap = float(np.sqrt(cc) / np.sqrt(lengths @ lengths))
-        if gap <= tol:
-            return LengthDecision("rigid", X, c, np.nan, gap, it)
+    def bottom_eigenspace(c: np.ndarray) -> tuple:
         S = (B.T * c) @ B
         # a 1 x 1 S(c) is its own eigenvalue, with eigenvector 1: no solve
         vals, vecs = np.linalg.eigh(S) if k > 1 else (S[0], np.array([[1.0]]))
         # sum |c_e| |b_e|^2 bounds |S(c)|, so rounding cannot pass this test
         bound = DUAL_TOL * float(np.abs(c) @ sq)
-        if vals[0] > bound:
-            return LengthDecision("not_rigid", X, c, float(vals[0]), gap, it)
+        if vals[0] > bound:  # the run stops here: no atom is needed
+            return float(vals[0]), bound, None, None
         # the bottom eigenvalue's whole eigenspace, split only by rounding
         j = int(np.add.reduce(vals - vals[0] <= bound))
         V = vecs[:, :j]
-        atom = mean(np.add.reduce((B @ V) ** 2, axis=1)) / j
-        # <c, atom - mean> = lambda_min < |c|^2 unless rounding hides the step
-        descent = float(cc) - float(c @ (atom - np.add.reduce(atom) / len(atom)))
+        return float(vals[0]), bound, V @ V.T / j, mean(np.add.reduce((B @ V) ** 2, axis=1)) / j
+
+    sq = np.add.reduce(B * B, axis=1)
+    X = np.zeros((k, k))
+    X.reshape(-1)[:: k + 1] = 1.0 / k
+    return min_norm_point(X, mean(sq) / k, bottom_eigenspace, tol, max_iter)
+
+
+def min_norm_point(
+    start: np.ndarray,
+    lengths: np.ndarray,
+    oracle: Callable[[np.ndarray], tuple],
+    tol: float,
+    max_iter: int = DECISION_ITERATIONS,
+) -> LengthDecision:
+    """Wolfe's minimum-norm point of the centred length vectors
+    c(x) = l(x) - mean l(x) over the convex hull of a set of atoms, each an
+    array x with a length vector l(x) that is linear in x (Wolfe, "Finding
+    the nearest point in a polytope", Math. Programming 11 (1976)); start
+    is one atom and lengths its length vector.  An atom of equal lengths
+    has c = 0; the equal-length decisions of `length_decision` (Gram
+    matrices) and of the character stage (weights over characters) are
+    both this question.
+
+    oracle(c) returns (value, bound, atom, length): an atom minimizing
+    <c, l(x)>, its length vector, that minimum, and a bound on its
+    rounding (DUAL_TOL times a bound on |<c, l(x)>|); atom and length may
+    be None when value > bound.  A point with equal lengths has <c, l> = 0
+    for centred c, so value > bound separates every atom, and their hull,
+    from equal lengths.
+    The atoms the run has used form a corral; the minor cycle weights it at
+    the affine minimum-norm point of its centred length vectors (one
+    (s+1) x (s+1) solve), walking to the boundary and dropping an atom
+    while a weight is not positive; the point is the weighted sum of the
+    atoms.  The run stops at "rigid" when |c| <= tol |l| (or c = 0), at
+    "not_rigid" when value > bound, with value as dual_min_eig, and at
+    "undecided" at the max_iter guard or where rounding stalls the run (no
+    descent left, or a singular corral), with the point (X) and c it
+    reached.  The corral is first built at the first descent, so a run
+    that ends at iteration 0 returns start itself.
+    """
+    X = start
+    it = 0
+    while True:
+        c = lengths - np.add.reduce(lengths) / len(lengths)
+        cc = c @ c
+        gap = float(np.sqrt(cc) / np.sqrt(lengths @ lengths)) if cc else 0.0
+        if gap <= tol:
+            return LengthDecision("rigid", X, c, np.nan, gap, it)
+        value, bound, atom, length = oracle(c)
+        if value > bound:
+            return LengthDecision("not_rigid", X, c, value, gap, it)
+        # <c, atom - mean> = value < |c|^2 unless rounding hides the step
+        descent = float(cc) - float(c @ (length - np.add.reduce(length) / len(length)))
         if it == max_iter or descent <= 0.0:
-            return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
-        if it == 0:  # the corral, first needed here: the atom I / k alone
-            atoms, A, w = X.reshape(1, -1), lengths[None], np.array([1.0])
-        atoms = np.concatenate((atoms, (V @ V.T).reshape(1, -1) / j))
-        A = np.concatenate((A, atom[None]))
+            return LengthDecision("undecided", X, c, value, gap, it)
+        if it == 0:  # the corral, first needed here: the start alone
+            atoms, A, w = start.reshape(1, -1), lengths[None], np.array([1.0])
+        atoms = np.concatenate((atoms, atom.reshape(1, -1)))
+        A = np.concatenate((A, length[None]))
         w = np.concatenate((w, [0.0]))
         while True:  # minor cycle: the corral's affine minimum-norm point
             Ac = A - np.add.reduce(A, axis=1, keepdims=True) / A.shape[1]
@@ -283,7 +323,7 @@ def length_decision(
             try:
                 y = np.linalg.solve(K, e)[:-1]
             except np.linalg.LinAlgError:  # a singular corral: rounding, as above
-                return LengthDecision("undecided", X, c, float(vals[0]), gap, it)
+                return LengthDecision("undecided", X, c, value, gap, it)
             if np.logical_and.reduce(y > 0.0):
                 w = y
                 break
@@ -293,7 +333,7 @@ def length_decision(
             keep = w > 0.0
             keep[out[ratio.argmin()]] = False  # the atom the walk reached
             atoms, A, w = atoms[keep], A[keep], w[keep]
-        X = (w @ atoms).reshape(k, k)
+        X = (w @ atoms).reshape(start.shape)
         lengths = w @ A
         it += 1
 

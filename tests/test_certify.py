@@ -18,6 +18,7 @@ from test_transitive_gate import dihedral_cayley
 
 import confrigid
 from confrigid import certify, cli, sdp, symmetry
+from confrigid import lp as lp_module
 from confrigid.catalog import catalog
 from confrigid.certify import (
     STAGES,
@@ -43,7 +44,6 @@ from confrigid.graphs import (
     laplacian,
     normalize_edges,
 )
-from confrigid.lp import Phase1Result
 from confrigid.sdp import length_decision
 from confrigid.spectra import (
     CharacterTable,
@@ -153,78 +153,142 @@ def test_lp_certifies_circulant_18_1_5_both_ends():
         assert emb.dim <= 2 * len(lp.character_indices)
 
 
+def _kernel_exits(monkeypatch):
+    """The outcomes of the character stage's `min_norm_point` runs."""
+    exits = []
+    kernel = certify.min_norm_point
+
+    def recording(*args):
+        exits.append(kernel(*args))
+        return exits[-1]
+
+    monkeypatch.setattr(certify, "min_norm_point", recording)
+    return exits
+
+
 def test_lp_rejects_triangular_prism_as_cayley_graph(monkeypatch):
     # the triangular prism is Cay(Z_6, {2, 3, 4}); rigidity fails at lambda_2.
     # Both end classes are one conjugate class, {chi^3} at lambda_2 and
     # {chi^1, chi^5} at lambda_n, whose uniform combination is not constant
-    # on S: each goes to the simplex once, which refutes it
+    # on S: the kernel separates each at its start, and lp_objective is the
+    # uniform combination's residual, 4/3 on chi^3's values 1, -1, 1 and
+    # 1/3 on the pair's real parts -1/2, -1, -1/2
     g = circulant(6, {2, 3})
     assert g.m == 9 and g.degrees().tolist() == [3] * 6
     table, ends = _end_classes(g)
     assert [sorted(chars.tolist()) for _, chars in ends] == [[3], [1, 5]]
-    calls = _count_calls(monkeypatch, certify, "phase1_feasibility")
-    for _, chars in ends:
-        calls.clear()
+    exits = _kernel_exits(monkeypatch)
+    for (_, chars), objective in zip(ends, (4 / 3, 1 / 3)):
+        exits.clear()
         lp = abelian_lp_certificate(table, chars)
-        assert lp.status == "not_in_polytope"
-        assert len(calls) == 1
+        assert (lp.status, lp.coefficients, lp.t) == ("not_in_polytope", None, None)
+        assert lp.lp_objective == pytest.approx(objective, abs=1e-12)
+        [res] = exits
+        assert (res.status, res.iterations) == ("not_rigid", 0)
+        assert res.dual_min_eig > 0
 
 
-def test_lp_takes_the_simplex_only_for_the_multi_class_end(monkeypatch):
+def test_lp_kernel_leaves_the_uniform_start_only_when_it_must(monkeypatch):
     # circulant(12, {1, 2, 4, 5}): the lambda_2 class has 9 characters in
-    # several conjugate classes and is certified by one simplex call, with
-    # the coefficients and t of that solve bit for bit; the lambda_n class
-    # {chi^4, chi^8} is one class, certified by its uniform combination
-    # with no simplex call
+    # several conjugate classes, and the lambda_n class {chi^4, chi^8} is
+    # one; the uniform combination of each has equal edge lengths, so both
+    # are certified at the kernel's start, and the lambda_2 class's support
+    # holds the real chi^6.  The upper class {chi^3, chi^4, chi^8, chi^9} of
+    # circulant(12, {1, 2}) needs one step, to chi^4; averaged over the
+    # conjugate pairs and cleared of rounding-level weights, c puts 1/2 on
+    # chi^4 and chi^8 and nothing on chi^3 and chi^9, and
+    # sum_j c_j conj chi_j is real and constant on S
     g = circulant(12, {1, 2, 4, 5})
     table, [(_, low), (lam, high)] = _end_classes(g)
     assert sorted(low.tolist()) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
     assert sorted(high.tolist()) == [4, 8]
-    calls = _count_calls(monkeypatch, certify, "phase1_feasibility")
-    lp = abelian_lp_certificate(table, low)
-    assert lp.status == "certified" and len(calls) == 1
-    d = len(low)
-    V = np.conj(table.gen_chars[sorted(low.tolist())])
-    res = certify.phase1_feasibility(*certify.character_lp_system(V))
-    c = np.clip(res.x[:d], 0.0, None)
-    c = c / c.sum()
-    assert lp.coefficients.tobytes() == c.tobytes()
-    assert lp.t == float(res.x[d] - res.x[d + 1])
-    assert lp.lp_objective == res.objective
-    calls.clear()
-    lp = abelian_lp_certificate(table, high)
-    assert not calls
-    assert (lp.status, lp.coefficients.tolist(), lp.complex_only) == (
-        "certified", [0.5, 0.5], True)
+    exits = _kernel_exits(monkeypatch)
+    for chars, complex_only in ((low, False), (high, True)):
+        lp = abelian_lp_certificate(table, chars)
+        d = len(chars)
+        assert (lp.status, lp.coefficients.tolist(), lp.complex_only) == (
+            "certified", [1.0 / d] * d, complex_only)
+        assert lp.lp_objective <= certify.LP_CERTIFY_TOL
+    assert [(res.status, res.iterations) for res in exits] == [("rigid", 0)] * 2
     assert lp.t == pytest.approx(-0.5, abs=1e-12)
-    assert lp.lp_objective <= certify.LP_CERTIFY_TOL
+    emb = lp_certificate_embedding(g, table, lp, lam)
+    assert edge_length_profile(emb, g).is_edge_isometric
+
+    exits.clear()
+    g = circulant(12, {1, 2})
+    table, [_, (lam, high)] = _end_classes(g)
+    assert sorted(high.tolist()) == [3, 4, 8, 9]
+    lp = abelian_lp_certificate(table, high)
+    [res] = exits
+    assert (res.status, res.iterations) == ("rigid", 1)
+    assert lp.status == "certified" and lp.complex_only
+    assert lp.coefficients == pytest.approx([0, 0.5, 0.5, 0], abs=1e-12)
+    assert lp.coefficients[[0, 3]].tolist() == [0.0, 0.0]
+    w = lp.coefficients @ np.conj(table.gen_chars[sorted(high.tolist())])
+    assert np.max(np.abs(w - lp.t)) == lp.lp_objective <= certify.LP_CERTIFY_TOL
     emb = lp_certificate_embedding(g, table, lp, lam)
     assert edge_length_profile(emb, g).is_edge_isometric
 
 
 @pytest.mark.parametrize(
-    "objective, x, status",
-    [
-        (1e-8, [0.5, 0.5, 0.0, 0.0], "degenerate"),  # objective in (1e-9, 1e-7]
-        (1e-7, [0.5, 0.5, 0.0, 0.0], "degenerate"),
-        (0.0, [1.0, 0.0, 5.0, 0.0], "degenerate"),  # fails the substitution check
-        (2e-7, [0.5, 0.5, 0.0, 0.0], "not_in_polytope"),
-    ],
+    "kernel_exit, status",
+    [("not_rigid", "not_in_polytope"), ("undecided", "undecided"), ("rigid", "undecided")],
 )
-def test_lp_failure_keeps_its_status(monkeypatch, objective, x, status):
+def test_lp_failure_keeps_its_status(monkeypatch, kernel_exit, status):
     # the lambda_n class of the prism Cay(Z_6, {2, 3, 4}) is the pair
-    # {chi^1, chi^5}, whose real parts on S are -1/2, -1, -1/2: its uniform
-    # combination misses the bound, so the simplex runs.  The solver's answer
-    # is replaced, so each exit of the LP is reached
+    # {chi^1, chi^5}, whose real parts on S are -1/2, -1, -1/2.  The
+    # kernel's exit is replaced, so each exit of the stage is reached: a
+    # separation refutes, a stalled run decides nothing, and a rigid exit
+    # whose sum_j c_j conj chi_j(s) misses t certifies nothing either
     g = circulant(6, {2, 3})
     table, [_, (_, chars)] = _end_classes(g)
     assert sorted(chars.tolist()) == [1, 5]
     assert np.conj(table.gen_chars[1]).real.tolist() == pytest.approx([-0.5, -1.0, -0.5])
-    result = Phase1Result(np.array(x), objective, 0)
-    monkeypatch.setattr(certify, "phase1_feasibility", lambda A, b: result)
+    c = np.array([0.5, 0.5])
+    result = sdp.LengthDecision(kernel_exit, c, c, 0.0, 0.0, 0)
+    monkeypatch.setattr(certify, "min_norm_point", lambda *args: result)
     lp = abelian_lp_certificate(table, chars)
     assert (lp.status, lp.coefficients, lp.t) == (status, None, None)
-    assert (lp.lp_objective, lp.character_indices) == (objective, tuple(sorted(chars.tolist())))
+    assert lp.character_indices == tuple(sorted(chars.tolist()))
+    assert lp.lp_objective == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_split_class_is_not_certified_from_real_parts_alone():
+    # at group_tol = 1e-16 the lower class of circulant(10, {2, 3}) is chi^4
+    # alone, split from chi^6 by rounding.  Its real parts are constant on S,
+    # so the kernel stops rigid, but chi^4 itself is not: sum_j c_j chi_j is
+    # real only on a class closed under conjugation.  The end stays open,
+    # not refuted, with the kernel's residual among its residuals
+    g = circulant(10, {2, 3})
+    table = character_spectrum(g.cayley_spec)
+    _, order, cuts = character_eigenspaces(table, 1e-16)
+    assert order[cuts[1] : cuts[2]].tolist() == [4]
+    lp = abelian_lp_certificate(table, [4])
+    assert lp.status == "undecided"
+    # conj chi^4 is cos(0.4 pi) -+ i sin(0.4 pi) on S = {2, 3, 7, 8}
+    assert lp.lp_objective == pytest.approx(np.sin(0.4 * np.pi), rel=1e-9)
+    rep = check_conformal_rigidity(g, CheckOptions(group_tol=1e-16))
+    assert rep.lower.verdict == "undecided"
+    assert rep.lower.residuals["lp_objective"] == lp.lp_objective
+    assert "lp_refuted" not in rep.lower.residuals
+
+
+@pytest.mark.parametrize("N", [48, 56, 64])
+def test_complete_circulants_are_certified_by_their_uniform_combination(monkeypatch, N):
+    # K_N as circulant(N, {1, ..., N / 2}): both ends are the one eigenvalue
+    # N, whose N - 1 characters average to -1 / (N - 1) at every generator,
+    # so the kernel certifies at its start.  The phase-1 simplex on the
+    # character LP returns degenerate on K_48, which left its ends to
+    # OneWalkRegular, and an objective of 1 on K_56 and K_64 after thousands
+    # of pivots, which left them undecided
+    monkeypatch.setattr(lp_module, "phase1_feasibility", _raising("phase1_feasibility"))
+    g = circulant(N, set(range(1, N // 2 + 1)))
+    t0 = time.perf_counter()
+    rep = check_conformal_rigidity(g)
+    assert time.perf_counter() - t0 < 0.1
+    for er in (rep.lower, rep.upper):
+        assert (er.verdict, er.method) == ("certified", "CharacterLP")
+        assert er.certificate.payload["t"] == pytest.approx(-1 / (N - 1), abs=1e-12)
 
 
 def _rigid_decision(g, U, orb):
@@ -455,22 +519,15 @@ def test_family_scan_makes_no_dense_eigensolve(monkeypatch, capsys):
 
 def test_family_scan_pivots_and_evaluates_each_character_once(monkeypatch, capsys):
     # every end of the family is one conjugate class whose uniform
-    # combination is constant on S, so no end reaches the simplex; each
-    # certified end evaluates its whole characters once, for its embedding
-    its = []
-    phase1 = certify.phase1_feasibility
-
-    def counting_phase1(A, b):
-        res = phase1(A, b)
-        its.append(res.iterations)
-        return res
-
-    monkeypatch.setattr(certify, "phase1_feasibility", counting_phase1)
+    # combination is constant on S, so the kernel stops rigid at its start
+    # on every end; each certified end evaluates its whole characters once,
+    # for its embedding
+    exits = _kernel_exits(monkeypatch)
     rows = _count_calls(monkeypatch, CharacterTable, "rows")
     assert cli.main(["family", "6", "24", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert {(r["lowerVerdict"], r["upperVerdict"]) for r in report} == {("certified",) * 2}
-    assert (len(its), sum(its)) == (0, 0)
+    assert [(res.status, res.iterations) for res in exits] == [("rigid", 0)] * 38
     assert len(rows) == 38
     rows.clear()
     rep = check_conformal_rigidity(circulant(18, {1, 5}))

@@ -3,15 +3,16 @@ per-element loops they replaced, kept as oracles here and, for the group
 elements, in oracles.py.  Each kernel must
 agree with its loop exactly: the same edges and permutations, the
 same characters and eigenvalues bit for bit, and the same LP solution,
-objective and pivot count, and the same character LP system."""
+objective and pivot count.  The character stage's kernel is held to the
+simplex on the reference LP: the same status on every class."""
 
 import numpy as np
 import pytest
 from oracles import _add, _cayley_edges_oracle, _elements, _index_of
 
-from confrigid import certify
+from confrigid import certify, lp
 from confrigid.catalog import catalog
-from confrigid.certify import abelian_lp_certificate, character_lp_system
+from confrigid.certify import abelian_lp_certificate
 from confrigid.graphs import CayleySpec, cayley_abelian, circulant, laplacian
 from confrigid.lp import PIVOT_TOL, phase1_feasibility
 from confrigid.spectra import character_spectrum, eigendecompose
@@ -207,7 +208,8 @@ def test_real_characters_read_from_the_index_match_their_values():
 
 
 def _lp_rows_oracle(V):
-    """The per-generator row loop character_lp_system replaced."""
+    """The reference character LP A x = b, x >= 0, one generator's real and
+    imaginary rows at a time: (2|S| + 1) x (d + 2)."""
     d = V.shape[0]
     rows, rhs = [], []
     for col in range(V.shape[1]):
@@ -243,47 +245,31 @@ def _abelian_lp_oracle(spec, lam, table):
 
 
 def test_character_lp_matches_the_row_loop(monkeypatch):
-    # an end that reaches the simplex matches the oracle bit for bit; a
-    # one-class end certified by its uniform combination, with no simplex
-    # call, is one the oracle certifies too, with the same complex_only, and
-    # its (c, t) solves the oracle's system
+    # the simplex over the row loop's system is the reference: each class
+    # gets the reference's status with no simplex call from certify, and a
+    # certified c gives sum_j c_j Re chi_j(s) the value t at every
+    # generator (the LP's real rows; the kernel reads no imaginary part).
+    # The specs add a class of several conjugate classes, circulant(12,
+    # {1, 2, 4, 5}) at lambda_2, and the 15 characters of K_16
     calls = []
-
-    def counting_phase1(A, b):
-        calls.append(1)
-        return phase1_feasibility(A, b)
-
-    monkeypatch.setattr(certify, "phase1_feasibility", counting_phase1)
+    monkeypatch.setattr(lp, "phase1_feasibility", lambda A, b: calls.append(1))
+    assert not hasattr(certify, "phase1_feasibility")
     specs = SPECS + [circulant(N, {1, 3}).cayley_spec for N in range(4, 40)]
+    specs += [circulant(12, {1, 2, 4, 5}).cayley_spec, circulant(16, set(range(1, 9))).cayley_spec]
     statuses = set()
-    shortcuts = 0
     for spec in specs:
         table = character_spectrum(spec)
-        chars = table.rows(np.arange(spec.size))
-        gen_idx = [_index_of(spec.orders, s) for s in spec.gens]
         for lam in table.eigenvalues:
             idxs = _characters_near(table, lam)
-            V = np.conj(chars[np.ix_(idxs, gen_idx)])
-            A, b = character_lp_system(V)
-            A0, b0 = _lp_rows_oracle(V)
-            assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes(), spec
-            assert A.shape == (2 * len(spec.gens) + 1, len(idxs) + 2)
-            calls.clear()
-            lp = abelian_lp_certificate(table, idxs)
-            status, c, t, complex_only = _abelian_lp_oracle(spec, lam, table)
-            statuses.add(lp.status)
-            if calls:
-                assert (lp.status, lp.t, lp.complex_only) == (status, t, complex_only), spec
-                assert (c is None) == (lp.coefficients is None)
-                if c is not None:
-                    assert lp.coefficients.tobytes() == c.tobytes()
-                continue
-            shortcuts += 1
-            assert lp.status == status == "certified", spec
-            assert lp.complex_only == complex_only, spec
-            d = len(idxs)
-            assert lp.coefficients.tolist() == [1.0 / d] * d
-            x = np.concatenate([lp.coefficients, [max(lp.t, 0.0), max(-lp.t, 0.0)]])
-            assert np.max(np.abs(A0 @ x - b0)) <= 1e-9, spec
-    assert shortcuts > 0
-    assert statuses >= {"certified", "not_in_polytope"}
+            res = abelian_lp_certificate(table, idxs)
+            status, _, _, complex_only = _abelian_lp_oracle(spec, lam, table)
+            assert res.status == status, (spec, lam)
+            statuses.add(status)
+            if status == "certified":
+                values = res.coefficients @ table.gen_chars[idxs].real
+                assert np.max(np.abs(values - res.t)) <= 1e-9, (spec, lam)
+                # one conjugate class has one candidate c, the uniform one
+                if len(idxs) == 1 or (len(idxs) == 2 and not any(table.real(idxs))):
+                    assert res.complex_only == complex_only, (spec, lam)
+    assert not calls
+    assert statuses == {"certified", "not_in_polytope"}
